@@ -51,6 +51,7 @@ from .tree import (
 __version__ = "0.1.0"
 
 from .mcmc import (  # noqa: E402 (depends on the names above)
+    Draws,
     FitResult,
     McmcSettings,
     PosteriorSample,

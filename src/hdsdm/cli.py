@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -20,12 +21,11 @@ from scipy.stats import kstest
 
 from . import __version__
 from .config import RunConfig, build_model, build_settings, ingest
-from .gmrf import CoefficientBlock
-from .mcmc import FitResult, PosteriorSample, fit, metrics, predict
+from .exceptions import ValidationError
+from .mcmc import Draws, FitResult, fit, hyper_param_names, metrics, predict
 from .model import assemble
 from .partition import phi, sensitivity_sweep
 from .priors import marginal_cdfs
-from .tree import HDParams
 
 FLOAT_FMT = "%.17g"
 
@@ -59,72 +59,61 @@ def _write_manifest(outdir: Path, cfg: RunConfig, args, extra=None) -> None:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _write_draws(path: Path, header: list[str], index: np.ndarray, *values: np.ndarray) -> None:
+    """Integer index columns, then values at full precision, laid out as `_write_csv` would."""
+    fmt = ["%d"] * index.shape[1] + [FLOAT_FMT] * (len(header) - index.shape[1])
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack([index, *values]), fmt=fmt, delimiter=",",
+                   newline="\r\n", header=",".join(header), comments="")
+
+
+def _read_draws(path: Path, header: list[str]) -> np.ndarray:
+    """The rows of a file written by `_write_draws`, once its header is the expected one."""
+    with open(path, newline="") as fh:
+        found = next(csv.reader(fh), [])
+    for i, (got, want) in enumerate(itertools.zip_longest(found, header)):
+        if got != want:
+            raise ValidationError(f"{path.name} does not match this config: column "
+                                  f"{i + 1} is {got!r}, expected {want!r}")
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _coefficient_columns(assembled) -> list[str]:
+    return [f"{l}[{i}]" for l in assembled.leaf_ids for i in range(assembled.effects[l].n_coef)]
+
+
 def _save_fit(outdir: Path, result: FitResult) -> None:
-    names = result.hyper_names
-    n_chains, n_keep, _ = result.hyper_draws.shape
-    rows = []
-    for c in range(n_chains):
-        for i in range(n_keep):
-            rows.append([c, i] + [float(v) for v in result.hyper_draws[c, i]])
-    _write_csv(outdir / "samples.csv", ["chain", "draw"] + names, rows)
-
-    leaves = list(result.assembled.leaf_ids)
-    coef_header = ["sample"]
-    for leaf in leaves:
-        k = result.assembled.effects[leaf].n_coef
-        coef_header += [f"{leaf}[{i}]" for i in range(k)]
-    coef_rows = []
-    for s_idx, sample in enumerate(result.samples):
-        row = [s_idx]
-        for leaf in leaves:
-            row.extend(float(v) for v in sample.coefficients[leaf].values)
-        coef_rows.append(row)
-    _write_csv(outdir / "coefficients.csv", coef_header, coef_rows)
-
-    _write_csv(
-        outdir / "rhat.csv",
-        ["param", "split_rhat"],
-        [[k, float(v)] for k, v in result.rhat.items()],
-    )
-    _write_csv(
-        outdir / "acceptance.csv",
-        ["kernel", "rate"],
-        [[k, float(v)] for k, v in result.acceptance.items()],
-    )
+    chains, n_keep, n_hyper = result.hyper_draws.shape
+    n = chains * n_keep
+    _write_draws(outdir / "samples.csv", ["chain", "draw"] + result.hyper_names,
+                 np.indices((chains, n_keep)).reshape(2, n).T,
+                 result.hyper_draws.reshape(n, n_hyper))
+    coef = result.flat_coefficients()
+    _write_draws(outdir / "coefficients.csv", ["sample"] + _coefficient_columns(result.assembled),
+                 np.arange(n)[:, None], *(coef[l] for l in result.assembled.leaf_ids))
+    for name, header, table in (("rhat.csv", ["param", "split_rhat"], result.rhat),
+                                ("acceptance.csv", ["kernel", "rate"], result.acceptance)):
+        _write_csv(outdir / name, header, [[k, float(v)] for k, v in table.items()])
     if result.assembled.tree is not None:
         (outdir / "tree.json").write_text(
             json.dumps(result.assembled.tree.to_dict(), indent=2)
         )
 
 
-def _load_samples(outdir: Path, assembled) -> list[PosteriorSample]:
-    """Rebuild posterior samples from the files written by `fit`."""
-    with open(outdir / "samples.csv", newline="") as fh:
-        hyper = list(csv.DictReader(fh))
-    with open(outdir / "coefficients.csv", newline="") as fh:
-        coef = list(csv.DictReader(fh))
+def _load_samples(outdir: Path, assembled) -> Draws:
+    """The retained draws written by `fit`, checked against the configured model."""
+    names = hyper_param_names(assembled)
+    hyper = _read_draws(outdir / "samples.csv", ["chain", "draw"] + names)
+    coef = _read_draws(outdir / "coefficients.csv", ["sample"] + _coefficient_columns(assembled))
     if len(hyper) != len(coef):
         raise ValueError("samples.csv and coefficients.csv row counts differ")
-    leaves = list(assembled.leaf_ids)
-    sizes = {l: assembled.effects[l].n_coef for l in leaves}
-    samples = []
-    for hrow, crow in zip(hyper, coef):
-        coeffs = {
-            l: CoefficientBlock(
-                np.array([float(crow[f"{l}[{i}]"]) for i in range(sizes[l])]), l
-            )
-            for l in leaves
-        }
-        mu = float(hrow.get("mu", 0.0))
-        samples.append(
-            PosteriorSample(
-                hd=HDParams(total=float(hrow.get("V", 0.0))),
-                coefficients=coeffs,
-                mu=mu,
-                eta=np.zeros(0),
-            )
-        )
-    return samples
+    chains = int(hyper[:, 0].max()) + 1 if len(hyper) else 1
+    mu = hyper[:, names.index("mu") + 2] if "mu" in names else np.zeros(len(hyper))
+    ends = np.cumsum([1] + [assembled.effects[l].n_coef for l in assembled.leaf_ids])
+    return Draws(mu=mu.reshape(chains, -1), coefficients={
+        l: coef[:, a:b].copy().reshape(chains, -1, b - a)
+        for l, a, b in zip(assembled.leaf_ids, ends[:-1], ends[1:])
+    })
 
 
 def _cmd_fit(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
@@ -152,21 +141,15 @@ def _cmd_predict(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     if not test_mask.any():
         raise ValueError("no test rows under the configured split")
     p_hat = predict(samples, data, assembled=assembled, mask=test_mask)
-    rows = [
-        [int(i), int(yv), float(p)]
-        for i, yv, p in zip(np.flatnonzero(test_mask), data.y[test_mask], p_hat)
-    ]
-    _write_csv(outdir / "predictions.csv", ["row", "y", "p_hat"], rows)
+    _write_draws(outdir / "predictions.csv", ["row", "y", "p_hat"],
+                 np.column_stack([np.flatnonzero(test_mask), data.y[test_mask]]), p_hat[:, None])
     _write_manifest(outdir, cfg, args, {"n_test": int(test_mask.sum())})
-    print(f"predict: wrote {len(rows)} test predictions to {outdir / 'predictions.csv'}")
+    print(f"predict: wrote {p_hat.size} test predictions to {outdir / 'predictions.csv'}")
 
 
 def _cmd_metrics(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
-    with open(outdir / "predictions.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    y = np.array([int(r["y"]) for r in rows])
-    p = np.array([float(r["p_hat"]) for r in rows])
-    out = metrics(p, y)
+    rows = _read_draws(outdir / "predictions.csv", ["row", "y", "p_hat"])
+    out = metrics(rows[:, 2], rows[:, 1])
     _write_csv(
         outdir / "metrics.csv",
         list(out.keys()),
@@ -185,11 +168,8 @@ def _cmd_partition(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
         ["group", "phi_mean", "s2_mean"],
         [[g, m, s] for g, m, s in res.summary_rows()],
     )
-    _write_csv(
-        outdir / "phi_samples.csv",
-        ["sample"] + res.group_names,
-        [[i] + [float(v) for v in row] for i, row in enumerate(res.phi)],
-    )
+    _write_draws(outdir / "phi_samples.csv", ["sample"] + res.group_names,
+                 np.arange(len(res.phi))[:, None], res.phi)
     skipped = f" ({res.n_skipped} zero-variance samples skipped)" if res.n_skipped else ""
     print(
         "partition: "

@@ -19,7 +19,7 @@ so retained samples come from a fixed kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "McmcSettings",
     "ModelState",
     "PosteriorSample",
+    "Draws",
     "FitResult",
     "log_posterior",
     "fit",
@@ -74,10 +75,43 @@ class ModelState:
 
 @dataclass
 class PosteriorSample:
-    hd: HDParams
+    """One draw as a record: an input to ``predict`` and ``phi``; ``eta`` is ignored."""
+
+    hd: HDParams | None
     coefficients: dict[str, CoefficientBlock]
     mu: float
-    eta: np.ndarray
+    eta: np.ndarray | None = None
+
+
+@dataclass
+class Draws:
+    """Retained posterior draws as arrays with leading axes (chains, draws)."""
+
+    mu: np.ndarray  # (chains, draws)
+    coefficients: dict[str, np.ndarray]  # leaf -> (chains, draws, n_coef)
+
+    @property
+    def n_samples(self) -> int:
+        return self.mu.size
+
+    def flat_coefficients(self) -> dict[str, np.ndarray]:
+        """leaf -> (n_samples, n_coef), the chains one after another."""
+        return {l: c.reshape(self.n_samples, -1) for l, c in self.coefficients.items()}
+
+
+def as_draws(samples: Draws | list[PosteriorSample]) -> Draws:
+    """Draws as given, or a list of records stacked as a single chain."""
+    if not isinstance(samples, Draws):
+        leaves = samples[0].coefficients if samples else {}
+        samples = Draws(
+            mu=np.array([[s.mu for s in samples]], dtype=float),
+            coefficients={
+                l: np.array([[s.coefficients[l].values for s in samples]]) for l in leaves
+            },
+        )
+    if samples.n_samples == 0:
+        raise ValidationError("no posterior samples")
+    return samples
 
 
 def bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
@@ -181,12 +215,9 @@ def _check_divergent(acc: dict[str, "_Accept"]) -> dict[str, float]:
     return rates
 
 
-def _run_chain(
-    assembled: AssembledModel,
-    settings: McmcSettings,
-    rng: np.random.Generator,
-    likelihood_weight: float,
-):
+def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str, float]:
+    """Run chain c, writing its retained draws into row c of the result's arrays."""
+    assembled, settings = result.assembled, result.settings
     tree = assembled.tree
     priors = assembled.model.priors
     leaves = list(assembled.leaf_ids)
@@ -228,7 +259,7 @@ def _run_chain(
         raise DiagnosticError("non-finite log posterior at the initial state")
 
     mu_sd = assembled.model.mu_prior_sd
-    w = likelihood_weight
+    w = result.likelihood_weight
 
     prop_chol = np.eye(d)
     theta_history = np.empty((settings.burn_in, d))
@@ -242,11 +273,6 @@ def _run_chain(
         acc[f"coef[{l}]"] = _Accept(
             np.log(2.38 / np.sqrt(free_dims[l])), settings.target_accept_block
         )
-
-    n_keep = (settings.iterations - settings.burn_in + settings.thinning - 1) // settings.thinning
-    hyper_rows = np.empty((n_keep, len(hyper_param_names(assembled))))
-    samples: list[PosteriorSample] = []
-    kept = 0
 
     def alpha_of(logr: float) -> float:
         if logr >= 0.0:
@@ -344,20 +370,16 @@ def _run_chain(
                 for a in acc.values():
                     a.reset()  # diagnostics reflect the frozen kernel only
 
-        if it >= settings.burn_in and (it - settings.burn_in) % settings.thinning == 0:
-            coeffs = {
-                l: CoefficientBlock(sig[k] * (transforms[l] @ xi[l]), effect_id=l)
-                for k, l in enumerate(leaves)
-            }
+        kept, skip = divmod(it - settings.burn_in, settings.thinning)
+        if kept >= 0 and skip == 0:
+            for k, l in enumerate(leaves):
+                result.coefficients[l][c, kept] = sig[k] * (transforms[l] @ xi[l])
             hd = from_unconstrained(tree, theta) if tree is not None else None
-            hyper_rows[kept] = _hyper_values(assembled, hd, mu)
-            samples.append(
-                PosteriorSample(hd=hd, coefficients=coeffs, mu=mu, eta=eta.copy())
-            )
-            kept += 1
+            result.hyper_draws[c, kept] = _hyper_values(assembled, hd, mu)
+            result.theta[c, kept] = theta
+            result.mu[c, kept] = mu
 
-    rates = _check_divergent(acc)
-    return samples, hyper_rows[:kept], rates
+    return _check_divergent(acc)
 
 
 def split_rhat(draws: np.ndarray) -> float:
@@ -376,19 +398,28 @@ def split_rhat(draws: np.ndarray) -> float:
 
 
 @dataclass
-class FitResult:
-    samples: list[PosteriorSample]
+class FitResult(Draws):
+    """The retained draws, their HD coordinates ``theta`` (chains, draws, d)
+    and reported hyperparameters, and the run's diagnostics."""
+
+    theta: np.ndarray
     hyper_names: list[str]
-    hyper_draws: np.ndarray  # (chains, n_keep, n_params)
-    rhat: dict[str, float]
-    acceptance: dict[str, float]
+    hyper_draws: np.ndarray  # (chains, draws, n_params)
     assembled: AssembledModel
     settings: McmcSettings
     likelihood_weight: float = 1.0
+    rhat: dict[str, float] = field(default_factory=dict)
+    acceptance: dict[str, float] = field(default_factory=dict)
 
     @property
-    def n_samples(self) -> int:
-        return len(self.samples)
+    def samples(self) -> list[PosteriorSample]:
+        """The draws as records, rebuilt on each access; ``hd`` is left empty
+        (``from_unconstrained`` of the matching ``theta`` row gives it)."""
+        coefs = self.flat_coefficients()
+        return [
+            PosteriorSample(None, {l: CoefficientBlock(c[i], l) for l, c in coefs.items()}, mu)
+            for i, mu in enumerate(self.mu.ravel().tolist())
+        ]
 
 
 def fit(
@@ -412,83 +443,74 @@ def fit(
     else:
         chain_rngs = rng.spawn(settings.chains)
 
-    all_samples: list[PosteriorSample] = []
-    rows = []
-    rates_by_chain = []
-    for c in range(settings.chains):
-        samples, hyper_rows, rates = _run_chain(
-            assembled, settings, chain_rngs[c], likelihood_weight
-        )
-        all_samples.extend(samples)
-        rows.append(hyper_rows)
-        rates_by_chain.append(rates)
-
     names = hyper_param_names(assembled)
-    n_keep = min(r.shape[0] for r in rows)
-    hyper_draws = np.stack([r[:n_keep] for r in rows])
-    rhat = {}
-    for j, name in enumerate(names):
-        rhat[name] = (
-            split_rhat(hyper_draws[:, :, j]) if settings.chains > 1 else np.nan
-        )
-    acceptance = {
-        k: float(np.mean([r[k] for r in rates_by_chain])) for k in rates_by_chain[0]
-    }
-    return FitResult(
-        samples=all_samples,
+    n_keep = (settings.iterations - settings.burn_in + settings.thinning - 1) // settings.thinning
+    shape = (settings.chains, n_keep)
+    d = n_coordinates(assembled.tree) if assembled.tree is not None else 0
+    result = FitResult(
+        mu=np.empty(shape),
+        coefficients={
+            l: np.empty(shape + (assembled.effects[l].n_coef,)) for l in assembled.leaf_ids
+        },
+        theta=np.empty(shape + (d,)),
         hyper_names=names,
-        hyper_draws=hyper_draws,
-        rhat=rhat,
-        acceptance=acceptance,
+        hyper_draws=np.empty(shape + (len(names),)),
         assembled=assembled,
         settings=settings,
         likelihood_weight=likelihood_weight,
     )
+    rates_by_chain = [_run_chain(result, c, chain_rngs[c]) for c in range(settings.chains)]
+    for j, name in enumerate(names):
+        result.rhat[name] = (
+            split_rhat(result.hyper_draws[:, :, j]) if settings.chains > 1 else np.nan
+        )
+    result.acceptance = {
+        k: float(np.mean([r[k] for r in rates_by_chain])) for k in rates_by_chain[0]
+    }
+    return result
 
 
 def predict(
-    result: FitResult | list[PosteriorSample],
+    result: Draws | list[PosteriorSample],
     newdata: dict[str, np.ndarray] | Dataset,
     assembled: AssembledModel | None = None,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pointwise p-hat = logistic(posterior mean linear predictor) at new rows.
+    """Pointwise p-hat = logistic(posterior mean linear predictor) at new rows,
+    evaluated at the posterior-mean intercept and coefficients (it is linear in them).
 
     Covariate values outside an effect's declared support raise DomainError:
     the standardization (and hence the fitted scales) is only defined there.
     """
     if isinstance(result, FitResult):
-        samples = result.samples
         assembled = result.assembled
-    else:
-        samples = result
-        if assembled is None:
-            raise ValidationError("predict needs the assembled model for raw samples")
+    elif assembled is None:
+        raise ValidationError("predict needs the assembled model for raw samples")
+    draws = as_draws(result)
     if isinstance(newdata, Dataset):
         use = np.ones(newdata.n, dtype=bool) if mask is None else mask
         columns = newdata.rows(use)
     else:
         columns = newdata
     designs = assembled.designs_at(columns)
-    if not samples:
-        raise ValidationError("no posterior samples")
-    if columns:
-        n = next(iter(columns.values())).shape[0]
-    else:
-        n = next(iter(designs.values())).shape[0]
-    eta_sum = np.zeros(n)
-    for s in samples:
-        eta_sum += assembled.linear_predictor(s.coefficients, s.mu, designs, n=n)
-    eta_mean = eta_sum / len(samples)
+    n = next(iter(columns.values())).shape[0] if columns else None
+    coef_mean = {l: c.mean(axis=0) for l, c in draws.flat_coefficients().items()}
+    eta_mean = assembled.linear_predictor(coef_mean, draws.mu.mean(), designs, n=n)
     return 1.0 / (1.0 + np.exp(-eta_mean))
 
 
 def metrics(p_hat: np.ndarray, y_test: np.ndarray) -> dict[str, float]:
-    """Test-set predictive scores: log likelihood, Brier, Tjur R2, accuracy."""
+    """Test-set predictive scores: log likelihood, Brier, Tjur R2, accuracy.
+
+    ``p_hat`` must be finite and within [0, 1]. A prediction of exactly 0 for
+    a presence or exactly 1 for an absence gives ``loglik = -inf``.
+    """
     p_hat = np.asarray(p_hat, dtype=float)
     y = np.asarray(y_test, dtype=float)
     if p_hat.shape != y.shape:
         raise ValidationError("p_hat and y_test must have the same length")
+    if not np.all((p_hat >= 0.0) & (p_hat <= 1.0)):  # also rejects nan
+        raise ValidationError("p_hat must be finite and within [0, 1]")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValidationError("y_test must be binary")
     pos = y == 1

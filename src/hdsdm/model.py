@@ -251,9 +251,7 @@ class AssembledModel:
             n = next(iter(designs.values())).shape[0]
         eta = np.full(n, float(mu))
         for leaf, G in designs.items():
-            u = coefficients[leaf]
-            values = u.values if hasattr(u, "values") else np.asarray(u, dtype=float)
-            eta = eta + G @ values
+            eta = eta + G @ coefficients[leaf]
         return eta
 
 

@@ -15,20 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .mcmc import FitResult, McmcSettings, PosteriorSample, fit
+from .mcmc import Draws, FitResult, McmcSettings, PosteriorSample, as_draws, fit
 from .model import AssembledModel, Dataset, ModelSpec
 from .priors import PriorSpec
 from .standardize import StandardizedEffect
 
 __all__ = ["PartitionResult", "finite_pop_variance", "phi", "sensitivity_sweep"]
 
+PHI_CHUNK = 256  # draws per block of quadrature matmuls; bounds phi's temporaries
+
 
 def finite_pop_variance(effect: StandardizedEffect, coefficients) -> float:
     """Variance of the realized trend over the effect's quadrature grid."""
-    values = (
-        coefficients.values if hasattr(coefficients, "values") else np.asarray(coefficients)
-    )
-    f = effect.quadrature_design() @ values
+    f = effect.quadrature_design() @ np.asarray(coefficients, dtype=float)
     return float(f.var())
 
 
@@ -60,7 +59,7 @@ def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[str]]]:
 
 
 def phi(
-    samples: list[PosteriorSample] | FitResult,
+    samples: Draws | list[PosteriorSample],
     assembled: AssembledModel | None = None,
     groups: list[tuple[str, list[str]]] | None = None,
 ) -> PartitionResult:
@@ -71,11 +70,10 @@ def phi(
     """
     if isinstance(samples, FitResult):
         assembled = samples.assembled
-        samples = samples.samples
     if assembled is None:
         raise ValidationError("phi needs the assembled model for raw sample lists")
-    if not samples:
-        raise ValidationError("no posterior samples")
+    draws = as_draws(samples)
+    coefs = draws.flat_coefficients()
     groups = _default_groups(assembled) if groups is None else groups
 
     quad = {leaf: assembled.effects[leaf].quadrature_design() for leaf in assembled.leaf_ids}
@@ -86,11 +84,12 @@ def phi(
                 f"group {name!r} mixes effects with different quadrature grids"
             )
 
-    s2 = np.empty((len(samples), len(groups)))
-    for i, sample in enumerate(samples):
+    s2 = np.empty((draws.n_samples, len(groups)))
+    for start in range(0, draws.n_samples, PHI_CHUNK):
+        rows = slice(start, start + PHI_CHUNK)
         for j, (name, leaves) in enumerate(groups):
-            trend = sum(quad[l] @ sample.coefficients[l].values for l in leaves)
-            s2[i, j] = trend.var()
+            trends = sum(coefs[l][rows] @ quad[l].T for l in leaves)
+            s2[rows, j] = trends.var(axis=1)
     totals = s2.sum(axis=1)
     keep = totals > 0
     n_skipped = int((~keep).sum())
@@ -118,20 +117,17 @@ def posterior_mean_trends(
     result: FitResult, groups: list[tuple[str, list[str]]] | None = None
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Posterior-mean effect curves per 1D group, centered to zero quadrature
-    mean (the normalization used for the emitted plot data)."""
+    mean (the normalization used for the emitted plot data). The trends are
+    linear in the coefficients, so they are evaluated at the posterior mean."""
     assembled = result.assembled
+    coef_mean = {l: c.mean(axis=0) for l, c in result.flat_coefficients().items()}
     groups = _default_groups(assembled) if groups is None else groups
     out = {}
     for name, leaves in groups:
         grid = assembled.effects[leaves[0]].dist.grid()
         if np.asarray(grid).ndim != 1:
             continue
-        quad = [assembled.effects[l].quadrature_design() for l in leaves]
-        acc = np.zeros(len(grid))
-        for sample in result.samples:
-            for G, leaf in zip(quad, leaves):
-                acc += G @ sample.coefficients[leaf].values
-        trend = acc / len(result.samples)
+        trend = sum(assembled.effects[l].quadrature_design() @ coef_mean[l] for l in leaves)
         out[name] = (np.asarray(grid), trend - trend.mean())
     return out
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdsdm.cli import main
+from hdsdm.cli import _load_samples, main
 from hdsdm.config import RunConfig, build_model, build_settings, ingest, read_point_cloud
 from hdsdm.exceptions import ValidationError
+from hdsdm.mcmc import fit
 
 
 def write_dataset(path: Path, n=240, seed=0):
@@ -169,6 +170,38 @@ class TestCliFlow:
         rows = read_rows(out / "phi_mean.csv")
         assert {r["group"] for r in rows} == {"sst", "vessel", "temporal"}
         assert sum(float(r["phi_mean"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+
+    def test_draw_files_round_trip_exactly(self, workdir):
+        cfg_path = workdir / "config.json"
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        cfg = RunConfig.load(cfg_path)
+        result = fit(build_model(cfg, workdir), ingest("data.csv", cfg, workdir),
+                     build_settings(cfg))
+        out = workdir / "out"
+        loaded = _load_samples(out, result.assembled)
+        np.testing.assert_array_equal(loaded.mu, result.mu)
+        assert loaded.coefficients.keys() == result.coefficients.keys()
+        for leaf, draws in result.coefficients.items():
+            np.testing.assert_array_equal(loaded.coefficients[leaf], draws)
+        for name in ("samples.csv", "coefficients.csv"):
+            raw = (out / name).read_bytes()
+            assert raw.count(b"\n") == raw.count(b"\r\n") == len(read_rows(out / name)) + 1
+
+    @pytest.mark.parametrize("command", ["predict", "partition"])
+    def test_stale_fit_files_rejected(self, workdir, capsys, command):
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        raw = base_config()
+        raw["model"]["effects"][0]["n_basis"] = 8
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "coefficients.csv" in record["message"]
+        assert "sst_nonlin[8]" in record["message"]
 
     def test_fit_deterministic_across_runs(self, workdir):
         cfg_path = str(workdir / "config.json")

@@ -19,6 +19,7 @@ from hdsdm.mcmc import (
     split_rhat,
 )
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
+from hdsdm.partition import phi
 from hdsdm.priors import PriorSpec
 
 
@@ -206,7 +207,7 @@ class TestFit:
             chains=2, iterations=4000, burn_in=1000, thinning=1, seed=11
         )
         result = fit(model, data, settings)
-        post_mean_p = np.mean([1 / (1 + np.exp(-s.mu)) for s in result.samples])
+        post_mean_p = np.mean(1 / (1 + np.exp(-result.mu)))
 
         # grid-integration oracle over mu with the same N(0, 10^2) prior
         grid = np.linspace(-4, 4, 20001)
@@ -227,7 +228,23 @@ class TestFit:
         r1 = fit(model, data, settings)
         r2 = fit(model, data, settings)
         np.testing.assert_array_equal(r1.hyper_draws, r2.hyper_draws)
-        np.testing.assert_array_equal(r1.samples[10].eta, r2.samples[10].eta)
+        np.testing.assert_array_equal(r1.theta, r2.theta)
+        np.testing.assert_array_equal(r1.mu, r2.mu)
+        assert r1.coefficients.keys() == r2.coefficients.keys()
+        for leaf, draws in r1.coefficients.items():
+            np.testing.assert_array_equal(draws, r2.coefficients[leaf])
+
+    def test_record_list_matches_arrays_bit_for_bit(self):
+        model = toy_model()
+        data = toy_data(n=60, seed=10)
+        result = fit(model, data, McmcSettings(chains=2, iterations=400, burn_in=200, seed=8))
+        new = {"x": np.array([-0.9, 0.0, 0.7]), "g": np.array([1.0, 2.0, 2.0])}
+        np.testing.assert_array_equal(
+            predict(result.samples, new, assembled=result.assembled), predict(result, new)
+        )
+        np.testing.assert_array_equal(
+            phi(result.samples, result.assembled).phi, phi(result).phi
+        )
 
     def test_prior_only_uniform_share_centered(self):
         model = toy_model()
@@ -245,9 +262,9 @@ class TestFit:
         data = toy_data(n=80, seed=7)
         settings = McmcSettings(chains=1, iterations=300, burn_in=150, seed=5)
         result = fit(model, data, settings)
-        for s in result.samples[::25]:
-            u = s.coefficients["ran"].values
-            assert abs(u.sum()) < 1e-9  # zero-mean over two equal levels
+        u = result.coefficients["ran"]
+        assert u.shape == (1, 150, 2)
+        assert np.abs(u.sum(axis=-1)).max() < 1e-9  # zero-mean over two equal levels
 
     def test_rhat_reported_per_parameter(self):
         model = toy_model()
@@ -338,6 +355,15 @@ class TestMetrics:
         assert out["tjur_r2"] == pytest.approx(0.3)
         assert out["accuracy"] == pytest.approx(1.0)
         assert out["loglik"] == pytest.approx(np.log(0.8) + np.log(0.6) + np.log(0.6))
+
+    def test_exact_zero_or_one_on_wrong_class_gives_minus_inf_loglik(self):
+        assert metrics(np.array([0.0, 0.2]), np.array([1, 0]))["loglik"] == -np.inf
+        assert metrics(np.array([0.8, 1.0]), np.array([1, 0]))["loglik"] == -np.inf
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf])
+    def test_impossible_p_hat_rejected(self, bad):
+        with pytest.raises(ValidationError, match="within"):
+            metrics(np.array([bad, 0.2, 0.4]), np.array([1, 0, 0]))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,7 @@ from hdsdm.gmrf import CoefficientBlock, build_iid
 from hdsdm.bases import IndicatorBasis, LinearBasis
 from hdsdm.mcmc import McmcSettings, PosteriorSample, fit
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
-from hdsdm.partition import finite_pop_variance, phi, posterior_mean_trends
+from hdsdm.partition import PHI_CHUNK, finite_pop_variance, phi, posterior_mean_trends
 from hdsdm.priors import PriorSpec
 from hdsdm.standardize import standardize
 from hdsdm.tree import HDParams
@@ -115,6 +115,29 @@ class TestPhi:
         np.testing.assert_allclose(res.phi.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(res.phi >= 0)
 
+    def test_matches_per_draw_loop_across_chunks(self):
+        rng = np.random.default_rng(3)
+        asm = assemble(three_effect_model(), None)
+        n = 2 * PHI_CHUNK + 37
+        samples = [
+            make_sample(asm, {
+                l: asm.effects[l].sample_coefficients(rng.uniform(0.1, 2.0), rng).values
+                for l in asm.leaf_ids
+            })
+            for _ in range(n)
+        ]
+        res = phi(samples, asm)
+        expected = np.array([
+            [finite_pop_variance(asm.effects[g], s.coefficients[g].values)
+             for g in res.group_names]
+            for s in samples
+        ])
+        assert res.s2.shape == (n, 3)
+        np.testing.assert_allclose(res.s2, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            res.phi, expected / expected.sum(axis=1, keepdims=True), rtol=0, atol=1e-12
+        )
+
     def test_prior_expected_share_matches_sigma2_contract(self):
         # with standardized effects, posterior-expected realized variance
         # tracks the prior-expected sigma2 (here: equal shares by symmetry)
@@ -154,14 +177,14 @@ class TestPriorOnlyContract:
         result = fit(model, None, settings, likelihood_weight=0.0)
         assert result.n_samples == 10_000
         asm = result.assembled
-        from hdsdm.tree import to_variances
+        from hdsdm.tree import from_unconstrained, to_variances
 
         sums_s2 = {l: 0.0 for l in asm.leaf_ids}
         sums_sigma2 = {l: 0.0 for l in asm.leaf_ids}
-        for s in result.samples:
-            sigma2 = to_variances(asm.tree, s.hd)
+        for i, theta in enumerate(result.theta[0]):
+            sigma2 = to_variances(asm.tree, from_unconstrained(asm.tree, theta))
             for l in asm.leaf_ids:
-                sums_s2[l] += finite_pop_variance(asm.effects[l], s.coefficients[l])
+                sums_s2[l] += finite_pop_variance(asm.effects[l], result.coefficients[l][0, i])
                 sums_sigma2[l] += sigma2[l]
         for l in asm.leaf_ids:
             assert sums_s2[l] == pytest.approx(sums_sigma2[l], rel=0.10), l
@@ -181,6 +204,9 @@ class TestTrends:
         res = fit(model, data, McmcSettings(chains=1, iterations=300, burn_in=150, seed=0))
         trends = posterior_mean_trends(res)
         assert set(trends) == {"lin", "vessel", "temporal"}
-        for grid, curve in trends.values():
+        for name, (grid, curve) in trends.items():
             assert grid.shape == curve.shape
             assert abs(curve.mean()) < 1e-10
+            G = res.assembled.effects[name].quadrature_design()
+            per_draw = np.mean([G @ s.coefficients[name].values for s in res.samples], axis=0)
+            np.testing.assert_allclose(curve, per_draw - per_draw.mean(), rtol=0, atol=1e-12)
