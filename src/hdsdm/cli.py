@@ -122,7 +122,8 @@ def _cmd_fit(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     settings = build_settings(cfg, args.seed)
     result = fit(model, data, settings)
     _save_fit(outdir, result)
-    _write_manifest(outdir, cfg, args, {"n_train": data.n_train, "n_total": data.n})
+    _write_manifest(outdir, cfg, args, {"n_train": data.n_train, "n_total": data.n,
+                                        "timings_s": result.timings})
     worst = max(
         (v for v in result.rhat.values() if np.isfinite(v)), default=float("nan")
     )

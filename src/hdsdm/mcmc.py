@@ -7,9 +7,19 @@ sees rescaled effects); (b) an interweaved centered update of the same
 coordinates holding the latent effects fixed (no likelihood evaluation,
 coefficients rescaled on acceptance) to keep hyperparameter mixing robust
 when the likelihood is informative; (c) a scalar intercept update; and
-(d) one joint Gaussian update per coefficient block in prior-whitened
-coordinates, which both enforces the effect constraints exactly and makes
-the prior-precision preconditioning an identity proposal.
+(d) one joint Gaussian random-walk update per coefficient block in
+prior-whitened coordinates, which both enforces the effect constraints
+exactly and makes the prior-precision preconditioning an identity proposal.
+The proposal noise of (d) does not depend on the chain state, so it is drawn
+for ``PROPOSAL_BLOCK`` iterations at a time, and its image on the training
+rows (design times whitening transform times noise) is formed with one
+matrix product per leaf. A proposal then moves the linear predictor by a
+scaled row of that image, and on acceptance the same row updates the
+unscaled per-leaf predictor ``V`` (leaves, n) in place. The same product
+also rebuilds ``V`` from the current coefficients once per block, because
+the centered rescaling in (b) multiplies its rounding error; at the end of
+each chain the linear predictor is recomputed from the coefficients and
+checked against the incremental one.
 
 Adaptation (proposal scales by Robbins-Monro toward the target acceptance
 rates, hyper covariance from the chain history) runs during burn-in only,
@@ -19,6 +29,7 @@ so retained samples come from a fixed kernel.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +39,16 @@ from .gmrf import CoefficientBlock
 from .model import AssembledModel, Dataset, ModelSpec, assemble
 from .priors import HDEvaluator, log_prior_unconstrained, prior_median_theta
 from .tree import HDParams, from_unconstrained, n_coordinates, to_variances
+
+# iterations whose coefficient proposal noise is drawn, and mapped to the
+# training rows, at once
+PROPOSAL_BLOCK = 16
+
+# the sampler's kernels, as timed in FitResult.timings: the hyper updates (a)
+# and (b), the intercept (c), the coefficient blocks (d), the block draws of
+# coefficient proposals with their images on the training rows, and
+# adaptation plus writing the retained draws
+KERNELS = ("hyper", "hyper_centered", "mu", "coef", "proposals", "store")
 
 __all__ = [
     "McmcSettings",
@@ -61,6 +82,11 @@ class McmcSettings:
             raise ValidationError("need iterations > burn_in >= 0")
         if self.thinning < 1:
             raise ValidationError("thinning must be >= 1")
+        if self.adaptation_window < 1:
+            raise ValidationError("adaptation_window must be >= 1")
+        for name in ("target_accept_hyper", "target_accept_block"):
+            if not 0.0 < getattr(self, name) < 1.0:  # also rejects nan
+                raise ValidationError(f"{name} must lie in (0, 1)")
 
 
 @dataclass
@@ -115,10 +141,21 @@ def as_draws(samples: Draws | list[PosteriorSample]) -> Draws:
 
 
 def bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    """Sum of Bernoulli log-probabilities under the logit link."""
+    """Sum of Bernoulli log-probabilities under the logit link.
+
+    Each term is -softplus(x) with x = (1 - 2y) eta, written as
+    max(x, 0) + log1p(exp(-|x|)) so that numpy's vectorized exp and log1p
+    do the work (``np.logaddexp`` takes a scalar path per element).
+    """
     if eta.size == 0:
         return 0.0
-    return float(-np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum())
+    x = (1.0 - 2.0 * y) * eta
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(x, 0.0, out=x)
+    return float(-t.sum())
 
 
 def log_posterior(
@@ -215,8 +252,23 @@ def _check_divergent(acc: dict[str, "_Accept"]) -> dict[str, float]:
     return rates
 
 
+def _check_eta(
+    assembled: AssembledModel, coefficients: dict[str, np.ndarray], mu: float, eta: np.ndarray
+) -> None:
+    """Raise DiagnosticError when the incrementally updated linear predictor
+    differs from the one recomputed from the coefficients and intercept."""
+    exact = assembled.linear_predictor(coefficients, mu)
+    err = float(np.max(np.abs(eta - exact), initial=0.0))
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(eta), initial=0.0)))
+    if not err <= tol:  # also catches nan
+        raise DiagnosticError(
+            f"incremental linear predictor drifted by {err:.3g} (tolerance {tol:.3g})"
+        )
+
+
 def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str, float]:
-    """Run chain c, writing its retained draws into row c of the result's arrays."""
+    """Run chain c, writing its retained draws into row c of the result's
+    arrays and adding its kernel times to ``result.timings``."""
     assembled, settings = result.assembled, result.settings
     tree = assembled.tree
     priors = assembled.model.priors
@@ -226,7 +278,6 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
     d = n_coordinates(tree) if tree is not None else 0
 
     transforms = {l: assembled.effects[l].whitening_transform() for l in leaves}
-    Z = {l: assembled.designs[l] @ transforms[l] for l in leaves}
     free_dims = {l: transforms[l].shape[1] for l in leaves}
 
     evaluator = HDEvaluator(tree, priors) if tree is not None else None
@@ -251,9 +302,18 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
     xi = {l: np.zeros(free_dims[l]) for l in leaves}
     qnorm = {l: 0.0 for l in leaves}
 
+    # Per leaf, row 0 of `whitened` is the current xi and rows 1.. are the
+    # proposal noise of the current block of iterations; `images` holds their
+    # images G_l T_l (.) on the training rows. Row 0 of `images` is the
+    # unscaled per-leaf predictor V, with eta = mu + sig @ V. V is updated in
+    # place between blocks, and each block's product rebuilds it from xi, so
+    # that the rounding error the centered rescaling multiplies stays small.
+    whitened = [np.zeros((PROPOSAL_BLOCK + 1, free_dims[l])) for l in leaves]
+    images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
+    V = images[:, 0]
+
     lp_theta, sig = eval_theta(theta)
-    Vmat = np.zeros((n_obs, len(leaves)))
-    eta = mu + Vmat @ sig
+    eta = mu + sig @ V
     ll = bernoulli_loglik(eta, y)
     if not (np.isfinite(lp_theta) and np.isfinite(ll)):
         raise DiagnosticError("non-finite log posterior at the initial state")
@@ -273,6 +333,11 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
         acc[f"coef[{l}]"] = _Accept(
             np.log(2.38 / np.sqrt(free_dims[l])), settings.target_accept_block
         )
+    acc_coef = [acc[f"coef[{l}]"] for l in leaves]
+
+    def coefficients() -> dict[str, np.ndarray]:
+        """The current effects u = sigma T xi."""
+        return {l: sig[k] * (transforms[l] @ xi[l]) for k, l in enumerate(leaves)}
 
     def alpha_of(logr: float) -> float:
         if logr >= 0.0:
@@ -281,8 +346,20 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             return math.exp(logr)
         return 0.0
 
+    t_prop = t_hyper = t_centered = t_mu = t_coef = t_store = 0.0
+    clock = time.perf_counter
     for it in range(settings.iterations):
         adapting = it < settings.burn_in
+        t0 = clock()
+
+        j = it % PROPOSAL_BLOCK + 1
+        if j == 1:
+            for k, l in enumerate(leaves):
+                whitened[k][0] = xi[l]
+                rng.standard_normal(out=whitened[k][1:])
+                np.matmul(whitened[k] @ transforms[l].T, assembled.designs[l].T, out=images[k])
+        t1 = clock()
+        t_prop += t1 - t0
 
         if d > 0:
             # (a) hyper block, non-centered: effects rescale with sigma
@@ -290,7 +367,7 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             theta_new = theta + step
             lp_new, sig_new = eval_theta(theta_new)
             if np.isfinite(lp_new):
-                eta_new = mu + Vmat @ sig_new
+                eta_new = mu + sig_new @ V
                 ll_new = bernoulli_loglik(eta_new, y)
                 logr = w * (ll_new - ll) + lp_new - lp_theta
             else:
@@ -300,6 +377,8 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
                 theta, sig = theta_new, sig_new
                 eta, ll, lp_theta = eta_new, ll_new, lp_new
             acc["hyper"].update(alpha, it, adapting)
+            t0 = clock()
+            t_hyper += t0 - t1
 
             # (b) hyper block, centered interweave: effects held fixed, so the
             # likelihood is unchanged; coefficients rescale on acceptance
@@ -322,9 +401,11 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
                 for k, l in enumerate(leaves):
                     xi[l] *= rescale[k]
                     qnorm[l] *= rescale[k] ** 2
-                Vmat *= rescale
+                V *= rescale[:, None]
                 theta, sig, lp_theta = theta_new, sig_new, lp_new
             acc["hyper_centered"].update(alpha, it, adapting)
+            t1 = clock()
+            t_centered += t1 - t0
 
         # (c) intercept
         if assembled.model.intercept:
@@ -336,20 +417,24 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             if rng.uniform() < alpha:
                 mu, eta, ll = mu_new, eta_new, ll_new
             acc["mu"].update(alpha, it, adapting)
+        t0 = clock()
+        t_mu += t0 - t1
 
         # (d) coefficient blocks in prior-whitened coordinates
         for k, l in enumerate(leaves):
-            xi_new = xi[l] + acc[f"coef[{l}]"].scale * rng.standard_normal(free_dims[l])
+            s = acc_coef[k].scale
+            xi_new = xi[l] + s * whitened[k][j]
             q_new = float(xi_new @ xi_new)
-            v_new = Z[l] @ xi_new
-            eta_new = eta + sig[k] * (v_new - Vmat[:, k])
+            eta_new = eta + (sig[k] * s) * images[k, j]
             ll_new = bernoulli_loglik(eta_new, y)
             logr = w * (ll_new - ll) - 0.5 * (q_new - qnorm[l])
             alpha = alpha_of(logr)
             if rng.uniform() < alpha:
                 xi[l], qnorm[l], eta, ll = xi_new, q_new, eta_new, ll_new
-                Vmat[:, k] = v_new
-            acc[f"coef[{l}]"].update(alpha, it, adapting)
+                V[k] += s * images[k, j]
+            acc_coef[k].update(alpha, it, adapting)
+        t1 = clock()
+        t_coef += t1 - t0
 
         if adapting:
             if d > 0:
@@ -372,13 +457,17 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
 
         kept, skip = divmod(it - settings.burn_in, settings.thinning)
         if kept >= 0 and skip == 0:
-            for k, l in enumerate(leaves):
-                result.coefficients[l][c, kept] = sig[k] * (transforms[l] @ xi[l])
+            for l, u in coefficients().items():
+                result.coefficients[l][c, kept] = u
             hd = from_unconstrained(tree, theta) if tree is not None else None
             result.hyper_draws[c, kept] = _hyper_values(assembled, hd, mu)
             result.theta[c, kept] = theta
             result.mu[c, kept] = mu
+        t_store += clock() - t1
 
+    _check_eta(assembled, coefficients(), mu, eta)
+    for name, t in zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)):
+        result.timings[name] = result.timings.get(name, 0.0) + t
     return _check_divergent(acc)
 
 
@@ -400,7 +489,8 @@ def split_rhat(draws: np.ndarray) -> float:
 @dataclass
 class FitResult(Draws):
     """The retained draws, their HD coordinates ``theta`` (chains, draws, d)
-    and reported hyperparameters, and the run's diagnostics."""
+    and reported hyperparameters, and the run's diagnostics: split-R-hat,
+    acceptance rates and the wall time of each sampler kernel in ``KERNELS``."""
 
     theta: np.ndarray
     hyper_names: list[str]
@@ -410,6 +500,7 @@ class FitResult(Draws):
     likelihood_weight: float = 1.0
     rhat: dict[str, float] = field(default_factory=dict)
     acceptance: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)  # kernel -> seconds, all chains
 
     @property
     def samples(self) -> list[PosteriorSample]:

@@ -10,7 +10,7 @@ import pytest
 from hdsdm.cli import _load_samples, main
 from hdsdm.config import RunConfig, build_model, build_settings, ingest, read_point_cloud
 from hdsdm.exceptions import ValidationError
-from hdsdm.mcmc import fit
+from hdsdm.mcmc import KERNELS, fit
 
 
 def write_dataset(path: Path, n=240, seed=0):
@@ -103,6 +103,15 @@ class TestConfig:
         assert build_settings(cfg).seed == 5
         assert build_settings(cfg, seed_override=9).seed == 9
 
+    @pytest.mark.parametrize("key, bad", [("adaptation_window", 0),
+                                          ("target_accept_block", 1.5),
+                                          ("target_accept_hyper", 0.0)])
+    def test_build_settings_rejects_breaking_values(self, key, bad):
+        raw = base_config()
+        raw["mcmc"][key] = bad
+        with pytest.raises(ValidationError, match=key):
+            build_settings(RunConfig.from_dict(raw))
+
     def test_point_cloud_reader(self, tmp_path):
         p = tmp_path / "cloud.csv"
         p.write_text("z1,z2\n0.0,0.5\n1.0,0.25\n")
@@ -151,7 +160,9 @@ class TestCliFlow:
         cfg_path = str(workdir / "config.json")
         assert main(["fit", "--config", cfg_path]) == 0
         out = workdir / "out"
-        assert (out / "manifest.json").exists()
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == set(KERNELS)
+        assert all(t >= 0.0 for t in timings.values())
         assert (out / "tree.json").exists()
         samples = read_rows(out / "samples.csv")
         assert len(samples) == 2 * 100  # 2 chains, (600-300)/3 retained each

@@ -1,5 +1,7 @@
 """Posterior evaluation, sampler correctness oracles, prediction, metrics."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -8,6 +10,7 @@ from hdsdm.distributions import UniformInterval, UniformLevels
 from hdsdm.exceptions import ValidationError
 from hdsdm.gmrf import CoefficientBlock
 from hdsdm.mcmc import (
+    KERNELS,
     McmcSettings,
     ModelState,
     bernoulli_loglik,
@@ -123,6 +126,26 @@ class TestLogPosterior:
         assert bernoulli_loglik(eta, np.array([1.0, 0.0])) == pytest.approx(0.0)
         assert np.isfinite(bernoulli_loglik(eta, np.array([0.0, 1.0])))
 
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 400.0])
+    def test_bernoulli_loglik_matches_logaddexp(self, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        eta = scale * rng.standard_normal(5000)
+        for y in (rng.integers(0, 2, eta.size).astype(float), np.zeros(eta.size),
+                  np.ones(eta.size)):
+            ref = -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum()
+            assert bernoulli_loglik(eta, y) == pytest.approx(ref, rel=1e-12)
+
+    def test_bernoulli_loglik_exact_at_extremes(self):
+        values = [1e4, -1e4, 745.0, -745.0, np.inf, -np.inf, 0.0]
+        for v in values:
+            for y in (0.0, 1.0):
+                ref = -np.logaddexp(0.0, (1.0 - 2.0 * y) * v)
+                assert bernoulli_loglik(np.array([v]), np.array([y])) == ref
+        eta = np.array(values * 2)
+        y = np.repeat([0.0, 1.0], len(values))
+        assert bernoulli_loglik(eta, y) == -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum()
+        assert bernoulli_loglik(np.zeros(0), np.zeros(0)) == 0.0
+
     def test_single_block_change_is_local(self):
         # changing one coefficient block moves only that block's Gaussian
         # term (prior-weight view) plus the likelihood (full view)
@@ -166,6 +189,26 @@ class TestDivergenceCheck:
         with pytest.raises(DiagnosticError, match="pinned"):
             _check_divergent({"a": ok, "b": stuck})
 
+    def test_incremental_eta_check(self):
+        from hdsdm.exceptions import DiagnosticError
+        from hdsdm.mcmc import _check_eta
+
+        asm = assemble(toy_model(), toy_data(n=40, seed=12))
+        rng = np.random.default_rng(13)
+        coefs = {}
+        for leaf in asm.leaf_ids:
+            T = asm.effects[leaf].whitening_transform()
+            coefs[leaf] = 0.7 * (T @ rng.standard_normal(T.shape[1]))
+        mu = -0.4
+        # the predictor as the sampler builds it, one term at a time
+        eta = np.full(asm.n_train, mu)
+        for leaf in asm.leaf_ids:
+            eta += asm.designs[leaf] @ coefs[leaf]
+        _check_eta(asm, coefs, mu, eta)
+        eta[17] += 1e-4
+        with pytest.raises(DiagnosticError, match="drifted"):
+            _check_eta(asm, coefs, mu, eta)
+
     def test_short_kernels_not_flagged(self):
         from hdsdm.mcmc import _Accept, _check_divergent
 
@@ -196,6 +239,12 @@ class TestFit:
             McmcSettings(chains=0)
         with pytest.raises(ValidationError):
             McmcSettings(thinning=0)
+        with pytest.raises(ValidationError, match="adaptation_window"):
+            McmcSettings(adaptation_window=0)
+        for name in ("target_accept_hyper", "target_accept_block"):
+            for bad in (0.0, 1.0, 1.5, -0.2, float("nan")):
+                with pytest.raises(ValidationError, match=name):
+                    McmcSettings(**{name: bad})
 
     def test_intercept_only_recovery_against_grid_oracle(self):
         rng = np.random.default_rng(5)
@@ -265,6 +314,15 @@ class TestFit:
         u = result.coefficients["ran"]
         assert u.shape == (1, 150, 2)
         assert np.abs(u.sum(axis=-1)).max() < 1e-9  # zero-mean over two equal levels
+
+    def test_kernel_timings_cover_at_most_the_fit(self):
+        settings = McmcSettings(chains=2, iterations=400, burn_in=200, seed=6)
+        t0 = time.perf_counter()
+        result = fit(toy_model(), toy_data(n=60, seed=8), settings)
+        wall = time.perf_counter() - t0
+        assert set(result.timings) == set(KERNELS)
+        assert all(t >= 0.0 for t in result.timings.values())
+        assert sum(result.timings.values()) <= wall
 
     def test_rhat_reported_per_parameter(self):
         model = toy_model()
