@@ -26,9 +26,6 @@ from .gmrf import (
     build_iid,
     build_rw1,
     build_rw2,
-    generalized_inverse,
-    generalized_log_det,
-    sample_constrained,
 )
 from .standardize import (
     StandardizedEffect,

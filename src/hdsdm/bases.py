@@ -2,7 +2,7 @@
 
 Four kinds: a (centered/scaled) linear column, level indicators, clamped
 cubic B-splines on an interval, and tensor-product B-splines over two
-coordinates with optional pruning to the cells supported by a point cloud.
+coordinates with optional pruning to the cells a point cloud occupies.
 """
 
 from __future__ import annotations

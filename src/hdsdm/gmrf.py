@@ -1,9 +1,11 @@
 """Gaussian precision structures for latent effects.
 
 Builders for the standard intrinsic precision matrices (first/second-order
-random walks, lattice ICAR, i.i.d.), pseudo-inverse and generalized
-log-determinant via dense symmetric eigendecomposition, and constrained
-Gaussian laws used both for direct sampling and for effect standardization.
+random walks, lattice ICAR, i.i.d.), rank-classified by dense symmetric
+eigendecomposition, and the one constrained Gaussian law, ``SubspaceGaussian``
+(N(0, Q-) restricted to A'u = 0), used for direct sampling, densities and
+effect standardization. Where the constraints span the null space of Q,
+restriction equals kriging and the covariance is the pseudo-inverse of Q.
 
 Zero eigenvalues are classified with a scale-relative threshold
 ``|lam| <= RANK_TOL * lam_max``, robust for the dense sizes used here
@@ -12,7 +14,7 @@ Zero eigenvalues are classified with a scale-relative threshold
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -29,16 +31,13 @@ __all__ = [
     "build_rw2",
     "build_icar",
     "build_iid",
-    "generalized_inverse",
-    "generalized_log_det",
-    "sample_constrained",
     "constrained_gaussian",
 ]
 
 
 @dataclass(frozen=True)
 class PrecisionStructure:
-    """A symmetric PSD precision matrix with its eigenstructure.
+    """A symmetric PSD precision matrix with its classified rank.
 
     Attributes
     ----------
@@ -48,15 +47,11 @@ class PrecisionStructure:
         Orthonormal basis of the null space (columns).
     rank : int
         Number of eigenvalues classified as nonzero; ``rank + m == K``.
-    eigenvalues, eigenvectors : ndarray
-        Full cached eigendecomposition, ascending order.
     """
 
     Q: np.ndarray
     nullspace: np.ndarray
     rank: int
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -88,8 +83,6 @@ def _from_matrix(Q: np.ndarray) -> PrecisionStructure:
         Q=Qs,
         nullspace=vec[:, zero],
         rank=int(np.count_nonzero(~zero)),
-        eigenvalues=lam,
-        eigenvectors=vec,
     )
 
 
@@ -159,62 +152,9 @@ def build_iid(K: int) -> PrecisionStructure:
     return _from_matrix(np.eye(K))
 
 
-def generalized_inverse(P: PrecisionStructure) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via the cached eigendecomposition."""
-    lam, vec = P.eigenvalues, P.eigenvectors
-    inv = np.zeros_like(lam)
-    nonzero = np.abs(lam) > RANK_TOL * max(lam[-1], 0.0)
-    inv[nonzero] = 1.0 / lam[nonzero]
-    return (vec * inv) @ vec.T
-
-
-def generalized_log_det(P: PrecisionStructure) -> float:
-    """Sum of the logs of the eigenvalues classified nonzero."""
-    if P.rank == 0:
-        raise ValidationError("generalized log-determinant undefined for the zero matrix")
-    lam = P.eigenvalues
-    nonzero = np.abs(lam) > RANK_TOL * max(lam[-1], 0.0)
-    return float(np.sum(np.log(lam[nonzero])))
-
-
-def _check_constraints(A: np.ndarray, K: int) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.shape[0] != K:
-        raise DimensionError(f"constraint matrix has {A.shape[0]} rows, expected {K}")
-    if A.shape[1] >= K:
-        raise ConstraintError(f"need fewer constraints than dimensions ({A.shape[1]} >= {K})")
-    if np.linalg.matrix_rank(A) < A.shape[1]:
-        raise ConstraintError("constraint matrix is rank deficient")
-    return A
-
-
-def sample_constrained(
-    P: PrecisionStructure, A: np.ndarray, sigma2: float, rng: np.random.Generator
-) -> CoefficientBlock:
-    """Draw u ~ N(0, sigma2 Q+) conditioned on A'u = 0 by kriging correction.
-
-    Constraint directions lying in the null space of Q+ are already satisfied
-    by every unconditioned draw; the pseudo-inverse in the correction leaves
-    them untouched.
-    """
-    if sigma2 <= 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    A = _check_constraints(A, P.dim)
-    lam, vec = P.eigenvalues, P.eigenvectors
-    nonzero = np.abs(lam) > RANK_TOL * max(lam[-1], 0.0)
-    z = rng.standard_normal(int(np.count_nonzero(nonzero)))
-    u = vec[:, nonzero] @ (z / np.sqrt(lam[nonzero])) * np.sqrt(sigma2)
-    Sigma_A = generalized_inverse(P) @ A
-    G = A.T @ Sigma_A
-    u = u - Sigma_A @ (np.linalg.pinv(G) @ (A.T @ u))
-    return CoefficientBlock(values=u)
-
-
 @dataclass(frozen=True)
 class SubspaceGaussian:
-    """Proper zero-mean Gaussian supported on {u : A'u = 0}.
+    """Proper zero-mean Gaussian on the subspace {u : A'u = 0}.
 
     The law of an effect whose improper precision Q is made proper by linear
     constraints: covariance B (B'QB)^-1 B' where the columns of B span the

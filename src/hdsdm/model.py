@@ -45,7 +45,7 @@ class EffectDecl:
       iid       - exchangeable level effect (identity precision)
       rw1       - first-order random walk over ordered levels
       spatial2d - tensor B-spline surface over a point cloud, pruned to the
-                  supported cells, with an ICAR penalty on the cell lattice
+                  occupied cells, with an ICAR penalty on the cell lattice
     """
 
     effect_id: str

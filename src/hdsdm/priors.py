@@ -48,7 +48,11 @@ __all__ = [
 ]
 
 
-_FAMILIES = {"jeffreys", "pc", "uniform", "beta", "dirichlet", "pc0", "pc0_exact"}
+_FAMILIES = {"jeffreys", "pc", "uniform", "beta", "dirichlet", "pc0"}
+
+# hyperparameters each family needs; 'pc' and 'pc0' take lam in their place
+_REQUIRED_PARAMS = {"pc": ("U", "alpha"), "pc0": ("U", "alpha"), "beta": ("a", "b"),
+                    "dirichlet": ("q",)}
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,11 @@ class PriorSpec:
     """Prior family attached to one tree node.
 
     node : 'total_variance' or a split name.
-    family : jeffreys | pc (on V); uniform | beta | dirichlet | pc0 |
-        pc0_exact (on proportions).
+    family : jeffreys | pc (on V); uniform | beta | dirichlet | pc0 (on
+        proportions).
     params : family hyperparameters; 'pc' takes lam or (U, alpha); 'beta'
         takes a, b; 'dirichlet' takes q (scalar or vector); 'pc0' takes lam
-        or (U, alpha); 'pc0_exact' takes lam plus Sigma0, Sigma1.
+        or (U, alpha).
     """
 
     node: str
@@ -70,11 +74,16 @@ class PriorSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown prior family {self.family!r}")
-        if self.family == "pc" and "lam" not in self.params:
-            lam = pc_variance_lambda(self.params["U"], self.params["alpha"])
-            object.__setattr__(self, "params", {**self.params, "lam": lam})
-        if self.family == "pc0" and "lam" not in self.params:
-            lam = pc0_calibrate(self.params["U"], self.params["alpha"])
+        calibrated = self.family in ("pc", "pc0")
+        missing = [k for k in _REQUIRED_PARAMS.get(self.family, ()) if k not in self.params]
+        if missing and not (calibrated and "lam" in self.params):
+            raise ValidationError(
+                f"prior {self.node!r}: family {self.family!r} is missing {missing}"
+                + (" (or lam)" if calibrated else "")
+            )
+        if calibrated and "lam" not in self.params:
+            calibrate = pc_variance_lambda if self.family == "pc" else pc0_calibrate
+            lam = calibrate(self.params["U"], self.params["alpha"])
             object.__setattr__(self, "params", {**self.params, "lam": lam})
         for key in ("lam", "q", "a", "b"):
             if key in self.params and np.any(np.asarray(self.params[key]) <= 0):
@@ -425,10 +434,26 @@ def pc0_exact_logpdf_numeric(
 # ---------------------------------------------------------------------------
 
 
-def _as_prior_map(priors) -> dict[str, PriorSpec]:
-    if isinstance(priors, dict):
-        return priors
-    return {p.node: p for p in priors}
+def _as_prior_map(tree: DecompTree, priors) -> dict[str, PriorSpec]:
+    """Priors keyed by node; raises when a node of ``tree`` has none."""
+    pm = priors if isinstance(priors, dict) else {p.node: p for p in priors}
+    missing = {"total_variance", *(s.name for s in tree.splits)} - set(pm)
+    if missing:
+        raise ValidationError(f"missing priors for nodes {sorted(missing)}")
+    return pm
+
+
+def _concentration(split, spec: PriorSpec) -> np.ndarray:
+    """Dirichlet exponents of a 'uniform' or 'dirichlet' split prior."""
+    if spec.family == "uniform":
+        return np.ones(split.n_children)
+    q = np.asarray(spec.params["q"], dtype=float)
+    if q.shape not in ((), (split.n_children,)):
+        raise ValidationError(
+            f"split {split.name!r}: q must be a scalar or have {split.n_children} "
+            f"entries, got shape {q.shape}"
+        )
+    return q * np.ones(split.n_children)
 
 
 def _dirichlet_logpdf(props: np.ndarray, conc: np.ndarray) -> float:
@@ -444,10 +469,7 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
     support (e.g. the truncation range of the Jeffreys prior); raises on
     simplex-boundary proportions.
     """
-    pm = _as_prior_map(priors)
-    missing = {"total_variance", *(s.name for s in tree.splits)} - set(pm)
-    if missing:
-        raise ValidationError(f"missing priors for nodes {sorted(missing)}")
+    pm = _as_prior_map(tree, priors)
     if p.total <= 0:
         raise ValidationError("total variance must be positive")
 
@@ -462,15 +484,8 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
     for s in tree.splits:
         props = _check_omega_interior(p.proportions[s.name])
         spec = pm[s.name]
-        if spec.family == "uniform":
-            out += _dirichlet_logpdf(props, np.ones(s.n_children))
-        elif spec.family == "dirichlet":
-            conc = np.asarray(spec.params["q"], dtype=float) * np.ones(s.n_children)
-            if conc.shape != (s.n_children,):
-                raise ValidationError(
-                    f"split {s.name!r}: concentration shape {conc.shape} mismatch"
-                )
-            out += _dirichlet_logpdf(props, conc)
+        if spec.family in ("uniform", "dirichlet"):
+            out += _dirichlet_logpdf(props, _concentration(s, spec))
         elif spec.family == "beta":
             if not s.is_binary:
                 raise ValidationError(f"beta prior needs a binary split, got {s.name!r}")
@@ -487,17 +502,6 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
             if not s.is_binary:
                 raise ValidationError(f"pc0 prior needs a binary split, got {s.name!r}")
             out += float(pc0_simplified_logpdf(props[s.omega_index], spec.params["lam"]))
-        elif spec.family == "pc0_exact":
-            if not s.is_binary:
-                raise ValidationError(f"pc0_exact prior needs a binary split, got {s.name!r}")
-            out += float(
-                pc0_exact_logpdf_numeric(
-                    props[s.omega_index],
-                    spec.params["lam"],
-                    spec.params["Sigma0"],
-                    spec.params["Sigma1"],
-                )
-            )
         else:
             raise ValidationError(f"family {spec.family!r} not valid for split {s.name!r}")
     return out
@@ -518,15 +522,12 @@ class HDEvaluator:
     Bundles, per split, the theta offsets, the Dirichlet-style exponents
     with the log-ratio Jacobian folded in, and per-leaf root-to-leaf index
     paths, so the MCMC hot loop does one flat pass per proposal. Numerics
-    match ``log_prior_unconstrained`` + ``to_variances``.
+    match ``log_prior_unconstrained`` + ``to_variances``. Misplaced families
+    (e.g. beta on a multi-branch split) raise ValidationError here.
     """
 
     def __init__(self, tree: DecompTree, priors):
-        pm = _as_prior_map(priors)
-        missing = {"total_variance", *(s.name for s in tree.splits)} - set(pm)
-        if missing:
-            raise ValidationError(f"missing priors for nodes {sorted(missing)}")
-        self.tree = tree
+        pm = _as_prior_map(tree, priors)
         v_spec = pm["total_variance"]
         if v_spec.family not in ("jeffreys", "pc"):
             raise ValidationError(
@@ -534,7 +535,6 @@ class HDEvaluator:
             )
         self.v_family = v_spec.family
         self.v_lam = v_spec.params.get("lam")
-        self.supported = True
 
         # per split: (start, n_children, is_binary, omega_index, kind,
         #             conc-or-lam, lognorm-or-const)
@@ -545,36 +545,32 @@ class HDEvaluator:
             n = s.n_children
             start = pos
             pos += 1 if s.is_binary else n - 1
-            if spec.family == "uniform":
-                conc = np.ones(n)
-            elif spec.family == "dirichlet":
-                conc = np.asarray(spec.params["q"], dtype=float) * np.ones(n)
-            elif spec.family == "beta" and s.is_binary:
+            if spec.family in ("beta", "pc0") and not s.is_binary:
+                raise ValidationError(
+                    f"{spec.family} prior needs a binary split, got {s.name!r}"
+                )
+            if spec.family in ("uniform", "dirichlet"):
+                conc = _concentration(s, spec)
+            elif spec.family == "beta":
                 conc = np.empty(2)
                 conc[s.omega_index] = spec.params["a"]
                 conc[1 - s.omega_index] = spec.params["b"]
-            elif spec.family == "pc0" and s.is_binary:
-                conc = None
-            else:
-                self.supported = False
-                conc = None
-            if conc is not None:
-                lognorm = float(gammaln(conc.sum()) - gammaln(conc).sum())
-                # prior exponent (conc - 1) plus the log-ratio Jacobian
-                self.split_meta.append(
-                    (start, n, s.is_binary, s.omega_index, "dirichlet", conc, lognorm)
-                )
             elif spec.family == "pc0":
                 lam = spec.params["lam"]
                 const = float(np.log(lam) - np.log(2.0) - np.log(-np.expm1(-lam)))
                 self.split_meta.append(
                     (start, n, s.is_binary, s.omega_index, "pc0", lam, const)
                 )
+                continue
             else:
-                self.split_meta.append((start, n, s.is_binary, s.omega_index,
-                                        "unsupported", None, None))
-        self.n_coords = pos
-        self._fallback_priors = pm
+                raise ValidationError(
+                    f"family {spec.family!r} not valid for split {s.name!r}"
+                )
+            lognorm = float(gammaln(conc.sum()) - gammaln(conc).sum())
+            # prior exponent (conc - 1) plus the log-ratio Jacobian
+            self.split_meta.append(
+                (start, n, s.is_binary, s.omega_index, "dirichlet", conc, lognorm)
+            )
 
         self.leaf_paths = []
         for leaf in tree.leaves:
@@ -588,15 +584,6 @@ class HDEvaluator:
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
         """(log prior incl. Jacobian, leaf variances in tree.leaves order)."""
-        if not self.supported:
-            lp = log_prior_unconstrained(self.tree, self._fallback_priors, theta)
-            if not np.isfinite(lp):
-                return -np.inf, None
-            from .tree import from_unconstrained as _fu, to_variances as _tv
-
-            s2 = _tv(self.tree, _fu(self.tree, theta))
-            return lp, np.array([s2[l] for l in self.tree.leaves])
-
         th = theta.tolist()
         t = th[0]
         if self.v_family == "jeffreys":
@@ -644,7 +631,7 @@ class HDEvaluator:
 
 def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
     """Unconstrained coordinates at the per-node prior medians (initialization)."""
-    pm = _as_prior_map(priors)
+    pm = _as_prior_map(tree, priors)
     spec = pm["total_variance"]
     if spec.family == "pc":
         total = float((np.log(2.0) / spec.params["lam"]) ** 2)
@@ -655,7 +642,7 @@ def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
         spec = pm[s.name]
         if spec.family == "beta" and s.is_binary:
             w = float(beta_dist.ppf(0.5, spec.params["a"], spec.params["b"]))
-        elif spec.family in ("pc0", "pc0_exact") and s.is_binary:
+        elif spec.family == "pc0" and s.is_binary:
             w = float(pc0_quantile(0.5, spec.params["lam"]))
         else:
             w = 1.0 / s.n_children
@@ -677,7 +664,7 @@ def marginal_cdfs(tree: DecompTree, priors) -> dict[str, Callable[[np.ndarray], 
     Keys are 'V' and '<split>:<child>' for each proportion entry; Dirichlet
     entries use the Beta(q_i, sum(q) - q_i) marginal.
     """
-    pm = _as_prior_map(priors)
+    pm = _as_prior_map(tree, priors)
     out: dict[str, Callable] = {}
     spec = pm["total_variance"]
     if spec.family == "jeffreys":
@@ -689,11 +676,7 @@ def marginal_cdfs(tree: DecompTree, priors) -> dict[str, Callable[[np.ndarray], 
     for s in tree.splits:
         spec = pm[s.name]
         if spec.family in ("uniform", "dirichlet"):
-            conc = (
-                np.ones(s.n_children)
-                if spec.family == "uniform"
-                else np.asarray(spec.params["q"], dtype=float) * np.ones(s.n_children)
-            )
+            conc = _concentration(s, spec)
             for i, child in enumerate(s.child_names):
                 a_i, rest = conc[i], conc.sum() - conc[i]
                 out[f"{s.name}:{child}"] = (
@@ -703,7 +686,7 @@ def marginal_cdfs(tree: DecompTree, priors) -> dict[str, Callable[[np.ndarray], 
             child = s.child_names[s.omega_index]
             a, b = spec.params["a"], spec.params["b"]
             out[f"{s.name}:{child}"] = lambda w, a=a, b=b: beta_dist.cdf(np.asarray(w), a, b)
-        elif spec.family in ("pc0", "pc0_exact"):
+        elif spec.family == "pc0":
             child = s.child_names[s.omega_index]
             lam = spec.params["lam"]
             out[f"{s.name}:{child}"] = lambda w, lam=lam: pc0_cdf(np.asarray(w), lam)

@@ -324,17 +324,6 @@ def from_variances(tree: DecompTree, sigma2: dict[str, float]) -> HDParams:
 # ---------------------------------------------------------------------------
 
 
-def coordinate_names(tree: DecompTree) -> list[str]:
-    """Names of the unconstrained coordinates, matching their layout."""
-    names = ["log_total"]
-    for s in tree.splits:
-        if s.is_binary:
-            names.append(f"{s.name}:logit")
-        else:
-            names.extend(f"{s.name}:alr{i}" for i in range(s.n_children - 1))
-    return names
-
-
 def n_coordinates(tree: DecompTree) -> int:
     return 1 + sum(1 if s.is_binary else s.n_children - 1 for s in tree.splits)
 

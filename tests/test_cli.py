@@ -277,3 +277,17 @@ class TestCliFlow:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert "error" in record and "message" in record
+
+    @pytest.mark.parametrize("key, entry, named", [
+        ("covariates", {"family": "dirichlet", "q": [0.5, 0.5, 0.5]}, "covariates"),
+        ("flex_splits", {"family": "pc0", "U": 0.5}, "sst_flex"),
+    ])
+    def test_bad_prior_parameters_give_validation_record(self, workdir, capsys, key, entry,
+                                                         named):
+        raw = base_config()
+        raw["model"]["priors"][key] = entry
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert named in record["message"]

@@ -1,4 +1,5 @@
-"""Precision builders, generalized inverse/determinant, constrained sampling."""
+"""Precision builders and the constrained Gaussian law: its covariance, density
+and draws, checked against pseudo-inverse and kriging-conditional oracles."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,6 @@ from hdsdm.gmrf import (
     build_rw1,
     build_rw2,
     constrained_gaussian,
-    generalized_inverse,
-    generalized_log_det,
-    sample_constrained,
 )
 
 
@@ -111,43 +109,11 @@ class TestBuilders:
         assert P.rank + P.null_dim == P.dim
 
 
-class TestGeneralizedInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(generalized_inverse(build_iid(3)), np.eye(3), atol=1e-12)
-
-    def test_diagonal_with_zero(self):
-        from hdsdm.gmrf import _from_matrix
-
-        P = _from_matrix(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(generalized_inverse(P), np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_rw1_penrose_residual(self):
-        P = build_rw1(5)
-        S = generalized_inverse(P)
-        np.testing.assert_allclose(P.Q @ S @ P.Q, P.Q, atol=1e-8)
-        np.testing.assert_allclose(S @ P.Q @ S, S, atol=1e-8)
-
-
-class TestGeneralizedLogDet:
-    def test_identity(self):
-        assert generalized_log_det(build_iid(3)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_diagonal(self):
-        from hdsdm.gmrf import _from_matrix
-
-        P = _from_matrix(np.diag([2.0, 3.0, 0.0]))
-        assert generalized_log_det(P) == pytest.approx(np.log(6.0), abs=1e-12)
-
-    def test_rw1_vs_eigen_oracle(self):
-        P = build_rw1(4)
-        lam = np.linalg.eigvalsh(P.Q)
-        expected = np.sum(np.log(lam[lam > 1e-9 * lam.max()]))
-        assert generalized_log_det(P) == pytest.approx(expected, rel=1e-10)
-
-    def test_zero_matrix_error(self):
-        P = build_icar(np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
-            generalized_log_det(P)
+def kriging_conditional(P, A):
+    """Covariance of N(0, Q+) conditioned on A'u = 0, by the kriging formula."""
+    Sigma = np.linalg.pinv(P.Q)
+    SA = Sigma @ A
+    return Sigma - SA @ np.linalg.pinv(A.T @ SA) @ SA.T
 
 
 class TestSampleConstrained:
@@ -155,7 +121,7 @@ class TestSampleConstrained:
         rng = np.random.default_rng(1)
         P = build_rw1(6)
         for _ in range(50):
-            u = sample_constrained(P, P.nullspace, 1.0, rng).values
+            u = constrained_gaussian(P, P.nullspace).sample(1.0, rng)
             assert abs(u.sum()) < 1e-10
 
     def test_iid_sum_to_zero_variance(self):
@@ -163,9 +129,8 @@ class TestSampleConstrained:
         rng = np.random.default_rng(2)
         P = build_iid(2)
         A = np.ones((2, 1))
-        draws = np.array(
-            [sample_constrained(P, A, 4.0, rng).values for _ in range(20000)]
-        )
+        law = constrained_gaussian(P, A)
+        draws = np.array([law.sample(4.0, rng) for _ in range(20000)])
         np.testing.assert_allclose(draws[:, 0], -draws[:, 1], atol=1e-10)
         assert draws[:, 0].var() == pytest.approx(2.0, rel=0.05)
 
@@ -175,27 +140,27 @@ class TestSampleConstrained:
         rng = np.random.default_rng(3)
         P = build_rw1(5)
         A = np.column_stack([np.ones(5), np.array([1.0, 0.0, -1.0, 0.0, 0.0])])
-        Sigma = generalized_inverse(P)
-        SA = Sigma @ A
-        target = Sigma - SA @ np.linalg.pinv(A.T @ SA) @ SA.T
+        target = kriging_conditional(P, A)
         n = 60_000
-        draws = np.array([sample_constrained(P, A, 1.0, rng).values for _ in range(n)])
+        law = constrained_gaussian(P, A)
+        draws = np.array([law.sample(1.0, rng) for _ in range(n)])
         emp = np.cov(draws.T, bias=True)
         scale = np.abs(np.diag(target)).max()
         assert np.abs(emp - target).max() < 0.02 * scale
 
-    def test_rank_deficient_constraints_rejected(self):
-        P = build_iid(4)
-        A = np.column_stack([np.ones(4), 2 * np.ones(4)])
-        with pytest.raises(ConstraintError):
-            sample_constrained(P, A, 1.0, np.random.default_rng(0))
+    def test_covariance_equals_kriging_conditional(self):
+        # restricting N(0, Q+) to A'u = 0 equals conditioning it on A'u = 0
+        P = build_rw1(5)
+        A = np.column_stack([np.ones(5), np.array([1.0, 0.0, -1.0, 0.0, 0.0])])
+        law = constrained_gaussian(P, A)
+        np.testing.assert_allclose(law.covariance(), kriging_conditional(P, A), atol=1e-10)
 
 
 class TestConstrainedGaussian:
     def test_reduces_to_pinv_when_constraint_spans_null(self):
         P = build_rw1(6)
         law = constrained_gaussian(P, np.ones((6, 1)))
-        np.testing.assert_allclose(law.covariance(), generalized_inverse(P), atol=1e-10)
+        np.testing.assert_allclose(law.covariance(), np.linalg.pinv(P.Q), atol=1e-10)
 
     def test_full_rank_no_constraints(self):
         P = build_iid(3)

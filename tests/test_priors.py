@@ -6,10 +6,13 @@ from scipy.integrate import quad
 from scipy.stats import kstest, t as student_t
 
 from hdsdm.bases import BSplineBasis1D, eval_basis
-from hdsdm.distributions import UniformInterval
+from hdsdm.distributions import UniformInterval, UniformLevels
 from hdsdm.exceptions import CalibrationError, ValidationError
 from hdsdm.gmrf import build_rw2
+from hdsdm.mcmc import McmcSettings, fit
+from hdsdm.model import Dataset, EffectDecl, ModelSpec
 from hdsdm.priors import (
+    HDEvaluator,
     PriorSpec,
     dirichlet_q_calibrate,
     kld_distance,
@@ -401,3 +404,101 @@ class TestLogPrior:
         for fn in cdfs.values():
             vals = np.asarray(fn(grid))
             assert np.all(np.diff(vals) >= -1e-12)
+
+
+def three_covariate_tree():
+    """Abiotic-vs-biotic split over a 3-child 'covariates' split."""
+    return build_default_tree(
+        [EffectLabel(e, side="abiotic") for e in ("a", "b", "c")]
+        + [EffectLabel("d", side="biotic")]
+    )
+
+
+def three_covariate_priors(**overrides):
+    priors = {
+        "total_variance": PriorSpec("total_variance", "jeffreys"),
+        "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "uniform"),
+        "covariates": PriorSpec("covariates", "dirichlet", {"q": 0.5}),
+    }
+    priors.update(overrides)
+    return priors
+
+
+def three_covariate_fit(priors):
+    effects = [
+        EffectDecl(x, "linear", x, UniformInterval(-1.0, 1.0), side="abiotic")
+        for x in ("a", "b", "c")
+    ] + [EffectDecl("d", "iid", "g", UniformLevels(2), side="biotic")]
+    rng = np.random.default_rng(0)
+    data = Dataset.from_arrays(
+        y=rng.integers(0, 2, 20),
+        g=rng.integers(1, 3, 20).astype(float),
+        **{x: rng.uniform(-1, 1, 20) for x in ("a", "b", "c")},
+    )
+    settings = McmcSettings(chains=1, iterations=4, burn_in=2)
+    return fit(ModelSpec(effects=effects, priors=priors), data, settings)
+
+
+class TestPriorValidation:
+    def test_dirichlet_q_of_wrong_length_rejected(self):
+        tree = three_covariate_tree()
+        priors = three_covariate_priors(
+            covariates=PriorSpec("covariates", "dirichlet", {"q": [0.5, 0.5]})
+        )
+        props = {
+            "abiotic_vs_biotic": np.array([0.5, 0.5]),
+            "covariates": np.full(3, 1 / 3),
+        }
+        for call in (
+            lambda: HDEvaluator(tree, priors),
+            lambda: log_prior(tree, priors, HDParams(total=1.0, proportions=props)),
+            lambda: marginal_cdfs(tree, priors),
+        ):
+            with pytest.raises(ValidationError, match="'covariates'.*3 entries"):
+                call()
+
+    def test_dirichlet_q_vector_matches_scalar(self):
+        tree = three_covariate_tree()
+        vector = three_covariate_priors(
+            covariates=PriorSpec("covariates", "dirichlet", {"q": [0.5, 0.5, 0.5]})
+        )
+        theta = np.array([0.3, -0.2, 0.7, -1.1])
+        assert HDEvaluator(tree, vector).evaluate(theta)[0] == pytest.approx(
+            HDEvaluator(tree, three_covariate_priors()).evaluate(theta)[0], rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "family, params, missing",
+        [
+            ("pc", {}, "U"),
+            ("pc", {"U": 1.0}, "alpha"),
+            ("pc0", {}, "U"),
+            ("pc0", {"U": 0.5}, "alpha"),
+            ("beta", {"a": 2.0}, "b"),
+            ("dirichlet", {}, "q"),
+        ],
+    )
+    def test_missing_family_parameters_rejected(self, family, params, missing):
+        with pytest.raises(ValidationError, match=rf"'node7'.*'{missing}'"):
+            PriorSpec("node7", family, params)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PriorSpec("covariates", "beta", {"a": 2.0, "b": 3.0}),
+            PriorSpec("covariates", "pc0", {"lam": 0.1}),
+            PriorSpec("total_variance", "dirichlet", {"q": 0.5}),
+            PriorSpec("abiotic_vs_biotic", "pc", {"lam": 1.0}),
+        ],
+        ids=["beta_multi_branch", "pc0_multi_branch", "dirichlet_on_V", "pc_on_split"],
+    )
+    def test_misplaced_family_rejected_before_sampling(self, spec):
+        priors = three_covariate_priors(**{spec.node: spec})
+        with pytest.raises(ValidationError, match="not valid|needs a binary split"):
+            HDEvaluator(three_covariate_tree(), priors)
+        with pytest.raises(ValidationError, match="not valid|needs a binary split"):
+            three_covariate_fit(priors)
+
+    def test_exact_construction_is_not_a_family(self):
+        with pytest.raises(ValidationError, match="unknown prior family"):
+            PriorSpec("x1_flex", "pc0_exact", {"lam": 0.1})

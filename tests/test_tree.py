@@ -10,7 +10,6 @@ from hdsdm.tree import (
     HDParams,
     TreeNode,
     build_default_tree,
-    coordinate_names,
     from_unconstrained,
     from_variances,
     log_jacobian,
@@ -200,13 +199,6 @@ class TestUnconstrainedCoordinates:
         p = HDParams(total=1.0, proportions={"abiotic_vs_biotic": np.array([1.0, 0.0])})
         with pytest.raises(ValidationError):
             to_unconstrained(tree, p)
-
-    def test_coordinate_names_cover_layout(self):
-        tree = survey_tree()
-        names = coordinate_names(tree)
-        assert len(names) == n_coordinates(tree)
-        assert names[0] == "log_total"
-        assert sum(n.startswith("covariates:alr") for n in names) == 5
 
     def test_log_jacobian_against_finite_differences(self):
         tree = survey_tree()
