@@ -21,6 +21,15 @@ the centered rescaling in (b) multiplies its rounding error; at the end of
 each chain the linear predictor is recomputed from the coefficients and
 checked against the incremental one.
 
+Bookkeeping stays out of the way of the likelihood, without changing a bit
+of the draws: the sign 1 - 2y of ``bernoulli_loglik`` is formed once per
+chain; every proposed linear predictor is written into whichever of two
+preallocated buffers does not hold the current one; a one-column design maps
+its proposals by an outer product. A retained draw stores its coordinates
+``theta``, its intercept and its coefficients (written in place); the
+reported hyperparameters (V and the proportions) are computed from ``theta``
+for all of a chain's draws at once after the chain has run.
+
 Adaptation (proposal scales by Robbins-Monro toward the target acceptance
 rates, hyper covariance from the chain history) runs during burn-in only,
 so retained samples come from a fixed kernel.
@@ -38,7 +47,14 @@ from .exceptions import DiagnosticError, ValidationError
 from .gmrf import CoefficientBlock
 from .model import AssembledModel, Dataset, ModelSpec, assemble
 from .priors import HDEvaluator, log_prior_unconstrained, prior_median_theta
-from .tree import HDParams, from_unconstrained, n_coordinates, to_variances
+from .tree import (
+    PROPORTION_FLOOR,
+    DecompTree,
+    HDParams,
+    from_unconstrained,
+    n_coordinates,
+    to_variances,
+)
 
 # iterations whose coefficient proposal noise is drawn, and mapped to the
 # training rows, at once
@@ -47,7 +63,7 @@ PROPOSAL_BLOCK = 16
 # the sampler's kernels, as timed in FitResult.timings: the hyper updates (a)
 # and (b), the intercept (c), the coefficient blocks (d), the block draws of
 # coefficient proposals with their images on the training rows, and
-# adaptation plus writing the retained draws
+# adaptation plus writing the retained draws and their hyperparameters
 KERNELS = ("hyper", "hyper_centered", "mu", "coef", "proposals", "store")
 
 __all__ = [
@@ -76,6 +92,12 @@ class McmcSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("chains", "iterations", "burn_in", "thinning", "adaptation_window", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.chains < 1:
             raise ValidationError("need at least one chain")
         if not self.iterations > self.burn_in >= 0:
@@ -85,7 +107,11 @@ class McmcSettings:
         if self.adaptation_window < 1:
             raise ValidationError("adaptation_window must be >= 1")
         for name in ("target_accept_hyper", "target_accept_block"):
-            if not 0.0 < getattr(self, name) < 1.0:  # also rejects nan
+            value = getattr(self, name)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real:
+                raise ValidationError(f"{name} must be a number, got {value!r}")
+            if not 0.0 < value < 1.0:  # also rejects nan
                 raise ValidationError(f"{name} must lie in (0, 1)")
 
 
@@ -140,16 +166,18 @@ def as_draws(samples: Draws | list[PosteriorSample]) -> Draws:
     return samples
 
 
-def bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
+def bernoulli_loglik(eta: np.ndarray, y: np.ndarray, sign: np.ndarray | None = None) -> float:
     """Sum of Bernoulli log-probabilities under the logit link.
 
     Each term is -softplus(x) with x = (1 - 2y) eta, written as
     max(x, 0) + log1p(exp(-|x|)) so that numpy's vectorized exp and log1p
-    do the work (``np.logaddexp`` takes a scalar path per element).
+    do the work (``np.logaddexp`` takes a scalar path per element). A caller
+    that evaluates many ``eta`` against one ``y`` passes ``sign`` = 1 - 2y
+    precomputed; the result is the same.
     """
     if eta.size == 0:
         return 0.0
-    x = (1.0 - 2.0 * y) * eta
+    x = (1.0 - 2.0 * y if sign is None else sign) * eta
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)
@@ -196,18 +224,37 @@ def hyper_param_names(assembled: AssembledModel) -> list[str]:
     return names
 
 
-def _hyper_values(assembled: AssembledModel, hd: HDParams | None, mu: float) -> list[float]:
-    vals = []
-    if assembled.tree is not None:
-        vals.append(hd.total)
-        for s in assembled.tree.splits:
+def _hyper_columns(
+    tree: DecompTree | None, theta: np.ndarray, mu: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Write the reported hyperparameters of each draw, in ``hyper_param_names``
+    order, into ``out`` (draws, n_params), from its HD coordinates ``theta``
+    (draws, d) and intercept ``mu`` (draws,), None without an intercept. The
+    maps are those of ``from_unconstrained``, on all draws at once; the values
+    are the same."""
+    j = 0
+    if tree is not None:
+        out[:, 0] = np.exp(theta[:, 0])
+        j = pos = 1
+        for s in tree.splits:
             if s.is_binary:
-                vals.append(float(hd.proportions[s.name][s.omega_index]))
+                w = 1.0 / (1.0 + np.exp(-theta[:, pos]))
+                out[:, j] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
+                j += 1
+                pos += 1
             else:
-                vals.extend(float(v) for v in hd.proportions[s.name])
-    if assembled.model.intercept:
-        vals.append(mu)
-    return vals
+                k = s.n_children - 1
+                a = np.zeros((theta.shape[0], k + 1))
+                a[:, :k] = theta[:, pos : pos + k]
+                pos += k
+                a -= a.max(axis=1, keepdims=True)
+                e = np.exp(a)
+                props = np.maximum(e / e.sum(axis=1, keepdims=True), PROPORTION_FLOOR)
+                props /= props.sum(axis=1, keepdims=True)
+                out[:, j : j + k + 1] = props
+                j += k + 1
+    if mu is not None:
+        out[:, j] = mu
 
 
 class _Accept:
@@ -274,6 +321,7 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
     priors = assembled.model.priors
     leaves = list(assembled.leaf_ids)
     y = assembled.y_train
+    sign = 1.0 - 2.0 * y  # for bernoulli_loglik, formed once per chain
     n_obs = y.size
     d = n_coordinates(tree) if tree is not None else 0
 
@@ -308,13 +356,22 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
     # unscaled per-leaf predictor V, with eta = mu + sig @ V. V is updated in
     # place between blocks, and each block's product rebuilds it from xi, so
     # that the rounding error the centered rescaling multiplies stays small.
+    # A one-column design maps by an outer product, which gives the bits of
+    # the matrix product at a fraction of its cost.
     whitened = [np.zeros((PROPOSAL_BLOCK + 1, free_dims[l])) for l in leaves]
     images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
     V = images[:, 0]
+    designs_t = [np.ascontiguousarray(assembled.designs[l].T) for l in leaves]
+    image_ops = [np.multiply if g.shape[0] == 1 else np.matmul for g in designs_t]
 
+    # The current linear predictor `eta` is one of these two buffers, and each
+    # proposal is written into the other one.
+    eta_bufs = (np.empty(n_obs), np.empty(n_obs))
     lp_theta, sig = eval_theta(theta)
-    eta = mu + sig @ V
-    ll = bernoulli_loglik(eta, y)
+    eta = eta_bufs[0]
+    np.matmul(sig, V, out=eta)
+    eta += mu
+    ll = bernoulli_loglik(eta, y, sign)
     if not (np.isfinite(lp_theta) and np.isfinite(ll)):
         raise DiagnosticError("non-finite log posterior at the initial state")
 
@@ -339,6 +396,14 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
         """The current effects u = sigma T xi."""
         return {l: sig[k] * (transforms[l] @ xi[l]) for k, l in enumerate(leaves)}
 
+    def store_coefficients(kept: int) -> None:
+        """Write the current effects into retained draw ``kept`` in place;
+        the same values as ``coefficients()``."""
+        for k, l in enumerate(leaves):
+            row = result.coefficients[l][c, kept]
+            np.matmul(transforms[l], xi[l], out=row)
+            row *= sig[k]
+
     def alpha_of(logr: float) -> float:
         if logr >= 0.0:
             return 1.0
@@ -357,7 +422,7 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             for k, l in enumerate(leaves):
                 whitened[k][0] = xi[l]
                 rng.standard_normal(out=whitened[k][1:])
-                np.matmul(whitened[k] @ transforms[l].T, assembled.designs[l].T, out=images[k])
+                image_ops[k](whitened[k] @ transforms[l].T, designs_t[k], out=images[k])
         t1 = clock()
         t_prop += t1 - t0
 
@@ -367,13 +432,15 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             theta_new = theta + step
             lp_new, sig_new = eval_theta(theta_new)
             if np.isfinite(lp_new):
-                eta_new = mu + sig_new @ V
-                ll_new = bernoulli_loglik(eta_new, y)
+                eta_new = eta_bufs[eta is eta_bufs[0]]
+                np.matmul(sig_new, V, out=eta_new)
+                eta_new += mu
+                ll_new = bernoulli_loglik(eta_new, y, sign)
                 logr = w * (ll_new - ll) + lp_new - lp_theta
             else:
                 logr = -np.inf
             alpha = alpha_of(logr)
-            if rng.uniform() < alpha:
+            if rng.random() < alpha:
                 theta, sig = theta_new, sig_new
                 eta, ll, lp_theta = eta_new, ll_new, lp_new
             acc["hyper"].update(alpha, it, adapting)
@@ -396,7 +463,7 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             else:
                 logr = -np.inf
             alpha = alpha_of(logr)
-            if rng.uniform() < alpha:
+            if rng.random() < alpha:
                 rescale = sig / sig_new
                 for k, l in enumerate(leaves):
                     xi[l] *= rescale[k]
@@ -410,11 +477,11 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
         # (c) intercept
         if assembled.model.intercept:
             mu_new = mu + acc["mu"].scale * rng.standard_normal()
-            eta_new = eta + (mu_new - mu)
-            ll_new = bernoulli_loglik(eta_new, y)
+            eta_new = np.add(eta, mu_new - mu, out=eta_bufs[eta is eta_bufs[0]])
+            ll_new = bernoulli_loglik(eta_new, y, sign)
             logr = w * (ll_new - ll) - 0.5 * (mu_new**2 - mu**2) / mu_sd**2
             alpha = alpha_of(logr)
-            if rng.uniform() < alpha:
+            if rng.random() < alpha:
                 mu, eta, ll = mu_new, eta_new, ll_new
             acc["mu"].update(alpha, it, adapting)
         t0 = clock()
@@ -425,11 +492,12 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
             s = acc_coef[k].scale
             xi_new = xi[l] + s * whitened[k][j]
             q_new = float(xi_new @ xi_new)
-            eta_new = eta + (sig[k] * s) * images[k, j]
-            ll_new = bernoulli_loglik(eta_new, y)
+            eta_new = np.multiply(images[k, j], sig[k] * s, out=eta_bufs[eta is eta_bufs[0]])
+            eta_new += eta
+            ll_new = bernoulli_loglik(eta_new, y, sign)
             logr = w * (ll_new - ll) - 0.5 * (q_new - qnorm[l])
             alpha = alpha_of(logr)
-            if rng.uniform() < alpha:
+            if rng.random() < alpha:
                 xi[l], qnorm[l], eta, ll = xi_new, q_new, eta_new, ll_new
                 V[k] += s * images[k, j]
             acc_coef[k].update(alpha, it, adapting)
@@ -457,14 +525,15 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
 
         kept, skip = divmod(it - settings.burn_in, settings.thinning)
         if kept >= 0 and skip == 0:
-            for l, u in coefficients().items():
-                result.coefficients[l][c, kept] = u
-            hd = from_unconstrained(tree, theta) if tree is not None else None
-            result.hyper_draws[c, kept] = _hyper_values(assembled, hd, mu)
+            store_coefficients(kept)
             result.theta[c, kept] = theta
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
+    t1 = clock()
+    mu_draws = result.mu[c] if assembled.model.intercept else None
+    _hyper_columns(tree, result.theta[c], mu_draws, result.hyper_draws[c])
+    t_store += clock() - t1
     _check_eta(assembled, coefficients(), mu, eta)
     for name, t in zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)):
         result.timings[name] = result.timings.get(name, 0.0) + t

@@ -25,7 +25,7 @@ from .bases import (
 from .distributions import CovariateDistribution, PointCloud, UniformInterval, UniformLevels
 from .exceptions import DomainError, ValidationError
 from .gmrf import build_icar, build_iid, build_rw1
-from .priors import PriorSpec
+from .priors import PriorSpec, _as_prior_map
 from .standardize import StandardizedEffect, split_pspline, standardize, zero_mean_constraint
 from .tree import DecompTree, EffectLabel, build_default_tree
 
@@ -102,9 +102,7 @@ class ModelSpec:
             return None  # intercept-only model
         labels = [lab for e in self.effects for lab in e.labels()]
         tree = build_default_tree(labels)
-        missing = {"total_variance", *(s.name for s in tree.splits)} - set(self.priors)
-        if missing:
-            raise ValidationError(f"missing priors for tree nodes {sorted(missing)}")
+        _as_prior_map(tree, self.priors)  # raises when a node has no prior
         return tree
 
 

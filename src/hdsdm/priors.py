@@ -86,8 +86,17 @@ class PriorSpec:
             lam = calibrate(self.params["U"], self.params["alpha"])
             object.__setattr__(self, "params", {**self.params, "lam": lam})
         for key in ("lam", "q", "a", "b"):
-            if key in self.params and np.any(np.asarray(self.params[key]) <= 0):
-                raise ValidationError(f"prior {self.node!r}: {key} must be positive")
+            if key not in self.params:
+                continue
+            try:
+                value = np.asarray(self.params[key], dtype=float)
+            except (TypeError, ValueError):
+                value = np.array(np.nan)
+            if not np.all(np.isfinite(value) & (value > 0)):
+                raise ValidationError(
+                    f"prior {self.node!r}: {key} must be finite and positive, "
+                    f"got {self.params[key]!r}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +543,10 @@ class HDEvaluator:
                 f"family {v_spec.family!r} not valid for the total variance"
             )
         self.v_family = v_spec.family
-        self.v_lam = v_spec.params.get("lam")
+        # scalars are kept as Python floats, so that evaluate does its scalar
+        # arithmetic on floats (the same IEEE operations as on numpy scalars)
+        lam = v_spec.params.get("lam")
+        self.v_lam = None if lam is None else float(lam)
 
         # per split: (start, n_children, is_binary, omega_index, kind,
         #             conc-or-lam, lognorm-or-const)
@@ -556,7 +568,7 @@ class HDEvaluator:
                 conc[s.omega_index] = spec.params["a"]
                 conc[1 - s.omega_index] = spec.params["b"]
             elif spec.family == "pc0":
-                lam = spec.params["lam"]
+                lam = float(spec.params["lam"])
                 const = float(np.log(lam) - np.log(2.0) - np.log(-np.expm1(-lam)))
                 self.split_meta.append(
                     (start, n, s.is_binary, s.omega_index, "pc0", lam, const)
@@ -568,6 +580,8 @@ class HDEvaluator:
                 )
             lognorm = float(gammaln(conc.sum()) - gammaln(conc).sum())
             # prior exponent (conc - 1) plus the log-ratio Jacobian
+            if s.is_binary:
+                conc = tuple(conc.tolist())
             self.split_meta.append(
                 (start, n, s.is_binary, s.omega_index, "dirichlet", conc, lognorm)
             )
@@ -613,12 +627,15 @@ class HDEvaluator:
                     w = math.exp(log_w)
                     logp += b - a * math.sqrt(w) + 0.5 * log_w + (log_w - x)
             else:
-                raw = np.empty(n)
-                raw[: n - 1] = th[start : start + n - 1]
-                raw[n - 1] = 0.0
-                raw -= raw.max()
-                lp_children = raw - math.log(np.exp(raw).sum())
-                logp += b + float(a @ lp_children)
+                # exp, sum and dot stay numpy's: math.exp and a Python sum
+                # round differently
+                raw = th[start : start + n - 1]
+                raw.append(0.0)
+                top = max(raw)
+                raw = [r - top for r in raw]
+                log_sum = math.log(np.exp(raw).sum())
+                lp_children = [r - log_sum for r in raw]
+                logp += b + float(np.dot(a, lp_children))
             log_props.append(lp_children)
         sigma2 = np.empty(len(self.leaf_paths))
         for i, path in enumerate(self.leaf_paths):

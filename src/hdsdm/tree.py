@@ -17,6 +17,10 @@ import numpy as np
 
 from .exceptions import ValidationError
 
+# proportions are clamped to [PROPORTION_FLOOR, 1 - PROPORTION_FLOOR] before
+# renormalization, against sigmoid/softmax saturation in float64
+PROPORTION_FLOOR = 1e-12
+
 __all__ = [
     "EffectLabel",
     "TreeNode",
@@ -355,12 +359,11 @@ def from_unconstrained(tree: DecompTree, theta: np.ndarray) -> HDParams:
         )
     total = float(np.exp(theta[0]))
     pos = 1
-    tiny = 1e-12  # guard against sigmoid/softmax saturation in float64
     proportions: dict[str, np.ndarray] = {}
     for s in tree.splits:
         if s.is_binary:
             w = 1.0 / (1.0 + np.exp(-theta[pos]))
-            w = min(max(w, tiny), 1.0 - tiny)
+            w = min(max(w, PROPORTION_FLOOR), 1.0 - PROPORTION_FLOOR)
             pos += 1
             props = np.empty(2)
             props[s.omega_index] = w
@@ -371,7 +374,7 @@ def from_unconstrained(tree: DecompTree, theta: np.ndarray) -> HDParams:
             pos += k
             a -= a.max()
             e = np.exp(a)
-            props = np.maximum(e / e.sum(), tiny)
+            props = np.maximum(e / e.sum(), PROPORTION_FLOOR)
             props /= props.sum()
         proportions[s.name] = props
     return HDParams(total=total, proportions=proportions)

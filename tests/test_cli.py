@@ -278,6 +278,16 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert "error" in record and "message" in record
 
+    @pytest.mark.parametrize("key, bad", [("seed", -1), ("iterations", 100.5)])
+    def test_bad_mcmc_settings_give_validation_record(self, workdir, capsys, key, bad):
+        raw = base_config()
+        raw["mcmc"][key] = bad
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert key in record["message"]
+
     @pytest.mark.parametrize("key, entry, named", [
         ("covariates", {"family": "dirichlet", "q": [0.5, 0.5, 0.5]}, "covariates"),
         ("flex_splits", {"family": "pc0", "U": 0.5}, "sst_flex"),

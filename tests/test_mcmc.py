@@ -11,8 +11,10 @@ from hdsdm.exceptions import ValidationError
 from hdsdm.gmrf import CoefficientBlock
 from hdsdm.mcmc import (
     KERNELS,
+    PROPOSAL_BLOCK,
     McmcSettings,
     ModelState,
+    _hyper_columns,
     bernoulli_loglik,
     fit,
     hyper_param_names,
@@ -24,6 +26,7 @@ from hdsdm.mcmc import (
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
 from hdsdm.partition import phi
 from hdsdm.priors import PriorSpec
+from hdsdm.tree import EffectLabel, build_default_tree, from_unconstrained, n_coordinates
 
 
 def toy_model():
@@ -46,6 +49,51 @@ def toy_data(n=5, seed=0):
         x=rng.uniform(-1, 1, n),
         g=rng.integers(1, 3, n).astype(float),
     )
+
+
+def three_covariate_model():
+    """Three linear abiotic effects under a 3-child split, one iid biotic effect."""
+    effects = [
+        EffectDecl(x, "linear", x, UniformInterval(-1.0, 1.0), side="abiotic")
+        for x in ("a", "b", "c")
+    ] + [EffectDecl("d", "iid", "g", UniformLevels(2), side="biotic")]
+    priors = {
+        "total_variance": PriorSpec("total_variance", "jeffreys"),
+        "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "uniform"),
+        "covariates": PriorSpec("covariates", "dirichlet", {"q": 0.5}),
+    }
+    return ModelSpec(effects=effects, priors=priors)
+
+
+def survey_tree():
+    """The tree of the survey model: linear and flexible parts of two
+    covariates and a vessel effect under a 3-child split, space and time."""
+    labels = [
+        EffectLabel(f"{g}_{part}", "abiotic", group=g)
+        for g in ("sst", "depth")
+        for part in ("lin", "nonlin")
+    ] + [
+        EffectLabel("vessel", "abiotic"),
+        EffectLabel("spatial", "biotic", group="spatial"),
+        EffectLabel("temporal", "biotic", group="temporal"),
+    ]
+    return build_default_tree(labels)
+
+
+def hyper_values_per_draw(tree, theta, mu):
+    """Reference for the reported hyperparameters: one ``from_unconstrained``
+    per draw, read out in ``hyper_param_names`` order."""
+    rows = []
+    for th, m in zip(theta, mu):
+        hd = from_unconstrained(tree, th)
+        row = [hd.total]
+        for s in tree.splits:
+            if s.is_binary:
+                row.append(hd.proportions[s.name][s.omega_index])
+            else:
+                row.extend(hd.proportions[s.name])
+        rows.append(row + [m])
+    return np.array(rows)
 
 
 class TestLogPosterior:
@@ -134,6 +182,7 @@ class TestLogPosterior:
                   np.ones(eta.size)):
             ref = -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum()
             assert bernoulli_loglik(eta, y) == pytest.approx(ref, rel=1e-12)
+            assert bernoulli_loglik(eta, y, 1.0 - 2.0 * y) == bernoulli_loglik(eta, y)
 
     def test_bernoulli_loglik_exact_at_extremes(self):
         values = [1e4, -1e4, 745.0, -745.0, np.inf, -np.inf, 0.0]
@@ -141,9 +190,11 @@ class TestLogPosterior:
             for y in (0.0, 1.0):
                 ref = -np.logaddexp(0.0, (1.0 - 2.0 * y) * v)
                 assert bernoulli_loglik(np.array([v]), np.array([y])) == ref
+                assert bernoulli_loglik(np.array([v]), np.array([y]), np.array([1 - 2 * y])) == ref
         eta = np.array(values * 2)
         y = np.repeat([0.0, 1.0], len(values))
         assert bernoulli_loglik(eta, y) == -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum()
+        assert bernoulli_loglik(eta, y, 1.0 - 2.0 * y) == bernoulli_loglik(eta, y)
         assert bernoulli_loglik(np.zeros(0), np.zeros(0)) == 0.0
 
     def test_single_block_change_is_local(self):
@@ -172,6 +223,49 @@ class TestLogPosterior:
         ) - bernoulli_loglik(asm.linear_predictor(coeffs, 0.1), asm.y_train)
         full_delta = log_posterior(asm, new_state) - log_posterior(asm, state)
         assert full_delta == pytest.approx(gauss_delta + lik_delta, rel=1e-12)
+
+
+class TestBitIdentity:
+    """The sampler's shortcuts give the same bits as the plain computations."""
+
+    @pytest.mark.parametrize("tree", [survey_tree(), build_default_tree(
+        [EffectLabel(e, "abiotic") for e in ("a", "b", "c")] + [EffectLabel("d", "biotic")]
+    )], ids=["survey", "three_covariates"])
+    def test_hyper_columns_match_from_unconstrained(self, tree):
+        rng = np.random.default_rng(12)
+        d = n_coordinates(tree)
+        theta = 3.0 * rng.standard_normal((300, d))
+        theta[:50] = rng.choice([-40.0, 40.0], size=(50, d))  # saturates every map
+        mu = rng.standard_normal(300)
+        ref = hyper_values_per_draw(tree, theta, mu)
+        out = np.empty_like(ref)
+        _hyper_columns(tree, theta, mu, out)
+        np.testing.assert_array_equal(out, ref)
+        assert (out[:50, 1:-1] == 1e-12).any()  # the clamp was hit
+        no_mu = np.empty((300, ref.shape[1] - 1))
+        _hyper_columns(tree, theta, None, no_mu)
+        np.testing.assert_array_equal(no_mu, ref[:, :-1])
+
+    def test_fit_hyper_draws_match_theta(self):
+        data = Dataset.from_arrays(
+            y=np.arange(40) % 2,
+            g=1.0 + np.arange(40) % 2,
+            **{x: np.linspace(-0.9, 0.9, 40) ** (i + 1) for i, x in enumerate("abc")},
+        )
+        settings = McmcSettings(chains=2, iterations=300, burn_in=150, seed=2)
+        result = fit(three_covariate_model(), data, settings)
+        assert result.hyper_names[-1] == "mu"
+        for c in range(2):
+            ref = hyper_values_per_draw(result.assembled.tree, result.theta[c], result.mu[c])
+            np.testing.assert_array_equal(result.hyper_draws[c], ref)
+
+    def test_one_column_image_is_the_matrix_product(self):
+        rng = np.random.default_rng(4)
+        whitened = rng.standard_normal((PROPOSAL_BLOCK + 1, 1))
+        design_t = rng.standard_normal((1, 5020))
+        np.testing.assert_array_equal(
+            np.multiply(whitened, design_t), np.matmul(whitened, design_t)
+        )
 
 
 class TestDivergenceCheck:
@@ -241,8 +335,14 @@ class TestFit:
             McmcSettings(thinning=0)
         with pytest.raises(ValidationError, match="adaptation_window"):
             McmcSettings(adaptation_window=0)
+        for name, bad in [("seed", -1), ("seed", 1.5), ("iterations", 100.5),
+                          ("chains", 2.0), ("burn_in", "10"), ("thinning", True),
+                          ("adaptation_window", None)]:
+            with pytest.raises(ValidationError, match=name):
+                McmcSettings(**{name: bad})
+        assert McmcSettings(chains=np.int64(2), seed=np.uint32(7)).seed == 7
         for name in ("target_accept_hyper", "target_accept_block"):
-            for bad in (0.0, 1.0, 1.5, -0.2, float("nan")):
+            for bad in (0.0, 1.0, 1.5, -0.2, float("nan"), "0.3", None):
                 with pytest.raises(ValidationError, match=name):
                     McmcSettings(**{name: bad})
 

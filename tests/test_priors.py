@@ -483,6 +483,25 @@ class TestPriorValidation:
             PriorSpec("node7", family, params)
 
     @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("pc", {"lam": np.nan}, "lam"),
+            ("pc", {"lam": np.inf}, "lam"),
+            ("pc", {"U": np.nan, "alpha": 0.05}, "lam"),
+            ("dirichlet", {"q": np.nan}, "q"),
+            ("dirichlet", {"q": [0.5, np.nan]}, "q"),
+            ("beta", {"a": np.nan, "b": 2.0}, "a"),
+            ("pc0", {"lam": np.inf}, "lam"),
+            ("beta", {"a": "two", "b": 2.0}, "a"),
+        ],
+        ids=["pc_lam_nan", "pc_lam_inf", "pc_U_nan", "dirichlet_q_nan",
+             "dirichlet_q_vector_nan", "beta_a_nan", "pc0_lam_inf", "beta_a_text"],
+    )
+    def test_non_finite_parameters_rejected(self, family, params, key):
+        with pytest.raises(ValidationError, match=rf"'node7'.*{key} must be finite"):
+            PriorSpec("node7", family, params)
+
+    @pytest.mark.parametrize(
         "spec",
         [
             PriorSpec("covariates", "beta", {"a": 2.0, "b": 3.0}),
