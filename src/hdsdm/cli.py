@@ -12,6 +12,7 @@ import argparse
 import csv
 import itertools
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -57,6 +58,13 @@ def _write_manifest(outdir: Path, cfg: RunConfig, args, extra=None) -> None:
     if extra:
         manifest.update(extra)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _peak_rss_mb(who: int) -> float:
+    """Peak resident set size in MB: of this process (``RUSAGE_SELF``), or of
+    the largest of its reaped children, such as the chain workers
+    (``RUSAGE_CHILDREN``). ``ru_maxrss`` is in kilobytes, on macOS in bytes."""
+    return resource.getrusage(who).ru_maxrss / (1024.0 ** (2 if sys.platform == "darwin" else 1))
 
 
 def _write_draws(path: Path, header: list[str], index: np.ndarray, *values: np.ndarray) -> None:
@@ -123,7 +131,11 @@ def _cmd_fit(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     result = fit(model, data, settings)
     _save_fit(outdir, result)
     _write_manifest(outdir, cfg, args, {"n_train": data.n_train, "n_total": data.n,
-                                        "timings_s": result.timings})
+                                        "timings_s": result.timings,
+                                        "chain_workers": result.chain_workers,
+                                        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+                                        "peak_rss_children_mb":
+                                            _peak_rss_mb(resource.RUSAGE_CHILDREN)})
     worst = max(
         (v for v in result.rhat.values() if np.isfinite(v)), default=float("nan")
     )
@@ -140,7 +152,7 @@ def _cmd_predict(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     samples = _load_samples(outdir, assembled)
     test_mask = ~data.train_mask
     if not test_mask.any():
-        raise ValueError("no test rows under the configured split")
+        raise ValidationError("no test rows under the configured split")
     p_hat = predict(samples, data, assembled=assembled, mask=test_mask)
     _write_draws(outdir / "predictions.csv", ["row", "y", "p_hat"],
                  np.column_stack([np.flatnonzero(test_mask), data.y[test_mask]]), p_hat[:, None])

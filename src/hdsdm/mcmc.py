@@ -33,11 +33,33 @@ for all of a chain's draws at once after the chain has run.
 Adaptation (proposal scales by Robbins-Monro toward the target acceptance
 rates, hyper covariance from the chain history) runs during burn-in only,
 so retained samples come from a fixed kernel.
+
+The chains of one fit share no state, so ``fit`` runs them at the same time
+in W = min(chains, usable CPUs) workers: worker 0 is the calling process and
+the others are ``fork``ed children, and worker w runs chains w, w + W, ....
+Each chain has its own random stream and writes disjoint rows of result
+arrays that live in anonymous shared memory, so no draw is copied between
+processes; a child sends back only its acceptance rates and kernel times.
+For the whole chain phase every loaded OpenBLAS is pinned to one thread (and
+restored afterwards): BLAS threads in each worker would compete for the same
+CPUs, and the proposal-image products give different bits at one and at two
+threads, so pinning also makes the draws independent of the machine. Where
+no OpenBLAS thread setter is found, the platform lacks ``fork`` or CPU
+affinity, or another Python thread is running (a forked child would hold
+only the forking thread), all chains run one after another in the calling
+process, with the same draws.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import mmap
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -313,9 +335,11 @@ def _check_eta(
         )
 
 
-def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str, float]:
+def _run_chain(
+    result: FitResult, c: int, rng: np.random.Generator
+) -> tuple[dict[str, float], dict[str, float]]:
     """Run chain c, writing its retained draws into row c of the result's
-    arrays and adding its kernel times to ``result.timings``."""
+    arrays; return its acceptance rates and the seconds spent in each kernel."""
     assembled, settings = result.assembled, result.settings
     tree = assembled.tree
     priors = assembled.model.priors
@@ -535,9 +559,144 @@ def _run_chain(result: FitResult, c: int, rng: np.random.Generator) -> dict[str,
     _hyper_columns(tree, result.theta[c], mu_draws, result.hyper_draws[c])
     t_store += clock() - t1
     _check_eta(assembled, coefficients(), mu, eta)
-    for name, t in zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)):
-        result.timings[name] = result.timings.get(name, 0.0) + t
-    return _check_divergent(acc)
+    rates = _check_divergent(acc)
+    return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
+
+
+# (getter, setter) of the OpenBLAS thread count, by the names the numpy and
+# scipy wheels and plain OpenBLAS builds export; the first pair a library
+# has is used. The ``..._64_`` and trailing-underscore names are the
+# Fortran forms, which take a pointer, and are not listed.
+_BLAS_THREAD_API = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _loaded_openblas() -> list[tuple]:
+    """The thread-count getter and setter of each OpenBLAS mapped into this
+    process; none where ``/proc/self/maps`` cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_API:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread for the body and restore the
+    previous counts after it; yields whether any OpenBLAS was pinned."""
+    apis = _loaded_openblas()
+    before = [get() for get, _ in apis]
+    try:
+        for _, set_ in apis:
+            set_(1)
+        yield bool(apis)
+    finally:
+        for (_, set_), n in zip(apis, before):
+            set_(n)
+
+
+def _chain_workers(chains: int) -> int:
+    """Processes to run ``chains`` chains in: one per usable CPU, at most one
+    per chain; 1, the calling process alone, where ``fork`` or the CPU
+    affinity is unavailable or another Python thread is running."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(chains, len(os.sched_getaffinity(0))))
+
+
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float array in anonymous shared memory: what a forked worker
+    writes into it, the parent reads."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes == 0:  # mmap cannot map zero bytes
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
+
+
+def _chain_worker(result: FitResult, rngs: list, chains: range, fd: int) -> None:
+    """Body of a forked worker: run ``chains``, write the pickled record
+    ``(True, [(c, (rates, timings)), ...])`` or ``(False, exception)`` to
+    ``fd``, and leave by ``os._exit``, so that neither the parent's cleanup
+    nor its buffered output runs a second time. A worker that cannot write
+    its record leaves none, which the parent reports."""
+    try:
+        try:
+            record = (True, [(c, _run_chain(result, c, rngs[c])) for c in chains])
+        except Exception as err:  # noqa: BLE001 - sent to the parent, which raises it
+            record = (False, err)
+        payload = pickle.dumps(record)
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _run_chains(
+    result: FitResult, rngs: list, workers: int
+) -> list[tuple[dict[str, float], dict[str, float]]]:
+    """(rates, timings) of every chain, running chains w, w + workers, ... in
+    worker w. Worker 0 is this process; the others are forked children that
+    write their draws into the result's shared arrays. A child's exception is
+    raised here, and on any exception every child is killed; every child is
+    reaped before this returns or raises."""
+    n = len(rngs)
+    out = {}
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _chain_worker(result, rngs, range(w, n, workers), write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        for c in range(0, n, workers):
+            out[c] = _run_chain(result, c, rngs[c])
+        for w, (pid, read_fd) in enumerate(children, start=1):
+            with open(read_fd, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if not payload:
+                raise DiagnosticError(f"chain worker {w} (pid {pid}) exited without a result")
+            ok, record = pickle.loads(payload)  # written by our own child
+            if not ok:
+                raise record
+            out.update(record)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still ours
+        raise
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return [out[c] for c in range(n)]
 
 
 def split_rhat(draws: np.ndarray) -> float:
@@ -559,7 +718,8 @@ def split_rhat(draws: np.ndarray) -> float:
 class FitResult(Draws):
     """The retained draws, their HD coordinates ``theta`` (chains, draws, d)
     and reported hyperparameters, and the run's diagnostics: split-R-hat,
-    acceptance rates and the wall time of each sampler kernel in ``KERNELS``."""
+    acceptance rates, the wall time of each sampler kernel in ``KERNELS``
+    (summed over chains) and the number of processes the chains ran in."""
 
     theta: np.ndarray
     hyper_names: list[str]
@@ -570,6 +730,7 @@ class FitResult(Draws):
     rhat: dict[str, float] = field(default_factory=dict)
     acceptance: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)  # kernel -> seconds, all chains
+    chain_workers: int = 1  # processes the chains ran in
 
     @property
     def samples(self) -> list[PosteriorSample]:
@@ -593,6 +754,16 @@ def fit(
 
     Chains are deterministic given (settings.seed, chain index); per-parameter
     split-R-hat is computed across chains for every reported hyperparameter.
+
+    The chains run at the same time in ``result.chain_workers`` =
+    min(chains, usable CPUs) workers: this process runs chains 0, W, 2W, ...
+    and ``fork``ed children run the others, writing into shared memory. Every
+    loaded OpenBLAS runs on one thread while the chains run, so the draws do
+    not depend on the CPU count or the BLAS thread setting. All chains run in
+    this process when no OpenBLAS thread setter is found, the platform has no
+    ``fork`` or CPU affinity, or another Python thread is running.
+    ``result.timings`` are summed over chains, so with several workers they
+    can exceed the wall time of the fit.
     """
     assembled = model if isinstance(model, AssembledModel) else assemble(model, data)
     if rng is None:
@@ -608,18 +779,22 @@ def fit(
     shape = (settings.chains, n_keep)
     d = n_coordinates(assembled.tree) if assembled.tree is not None else 0
     result = FitResult(
-        mu=np.empty(shape),
+        mu=_shared(shape),
         coefficients={
-            l: np.empty(shape + (assembled.effects[l].n_coef,)) for l in assembled.leaf_ids
+            l: _shared(shape + (assembled.effects[l].n_coef,)) for l in assembled.leaf_ids
         },
-        theta=np.empty(shape + (d,)),
+        theta=_shared(shape + (d,)),
         hyper_names=names,
-        hyper_draws=np.empty(shape + (len(names),)),
+        hyper_draws=_shared(shape + (len(names),)),
         assembled=assembled,
         settings=settings,
         likelihood_weight=likelihood_weight,
     )
-    rates_by_chain = [_run_chain(result, c, chain_rngs[c]) for c in range(settings.chains)]
+    with _one_blas_thread() as pinned:
+        result.chain_workers = _chain_workers(settings.chains) if pinned else 1
+        outcomes = _run_chains(result, chain_rngs, result.chain_workers)
+    rates_by_chain = [rates for rates, _ in outcomes]
+    result.timings = {k: sum(t[k] for _, t in outcomes) for k in KERNELS}
     for j, name in enumerate(names):
         result.rhat[name] = (
             split_rhat(result.hyper_draws[:, :, j]) if settings.chains > 1 else np.nan
@@ -639,6 +814,10 @@ def predict(
     """Pointwise p-hat = logistic(posterior mean linear predictor) at new rows,
     evaluated at the posterior-mean intercept and coefficients (it is linear in them).
 
+    With a ``Dataset``, ``mask`` selects the rows to predict at: a boolean
+    array with one entry per row (all rows when omitted). Columns given as a
+    dict take no mask.
+
     Covariate values outside an effect's declared support raise DomainError:
     the standardization (and hence the fitted scales) is only defined there.
     """
@@ -648,8 +827,15 @@ def predict(
         raise ValidationError("predict needs the assembled model for raw samples")
     draws = as_draws(result)
     if isinstance(newdata, Dataset):
-        use = np.ones(newdata.n, dtype=bool) if mask is None else mask
+        use = np.ones(newdata.n, dtype=bool) if mask is None else np.asarray(mask)
+        if use.dtype != bool or use.shape != (newdata.n,):
+            raise ValidationError(
+                f"mask must be boolean with one entry per row ({newdata.n}), "
+                f"got {use.dtype} of shape {use.shape}"
+            )
         columns = newdata.rows(use)
+    elif mask is not None:
+        raise ValidationError("mask applies to a Dataset; select the columns' rows instead")
     else:
         columns = newdata
     designs = assembled.designs_at(columns)
@@ -673,6 +859,8 @@ def metrics(p_hat: np.ndarray, y_test: np.ndarray) -> dict[str, float]:
         raise ValidationError("p_hat must be finite and within [0, 1]")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValidationError("y_test must be binary")
+    if y.size == 0:
+        raise ValidationError("the test set is empty")
     pos = y == 1
     if pos.all() or (~pos).all():
         raise ValidationError("Tjur R2 undefined: test set contains a single class")

@@ -257,7 +257,11 @@ def assemble(model: ModelSpec, data: Dataset | None) -> AssembledModel:
     """Standardize all declared effects and evaluate them on the training rows.
 
     ``data=None`` assembles with empty design blocks (prior-only inference).
+    Data without training rows is rejected: fitting it would return prior
+    draws as if fitted to data.
     """
+    if data is not None and data.n_train == 0:
+        raise ValidationError("the data have no training rows (empty train mask or split)")
     tree = model.build_tree()
     effects: dict[str, StandardizedEffect] = {}
     designs: dict[str, np.ndarray] = {}

@@ -160,9 +160,15 @@ class TestCliFlow:
         cfg_path = str(workdir / "config.json")
         assert main(["fit", "--config", cfg_path]) == 0
         out = workdir / "out"
-        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings_s"]
         assert set(timings) == set(KERNELS)
         assert all(t >= 0.0 for t in timings.values())
+        assert 1 <= manifest["chain_workers"] <= 2
+        assert manifest["peak_rss_mb"] > 0.0
+        assert manifest["peak_rss_children_mb"] >= 0.0
+        if manifest["chain_workers"] > 1:  # a forked worker was reaped
+            assert manifest["peak_rss_children_mb"] > 0.0
         assert (out / "tree.json").exists()
         samples = read_rows(out / "samples.csv")
         assert len(samples) == 2 * 100  # 2 chains, (600-300)/3 retained each
@@ -287,6 +293,24 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
         assert key in record["message"]
+
+    @pytest.mark.parametrize("command, train_max_year, message", [
+        ("fit", 1990, "no training rows"),
+        ("predict", 2100, "no test rows"),
+    ])
+    def test_empty_split_gives_validation_record(self, workdir, capsys, command,
+                                                 train_max_year, message):
+        raw = base_config()
+        raw["split"]["train_max_year"] = train_max_year
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        cfg_path = str(workdir / "config.json")
+        if command != "fit":
+            assert main(["fit", "--config", cfg_path]) == 0
+            capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert message in record["message"]
 
     @pytest.mark.parametrize("key, entry, named", [
         ("covariates", {"family": "dirichlet", "q": [0.5, 0.5, 0.5]}, "covariates"),

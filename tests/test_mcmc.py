@@ -1,5 +1,6 @@
 """Posterior evaluation, sampler correctness oracles, prediction, metrics."""
 
+import os
 import time
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from scipy.stats import norm
 
 from hdsdm.distributions import UniformInterval, UniformLevels
-from hdsdm.exceptions import ValidationError
+from hdsdm import mcmc
+from hdsdm.exceptions import DiagnosticError, ValidationError
 from hdsdm.gmrf import CoefficientBlock
 from hdsdm.mcmc import (
     KERNELS,
@@ -416,13 +418,16 @@ class TestFit:
         assert np.abs(u.sum(axis=-1)).max() < 1e-9  # zero-mean over two equal levels
 
     def test_kernel_timings_cover_at_most_the_fit(self):
-        settings = McmcSettings(chains=2, iterations=400, burn_in=200, seed=6)
-        t0 = time.perf_counter()
-        result = fit(toy_model(), toy_data(n=60, seed=8), settings)
-        wall = time.perf_counter() - t0
-        assert set(result.timings) == set(KERNELS)
-        assert all(t >= 0.0 for t in result.timings.values())
-        assert sum(result.timings.values()) <= wall
+        # timings are summed over chains, and concurrent chains can sum to
+        # more than the wall time; each chain's kernels still fit in the fit
+        for chains in (1, 2):
+            settings = McmcSettings(chains=chains, iterations=400, burn_in=200, seed=6)
+            t0 = time.perf_counter()
+            result = fit(toy_model(), toy_data(n=60, seed=8), settings)
+            wall = time.perf_counter() - t0
+            assert set(result.timings) == set(KERNELS)
+            assert all(t >= 0.0 for t in result.timings.values())
+            assert sum(result.timings.values()) <= chains * wall
 
     def test_rhat_reported_per_parameter(self):
         model = toy_model()
@@ -430,6 +435,117 @@ class TestFit:
         settings = McmcSettings(chains=2, iterations=400, burn_in=200, seed=6)
         result = fit(model, data, settings)
         assert set(result.rhat) == set(hyper_param_names(result.assembled))
+
+
+def assert_same_draws(a, b):
+    for name in ("theta", "mu", "hyper_draws"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.coefficients.keys() == b.coefficients.keys()
+    for leaf, draws in a.coefficients.items():
+        np.testing.assert_array_equal(draws, b.coefficients[leaf])
+
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def assert_no_children():
+    if hasattr(os, "waitpid"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelChains:
+    """Chains forked into worker processes give the draws of a serial fit."""
+
+    settings = McmcSettings(chains=2, iterations=300, burn_in=150, seed=4)
+
+    def fit_toy(self, settings=None):
+        return fit(toy_model(), toy_data(n=60, seed=2), settings or self.settings)
+
+    def test_chain_zero_equals_one_chain_fit(self):
+        both = self.fit_toy()
+        one = self.fit_toy(McmcSettings(chains=1, iterations=300, burn_in=150, seed=4))
+        if mcmc._loaded_openblas():
+            assert both.chain_workers == min(2, usable_cpus())
+        assert one.chain_workers == 1
+        np.testing.assert_array_equal(both.theta[:1], one.theta)
+        np.testing.assert_array_equal(both.mu[:1], one.mu)
+        np.testing.assert_array_equal(both.hyper_draws[:1], one.hyper_draws)
+        for leaf, draws in one.coefficients.items():
+            np.testing.assert_array_equal(both.coefficients[leaf][:1], draws)
+        assert_no_children()
+
+    def test_one_cpu_runs_in_process_with_the_same_draws(self, monkeypatch):
+        forked = self.fit_toy()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = self.fit_toy()
+        assert serial.chain_workers == 1
+        assert_same_draws(forked, serial)
+        assert serial.acceptance == forked.acceptance
+
+    def test_chain_error_raised_and_children_reaped(self, monkeypatch):
+        def drifted(*args):
+            raise DiagnosticError("incremental linear predictor drifted by 1 (test)")
+
+        monkeypatch.setattr(mcmc, "_check_eta", drifted)
+        with pytest.raises(DiagnosticError, match=r"^incremental .* by 1 \(test\)$"):
+            self.fit_toy()
+        assert_no_children()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        run_chain = mcmc._run_chain
+
+        def failing_chain_one(result, c, rng):
+            if c == 1:
+                raise ValidationError(f"chain {c} failed in pid {os.getpid()}")
+            return run_chain(result, c, rng)
+
+        monkeypatch.setattr(mcmc, "_run_chain", failing_chain_one)
+        with pytest.raises(ValidationError, match="chain 1 failed") as err:
+            self.fit_toy()
+        if mcmc._loaded_openblas() and usable_cpus() > 1:
+            assert f"pid {os.getpid()}" not in str(err.value)  # raised in a worker
+        assert_no_children()
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="needs a second CPU for a worker")
+    def test_worker_without_a_result_is_an_error(self, monkeypatch):
+        if not mcmc._loaded_openblas():
+            pytest.skip("no OpenBLAS to pin: chains run in-process")
+        run_chain = mcmc._run_chain
+
+        def dying_chain_one(result, c, rng):
+            if c == 1:
+                os._exit(3)
+            return run_chain(result, c, rng)
+
+        monkeypatch.setattr(mcmc, "_run_chain", dying_chain_one)
+        with pytest.raises(DiagnosticError, match="exited without a result"):
+            self.fit_toy()
+        assert_no_children()
+
+    def test_blas_threads_pinned_during_the_chains_and_restored(self, monkeypatch):
+        apis = mcmc._loaded_openblas()
+        if not apis:
+            pytest.skip("no OpenBLAS thread setter found")
+        original = [get() for get, _ in apis]
+        seen = []
+        run_chain = mcmc._run_chain
+
+        def recording_chain(result, c, rng):
+            seen.append([get() for get, _ in apis])
+            return run_chain(result, c, rng)
+
+        monkeypatch.setattr(mcmc, "_run_chain", recording_chain)
+        try:
+            for _, set_ in apis:
+                set_(2)
+            self.fit_toy()
+            assert [get() for get, _ in apis] == [2] * len(apis)
+        finally:
+            for (_, set_), n in zip(apis, original):
+                set_(n)
+        assert seen and all(counts == [1] * len(apis) for counts in seen)
 
 
 class TestPredict:
@@ -487,6 +603,22 @@ class TestPredict:
         p = predict(samples, {"x": np.array([0.1]), "g": np.array([1.0])}, assembled=asm)
         assert p[0] == pytest.approx(1 / (1 + np.exp(-0.6)), rel=1e-12)
 
+    @pytest.mark.parametrize("mask", [
+        np.ones(39, dtype=bool),  # one entry short
+        np.ones(41, dtype=bool),
+        np.arange(5),  # row indices, not a mask
+        np.ones(40, dtype=int),
+    ], ids=["short", "long", "indices", "integer"])
+    def test_mask_must_be_boolean_per_row(self, mask):
+        asm, samples = self.make_result()
+        data = toy_data(n=40, seed=9)
+        with pytest.raises(ValidationError, match="mask"):
+            predict(samples, data, assembled=asm, mask=mask)
+        p = predict(samples, data, assembled=asm, mask=np.arange(40) < 5)
+        assert p.shape == (5,)
+        with pytest.raises(ValidationError, match="mask"):  # no Dataset to mask
+            predict(samples, data.rows(data.train_mask), assembled=asm, mask=np.arange(40) < 5)
+
     def test_out_of_support_newdata_rejected(self):
         from hdsdm.exceptions import DomainError
 
@@ -524,5 +656,7 @@ class TestMetrics:
             metrics(np.array([bad, 0.2, 0.4]), np.array([1, 0, 0]))
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="single class"):
             metrics(np.array([0.5, 0.6]), np.array([1, 1]))
+        with pytest.raises(ValidationError, match="test set is empty"):
+            metrics(np.array([]), np.array([]))

@@ -5,6 +5,7 @@ import pytest
 
 from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
 from hdsdm.exceptions import DomainError, ValidationError
+from hdsdm.mcmc import McmcSettings, fit
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
 from hdsdm.priors import PriorSpec
 
@@ -172,6 +173,16 @@ class TestAssemble:
         del model.priors["x3_flex"]
         with pytest.raises(ValidationError):
             model.build_tree()
+
+    def test_no_training_rows_rejected(self):
+        # fitting such data would return prior draws as if fitted to it
+        model = survey_model(n_basis=8, spatial_funcs=(5, 5))
+        data = survey_data(n=50)
+        data.train_mask[:] = False
+        with pytest.raises(ValidationError, match="no training rows"):
+            assemble(model, data)
+        with pytest.raises(ValidationError, match="no training rows"):
+            fit(model, data, McmcSettings(chains=1, iterations=20, burn_in=10))
 
     def test_prior_only_assembly(self):
         model = survey_model(n_basis=8, spatial_funcs=(5, 5))
