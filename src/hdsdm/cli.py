@@ -27,6 +27,7 @@ from .mcmc import Draws, FitResult, fit, hyper_param_names, metrics, predict
 from .model import assemble
 from .partition import phi, sensitivity_sweep
 from .priors import marginal_cdfs
+from .tree import natural_columns
 
 FLOAT_FMT = "%.17g"
 
@@ -114,7 +115,8 @@ def _load_samples(outdir: Path, assembled) -> Draws:
     hyper = _read_draws(outdir / "samples.csv", ["chain", "draw"] + names)
     coef = _read_draws(outdir / "coefficients.csv", ["sample"] + _coefficient_columns(assembled))
     if len(hyper) != len(coef):
-        raise ValueError("samples.csv and coefficients.csv row counts differ")
+        raise ValidationError(f"samples.csv has {len(hyper)} rows and coefficients.csv "
+                              f"{len(coef)}; they come from different fits")
     chains = int(hyper[:, 0].max()) + 1 if len(hyper) else 1
     mu = hyper[:, names.index("mu") + 2] if "mu" in names else np.zeros(len(hyper))
     ends = np.cumsum([1] + [assembled.effects[l].n_coef for l in assembled.leaf_ids])
@@ -213,30 +215,16 @@ def _cmd_sensitivity(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None
 
 def _cmd_prior_check(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     model = build_model(cfg, base_dir)
+    if not model.effects:
+        raise ValidationError("an intercept-only model has no variance proportions to check")
     settings = build_settings(cfg, args.seed)
     result = fit(model, None, settings, likelihood_weight=0.0)
-    assembled = result.assembled
-    cdfs = marginal_cdfs(assembled.tree, assembled.model.priors)
-
-    col_of = {}
-    names = result.hyper_names
-    if "V" in cdfs and "V" in names:
-        col_of["V"] = names.index("V")
-    for s in assembled.tree.splits:
-        if s.is_binary:
-            key = f"{s.name}:{s.child_names[s.omega_index]}"
-            col = f"omega_{s.name}"
-            if key in cdfs and col in names:
-                col_of[key] = names.index(col)
-        else:
-            for child in s.child_names:
-                key = f"{s.name}:{child}"
-                col = f"omega_{s.name}_{child}"
-                if key in cdfs and col in names:
-                    col_of[key] = names.index(col)
+    tree = result.assembled.tree
+    cdfs = marginal_cdfs(tree, result.assembled.model.priors)
 
     rows = []
-    for key, col in col_of.items():
+    # column col of hyper_draws holds natural coordinate col of the tree
+    for col, (_, key) in enumerate(natural_columns(tree)):
         draws = result.hyper_draws[:, :, col].ravel()
         res = kstest(draws, cdfs[key])
         rows.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,8 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
     """Materialize the declared effects and priors into a ModelSpec.
 
     Priors are keyed by tree-node name; the key ``flex_splits`` provides a
-    default for every level-4 ``*_flex`` split.
+    default for every level-4 ``*_flex`` split. ``ModelSpec`` checks that the
+    priors fit the tree.
     """
     base_dir = Path(base_dir)
     dists = {name: _build_dist(name, s, base_dir) for name, s in cfg.supports.items()}
@@ -150,22 +151,16 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
             )
 
     labels = [lab for e in effects for lab in e.labels()]
-    tree = build_default_tree(labels) if labels else None
     declared = dict(cfg.model["priors"])
     flex_default = declared.pop("flex_splits", None)
-    priors: dict[str, PriorSpec] = {}
-    node_names = ["total_variance"] + ([s.name for s in tree.splits] if tree else [])
-    for node in node_names:
-        entry = declared.get(node)
-        if entry is None and "_flex" in node:
-            entry = flex_default
-        if entry is None:
-            raise ValidationError(f"no prior declared for tree node {node!r}")
-        params = {k: v for k, v in entry.items() if k != "family"}
-        priors[node] = PriorSpec(node, entry["family"], params)
-    unknown = set(declared) - set(node_names)
-    if unknown:
-        raise ValidationError(f"priors declared for unknown tree nodes: {sorted(unknown)}")
+    if labels and flex_default is not None:
+        for s in build_default_tree(labels).splits:
+            if "_flex" in s.name:
+                declared.setdefault(s.name, flex_default)
+    priors = {
+        node: PriorSpec(node, entry["family"], {k: v for k, v in entry.items() if k != "family"})
+        for node, entry in declared.items()
+    }
 
     return ModelSpec(
         effects=effects,
@@ -178,17 +173,7 @@ def build_settings(cfg: RunConfig, seed_override: int | None = None) -> McmcSett
     m = dict(cfg.mcmc)
     if seed_override is not None:
         m["seed"] = int(seed_override)
-    allowed = {
-        "chains",
-        "iterations",
-        "burn_in",
-        "thinning",
-        "adaptation_window",
-        "target_accept_hyper",
-        "target_accept_block",
-        "seed",
-    }
-    unknown = set(m) - allowed
+    unknown = set(m) - {f.name for f in fields(McmcSettings)}
     if unknown:
         raise ValidationError(f"unknown mcmc settings: {sorted(unknown)}")
     return McmcSettings(**m)

@@ -28,7 +28,7 @@ preallocated buffers does not hold the current one; a one-column design maps
 its proposals by an outer product. A retained draw stores its coordinates
 ``theta``, its intercept and its coefficients (written in place); the
 reported hyperparameters (V and the proportions) are computed from ``theta``
-for all of a chain's draws at once after the chain has run.
+by ``tree.natural_values``, for all draws at once after the chains have run.
 
 Adaptation (proposal scales by Robbins-Monro toward the target acceptance
 rates, hyper covariance from the chain history) runs during burn-in only,
@@ -70,11 +70,11 @@ from .gmrf import CoefficientBlock
 from .model import AssembledModel, Dataset, ModelSpec, assemble
 from .priors import HDEvaluator, log_prior_unconstrained, prior_median_theta
 from .tree import (
-    PROPORTION_FLOOR,
-    DecompTree,
     HDParams,
     from_unconstrained,
     n_coordinates,
+    natural_columns,
+    natural_values,
     to_variances,
 )
 
@@ -85,7 +85,7 @@ PROPOSAL_BLOCK = 16
 # the sampler's kernels, as timed in FitResult.timings: the hyper updates (a)
 # and (b), the intercept (c), the coefficient blocks (d), the block draws of
 # coefficient proposals with their images on the training rows, and
-# adaptation plus writing the retained draws and their hyperparameters
+# adaptation plus writing the retained draws
 KERNELS = ("hyper", "hyper_centered", "mu", "coef", "proposals", "store")
 
 __all__ = [
@@ -233,50 +233,12 @@ def log_posterior(
 
 
 def hyper_param_names(assembled: AssembledModel) -> list[str]:
-    names = []
-    if assembled.tree is not None:
-        names.append("V")
-        for s in assembled.tree.splits:
-            if s.is_binary:
-                names.append(f"omega_{s.name}")
-            else:
-                names.extend(f"omega_{s.name}_{c}" for c in s.child_names)
+    """Column names of ``FitResult.hyper_draws``: the natural coordinates of
+    the tree (``tree.natural_columns``), then ``mu`` with an intercept."""
+    names = [] if assembled.tree is None else [n for n, _ in natural_columns(assembled.tree)]
     if assembled.model.intercept:
         names.append("mu")
     return names
-
-
-def _hyper_columns(
-    tree: DecompTree | None, theta: np.ndarray, mu: np.ndarray | None, out: np.ndarray
-) -> None:
-    """Write the reported hyperparameters of each draw, in ``hyper_param_names``
-    order, into ``out`` (draws, n_params), from its HD coordinates ``theta``
-    (draws, d) and intercept ``mu`` (draws,), None without an intercept. The
-    maps are those of ``from_unconstrained``, on all draws at once; the values
-    are the same."""
-    j = 0
-    if tree is not None:
-        out[:, 0] = np.exp(theta[:, 0])
-        j = pos = 1
-        for s in tree.splits:
-            if s.is_binary:
-                w = 1.0 / (1.0 + np.exp(-theta[:, pos]))
-                out[:, j] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
-                j += 1
-                pos += 1
-            else:
-                k = s.n_children - 1
-                a = np.zeros((theta.shape[0], k + 1))
-                a[:, :k] = theta[:, pos : pos + k]
-                pos += k
-                a -= a.max(axis=1, keepdims=True)
-                e = np.exp(a)
-                props = np.maximum(e / e.sum(axis=1, keepdims=True), PROPORTION_FLOOR)
-                props /= props.sum(axis=1, keepdims=True)
-                out[:, j : j + k + 1] = props
-                j += k + 1
-    if mu is not None:
-        out[:, j] = mu
 
 
 class _Accept:
@@ -554,10 +516,6 @@ def _run_chain(
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
-    t1 = clock()
-    mu_draws = result.mu[c] if assembled.model.intercept else None
-    _hyper_columns(tree, result.theta[c], mu_draws, result.hyper_draws[c])
-    t_store += clock() - t1
     _check_eta(assembled, coefficients(), mu, eta)
     rates = _check_divergent(acc)
     return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
@@ -723,7 +681,6 @@ class FitResult(Draws):
 
     theta: np.ndarray
     hyper_names: list[str]
-    hyper_draws: np.ndarray  # (chains, draws, n_params)
     assembled: AssembledModel
     settings: McmcSettings
     likelihood_weight: float = 1.0
@@ -731,6 +688,8 @@ class FitResult(Draws):
     acceptance: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)  # kernel -> seconds, all chains
     chain_workers: int = 1  # processes the chains ran in
+    # (chains, draws, n_params), set by ``fit`` from theta and mu once the chains have run
+    hyper_draws: np.ndarray = field(init=False)
 
     @property
     def samples(self) -> list[PosteriorSample]:
@@ -747,7 +706,6 @@ def fit(
     model: ModelSpec | AssembledModel,
     data: Dataset | None,
     settings: McmcSettings,
-    rng: np.random.Generator | None = None,
     likelihood_weight: float = 1.0,
 ) -> FitResult:
     """Run all chains and collect thinned post-burn-in samples.
@@ -766,13 +724,10 @@ def fit(
     can exceed the wall time of the fit.
     """
     assembled = model if isinstance(model, AssembledModel) else assemble(model, data)
-    if rng is None:
-        chain_rngs = [
-            np.random.default_rng(np.random.SeedSequence((settings.seed, 7, c)))
-            for c in range(settings.chains)
-        ]
-    else:
-        chain_rngs = rng.spawn(settings.chains)
+    chain_rngs = [
+        np.random.default_rng(np.random.SeedSequence((settings.seed, 7, c)))
+        for c in range(settings.chains)
+    ]
 
     names = hyper_param_names(assembled)
     n_keep = (settings.iterations - settings.burn_in + settings.thinning - 1) // settings.thinning
@@ -785,7 +740,6 @@ def fit(
         },
         theta=_shared(shape + (d,)),
         hyper_names=names,
-        hyper_draws=_shared(shape + (len(names),)),
         assembled=assembled,
         settings=settings,
         likelihood_weight=likelihood_weight,
@@ -793,6 +747,12 @@ def fit(
     with _one_blas_thread() as pinned:
         result.chain_workers = _chain_workers(settings.chains) if pinned else 1
         outcomes = _run_chains(result, chain_rngs, result.chain_workers)
+    columns = [np.empty((math.prod(shape), 0))]
+    if d:
+        columns.append(natural_values(assembled.tree, result.theta.reshape(-1, d)))
+    if assembled.model.intercept:
+        columns.append(result.mu.reshape(-1, 1))
+    result.hyper_draws = np.hstack(columns).reshape(shape + (len(names),))
     rates_by_chain = [rates for rates, _ in outcomes]
     result.timings = {k: sum(t[k] for _, t in outcomes) for k in KERNELS}
     for j, name in enumerate(names):

@@ -96,13 +96,16 @@ class ModelSpec:
         ids = [leaf for e in self.effects for leaf in e.leaf_ids]
         if len(set(ids)) != len(ids):
             raise ValidationError("effect leaf ids are not unique")
+        self.build_tree()  # rejects priors that do not fit the tree
 
     def build_tree(self) -> DecompTree | None:
+        """The default tree of the effects, once the priors fit it; None for
+        an intercept-only model, whose priors go unused."""
         if not self.effects:
-            return None  # intercept-only model
+            return None
         labels = [lab for e in self.effects for lab in e.labels()]
         tree = build_default_tree(labels)
-        _as_prior_map(tree, self.priors)  # raises when a node has no prior
+        _as_prior_map(tree, self.priors)
         return tree
 
 

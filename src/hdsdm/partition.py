@@ -59,11 +59,10 @@ def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[str]]]:
 
 
 def phi(
-    samples: Draws | list[PosteriorSample],
-    assembled: AssembledModel | None = None,
-    groups: list[tuple[str, list[str]]] | None = None,
+    samples: Draws | list[PosteriorSample], assembled: AssembledModel | None = None
 ) -> PartitionResult:
-    """Posterior variance shares phi per sample and their posterior mean.
+    """Posterior variance shares phi per sample and their posterior mean, per
+    effect group (the ``group`` of each effect declaration).
 
     Samples whose total realized variance is zero carry no defined share and
     are skipped (count reported in ``n_skipped``).
@@ -74,7 +73,7 @@ def phi(
         raise ValidationError("phi needs the assembled model for raw sample lists")
     draws = as_draws(samples)
     coefs = draws.flat_coefficients()
-    groups = _default_groups(assembled) if groups is None else groups
+    groups = _default_groups(assembled)
 
     quad = {leaf: assembled.effects[leaf].quadrature_design() for leaf in assembled.leaf_ids}
     for name, leaves in groups:
@@ -113,17 +112,14 @@ class SweepEntry:
     trends: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def posterior_mean_trends(
-    result: FitResult, groups: list[tuple[str, list[str]]] | None = None
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def posterior_mean_trends(result: FitResult) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Posterior-mean effect curves per 1D group, centered to zero quadrature
     mean (the normalization used for the emitted plot data). The trends are
     linear in the coefficients, so they are evaluated at the posterior mean."""
     assembled = result.assembled
     coef_mean = {l: c.mean(axis=0) for l, c in result.flat_coefficients().items()}
-    groups = _default_groups(assembled) if groups is None else groups
     out = {}
-    for name, leaves in groups:
+    for name, leaves in _default_groups(assembled):
         grid = assembled.effects[leaves[0]].dist.grid()
         if np.asarray(grid).ndim != 1:
             continue

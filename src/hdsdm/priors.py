@@ -7,6 +7,10 @@ holds, to a truncated exponential on sqrt(omega) (the "simplified form"),
 which is independent of the effect bases and precision matrices. The exact
 numeric construction (distance between rank-deficient Gaussian laws) is kept
 for validation of that simplification, not for inference.
+
+Which priors fit a tree is decided in one place, ``_as_prior_map``: every
+function here that takes a tree and its priors goes through it, and
+``ModelSpec`` runs it when a model is built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from scipy.stats import beta as beta_dist
 
 from .exceptions import CalibrationError, NumericalError, ValidationError
 from .gmrf import RANK_TOL
-from .tree import DecompTree, HDParams, from_unconstrained, log_jacobian
+from .tree import DecompTree, HDParams, from_unconstrained, log_jacobian, to_unconstrained
 
 JEFFREYS_LOG_BOUNDS = (-30.0, 30.0)
 
@@ -49,6 +53,7 @@ __all__ = [
 
 
 _FAMILIES = {"jeffreys", "pc", "uniform", "beta", "dirichlet", "pc0"}
+_V_FAMILIES = ("jeffreys", "pc")  # the total variance takes these, and no split does
 
 # hyperparameters each family needs; 'pc' and 'pc0' take lam in their place
 _REQUIRED_PARAMS = {"pc": ("U", "alpha"), "pc0": ("U", "alpha"), "beta": ("a", "b"),
@@ -122,16 +127,16 @@ def pc_variance_logpdf(V, lam: float):
     return np.log(lam) - lam * s - np.log(2.0 * s)
 
 
-def jeffreys_logpdf(V, log_bounds: tuple[float, float] = JEFFREYS_LOG_BOUNDS):
-    """Scale-invariant prior 1/V truncated to log V in ``log_bounds``.
+def jeffreys_logpdf(V):
+    """Scale-invariant prior 1/V truncated to log V in ``JEFFREYS_LOG_BOUNDS``.
 
-    The truncation makes the prior proper for sampling; the default bounds
-    sit far outside any plausible posterior mass on the logit scale.
+    The truncation makes the prior proper for sampling; the bounds sit far
+    outside any plausible posterior mass on the logit scale.
     """
     V = np.asarray(V, dtype=float)
     if np.any(V <= 0):
         raise ValidationError("V must be positive")
-    lo, hi = log_bounds
+    lo, hi = JEFFREYS_LOG_BOUNDS
     logV = np.log(V)
     out = -logV - np.log(hi - lo)
     return np.where((logV >= lo) & (logV <= hi), out, -np.inf)
@@ -407,14 +412,14 @@ def pc0_exact_logpdf_numeric(
     Sigma0: np.ndarray,
     Sigma1: np.ndarray,
     omega0: float = 1e-6,
-    step: float = 1e-5,
 ) -> np.ndarray:
     """Exact-construction shrinkage density via the numeric distance.
 
     Places Exponential(lam) on the normalized distance
     dbar(w) = d(w; omega0) sqrt(omega0 / R(1)) (truncated at dbar(1)) and
-    changes variables with a central finite difference for dbar'. Validation
-    tool only: the simplified closed form is what inference uses.
+    changes variables with a central finite difference of half-width 1e-5
+    for dbar'. Validation tool only: the simplified closed form is what
+    inference uses.
     """
     lam = _check_lam(lam)
     omega = np.atleast_1d(_check_omega_interior(omega))
@@ -427,7 +432,7 @@ def pc0_exact_logpdf_numeric(
     d_max = dbar(1.0)
     out = np.empty(omega.shape)
     for i, w in enumerate(omega):
-        lo, hi = max(w - step, 1e-12), min(w + step, 1.0)
+        lo, hi = max(w - 1e-5, 1e-12), min(w + 1e-5, 1.0)
         deriv = (dbar(hi) - dbar(lo)) / (hi - lo)
         out[i] = (
             np.log(lam)
@@ -444,11 +449,34 @@ def pc0_exact_logpdf_numeric(
 
 
 def _as_prior_map(tree: DecompTree, priors) -> dict[str, PriorSpec]:
-    """Priors keyed by node; raises when a node of ``tree`` has none."""
+    """Priors keyed by node, once they fit ``tree``; the one check of the
+    priors a tree takes. Raises ValidationError for a node without a prior, a
+    prior on a node the tree lacks, a total-variance family other than
+    jeffreys/pc, jeffreys/pc on a split, beta/pc0 on a split that is not
+    binary, and a Dirichlet q whose length is not the split's child count."""
     pm = priors if isinstance(priors, dict) else {p.node: p for p in priors}
-    missing = {"total_variance", *(s.name for s in tree.splits)} - set(pm)
+    nodes = {"total_variance", *(s.name for s in tree.splits)}
+    missing = nodes - set(pm)
     if missing:
         raise ValidationError(f"missing priors for nodes {sorted(missing)}")
+    unknown = set(pm) - nodes
+    if unknown:
+        raise ValidationError(f"priors declared for unknown tree nodes: {sorted(unknown)}")
+    family = pm["total_variance"].family
+    if family not in _V_FAMILIES:
+        raise ValidationError(f"family {family!r} not valid for the total variance")
+    for s in tree.splits:
+        spec = pm[s.name]
+        if spec.family in _V_FAMILIES:
+            raise ValidationError(f"family {spec.family!r} not valid for split {s.name!r}")
+        if spec.family in ("beta", "pc0") and not s.is_binary:
+            raise ValidationError(f"{spec.family} prior needs a binary split, got {s.name!r}")
+        q_shape = np.shape(spec.params["q"]) if spec.family == "dirichlet" else ()
+        if q_shape not in ((), (s.n_children,)):
+            raise ValidationError(
+                f"split {s.name!r}: q must be a scalar or have {s.n_children} "
+                f"entries, got shape {q_shape}"
+            )
     return pm
 
 
@@ -456,13 +484,7 @@ def _concentration(split, spec: PriorSpec) -> np.ndarray:
     """Dirichlet exponents of a 'uniform' or 'dirichlet' split prior."""
     if spec.family == "uniform":
         return np.ones(split.n_children)
-    q = np.asarray(spec.params["q"], dtype=float)
-    if q.shape not in ((), (split.n_children,)):
-        raise ValidationError(
-            f"split {split.name!r}: q must be a scalar or have {split.n_children} "
-            f"entries, got shape {q.shape}"
-        )
-    return q * np.ones(split.n_children)
+    return np.asarray(spec.params["q"], dtype=float) * np.ones(split.n_children)
 
 
 def _dirichlet_logpdf(props: np.ndarray, conc: np.ndarray) -> float:
@@ -485,10 +507,8 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
     spec = pm["total_variance"]
     if spec.family == "jeffreys":
         out = float(jeffreys_logpdf(p.total))
-    elif spec.family == "pc":
-        out = float(pc_variance_logpdf(p.total, spec.params["lam"]))
     else:
-        raise ValidationError(f"family {spec.family!r} not valid for the total variance")
+        out = float(pc_variance_logpdf(p.total, spec.params["lam"]))
 
     for s in tree.splits:
         props = _check_omega_interior(p.proportions[s.name])
@@ -496,8 +516,6 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
         if spec.family in ("uniform", "dirichlet"):
             out += _dirichlet_logpdf(props, _concentration(s, spec))
         elif spec.family == "beta":
-            if not s.is_binary:
-                raise ValidationError(f"beta prior needs a binary split, got {s.name!r}")
             w = props[s.omega_index]
             a, b = spec.params["a"], spec.params["b"]
             out += float(
@@ -507,12 +525,8 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
                 + (a - 1) * np.log(w)
                 + (b - 1) * np.log1p(-w)
             )
-        elif spec.family == "pc0":
-            if not s.is_binary:
-                raise ValidationError(f"pc0 prior needs a binary split, got {s.name!r}")
+        else:  # pc0
             out += float(pc0_simplified_logpdf(props[s.omega_index], spec.params["lam"]))
-        else:
-            raise ValidationError(f"family {spec.family!r} not valid for split {s.name!r}")
     return out
 
 
@@ -531,17 +545,13 @@ class HDEvaluator:
     Bundles, per split, the theta offsets, the Dirichlet-style exponents
     with the log-ratio Jacobian folded in, and per-leaf root-to-leaf index
     paths, so the MCMC hot loop does one flat pass per proposal. Numerics
-    match ``log_prior_unconstrained`` + ``to_variances``. Misplaced families
-    (e.g. beta on a multi-branch split) raise ValidationError here.
+    match ``log_prior_unconstrained`` + ``to_variances``. Priors that do not
+    fit the tree raise ValidationError (``_as_prior_map``).
     """
 
     def __init__(self, tree: DecompTree, priors):
         pm = _as_prior_map(tree, priors)
         v_spec = pm["total_variance"]
-        if v_spec.family not in ("jeffreys", "pc"):
-            raise ValidationError(
-                f"family {v_spec.family!r} not valid for the total variance"
-            )
         self.v_family = v_spec.family
         # scalars are kept as Python floats, so that evaluate does its scalar
         # arithmetic on floats (the same IEEE operations as on numpy scalars)
@@ -557,27 +567,19 @@ class HDEvaluator:
             n = s.n_children
             start = pos
             pos += 1 if s.is_binary else n - 1
-            if spec.family in ("beta", "pc0") and not s.is_binary:
-                raise ValidationError(
-                    f"{spec.family} prior needs a binary split, got {s.name!r}"
-                )
-            if spec.family in ("uniform", "dirichlet"):
-                conc = _concentration(s, spec)
-            elif spec.family == "beta":
-                conc = np.empty(2)
-                conc[s.omega_index] = spec.params["a"]
-                conc[1 - s.omega_index] = spec.params["b"]
-            elif spec.family == "pc0":
+            if spec.family == "pc0":
                 lam = float(spec.params["lam"])
                 const = float(np.log(lam) - np.log(2.0) - np.log(-np.expm1(-lam)))
                 self.split_meta.append(
                     (start, n, s.is_binary, s.omega_index, "pc0", lam, const)
                 )
                 continue
+            if spec.family == "beta":
+                conc = np.empty(2)
+                conc[s.omega_index] = spec.params["a"]
+                conc[1 - s.omega_index] = spec.params["b"]
             else:
-                raise ValidationError(
-                    f"family {spec.family!r} not valid for split {s.name!r}"
-                )
+                conc = _concentration(s, spec)
             lognorm = float(gammaln(conc.sum()) - gammaln(conc).sum())
             # prior exponent (conc - 1) plus the log-ratio Jacobian
             if s.is_binary:
@@ -657,9 +659,9 @@ def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
     proportions = {}
     for s in tree.splits:
         spec = pm[s.name]
-        if spec.family == "beta" and s.is_binary:
+        if spec.family == "beta":
             w = float(beta_dist.ppf(0.5, spec.params["a"], spec.params["b"]))
-        elif spec.family == "pc0" and s.is_binary:
+        elif spec.family == "pc0":
             w = float(pc0_quantile(0.5, spec.params["lam"]))
         else:
             w = 1.0 / s.n_children
@@ -670,8 +672,6 @@ def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
         else:
             props = np.full(s.n_children, 1.0 / s.n_children)
         proportions[s.name] = props
-    from .tree import to_unconstrained
-
     return to_unconstrained(tree, HDParams(total=total, proportions=proportions))
 
 
@@ -687,7 +687,7 @@ def marginal_cdfs(tree: DecompTree, priors) -> dict[str, Callable[[np.ndarray], 
     if spec.family == "jeffreys":
         lo, hi = JEFFREYS_LOG_BOUNDS
         out["V"] = lambda v: np.clip((np.log(v) - lo) / (hi - lo), 0.0, 1.0)
-    elif spec.family == "pc":
+    else:
         lam = spec.params["lam"]
         out["V"] = lambda v, lam=lam: -np.expm1(-lam * np.sqrt(v))
     for s in tree.splits:
@@ -703,7 +703,7 @@ def marginal_cdfs(tree: DecompTree, priors) -> dict[str, Callable[[np.ndarray], 
             child = s.child_names[s.omega_index]
             a, b = spec.params["a"], spec.params["b"]
             out[f"{s.name}:{child}"] = lambda w, a=a, b=b: beta_dist.cdf(np.asarray(w), a, b)
-        elif spec.family == "pc0":
+        else:  # pc0
             child = s.child_names[s.omega_index]
             lam = spec.params["lam"]
             out[f"{s.name}:{child}"] = lambda w, lam=lam: pc0_cdf(np.asarray(w), lam)

@@ -6,6 +6,12 @@ coordinates are the total variance V and one proportion vector per split;
 ``to_variances``/``from_variances`` are the two directions of the bijection,
 and an unconstrained parametrization (log / logit / additive log-ratio) with
 its log-Jacobian supports density transforms for inference.
+
+``natural_values`` is the one map from unconstrained to natural
+coordinates, vectorized over draws; ``natural_columns`` names its columns
+(the ``V`` and ``omega_*`` columns of the reported draws) and pairs each
+with its key in ``priors.marginal_cdfs``. ``from_unconstrained`` unpacks one
+of its rows.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ __all__ = [
     "from_variances",
     "to_unconstrained",
     "from_unconstrained",
+    "natural_columns",
+    "natural_values",
     "log_jacobian",
 ]
 
@@ -351,33 +359,74 @@ def to_unconstrained(tree: DecompTree, p: HDParams) -> np.ndarray:
     return np.array(coords)
 
 
+def natural_columns(tree: DecompTree) -> list[tuple[str, str]]:
+    """(column name, marginal key) of each natural coordinate, in the order of
+    ``natural_values``: V, then the designated proportion of each binary split
+    and every proportion of each multi-branch split. The keys are those of
+    ``priors.marginal_cdfs``."""
+    out = [("V", "V")]
+    for s in tree.splits:
+        if s.is_binary:
+            out.append((f"omega_{s.name}", f"{s.name}:{s.child_names[s.omega_index]}"))
+        else:
+            out.extend((f"omega_{s.name}_{c}", f"{s.name}:{c}") for c in s.child_names)
+    return out
+
+
+def natural_values(tree: DecompTree, theta: np.ndarray) -> np.ndarray:
+    """The natural coordinates of each row of ``theta`` (n, d), as (n, p) in
+    ``natural_columns`` order: V = exp(t), the logistic map for binary splits
+    and the softmax (reference = last child) for multi-branch splits, with
+    proportions clamped to [PROPORTION_FLOOR, 1 - PROPORTION_FLOOR] and
+    renormalized. This is the one map from unconstrained to natural
+    coordinates; ``from_unconstrained`` unpacks one of its rows."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty((theta.shape[0], len(natural_columns(tree))))
+    out[:, 0] = np.exp(theta[:, 0])
+    j = pos = 1
+    for s in tree.splits:
+        if s.is_binary:
+            w = 1.0 / (1.0 + np.exp(-theta[:, pos]))
+            out[:, j] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
+            j += 1
+            pos += 1
+        else:
+            k = s.n_children - 1
+            a = np.zeros((theta.shape[0], k + 1))
+            a[:, :k] = theta[:, pos : pos + k]
+            pos += k
+            a -= a.max(axis=1, keepdims=True)
+            e = np.exp(a)
+            props = np.maximum(e / e.sum(axis=1, keepdims=True), PROPORTION_FLOOR)
+            props /= props.sum(axis=1, keepdims=True)
+            out[:, j : j + k + 1] = props
+            j += k + 1
+    return out
+
+
 def from_unconstrained(tree: DecompTree, theta: np.ndarray) -> HDParams:
+    """(V, proportions) at the coordinates ``theta``: one row of
+    ``natural_values``, with the complement of each binary split's
+    designated proportion filled in."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n_coordinates(tree),):
         raise ValidationError(
             f"expected {n_coordinates(tree)} coordinates, got shape {theta.shape}"
         )
-    total = float(np.exp(theta[0]))
-    pos = 1
+    row = natural_values(tree, theta[None])[0]
+    j = 1
     proportions: dict[str, np.ndarray] = {}
     for s in tree.splits:
         if s.is_binary:
-            w = 1.0 / (1.0 + np.exp(-theta[pos]))
-            w = min(max(w, PROPORTION_FLOOR), 1.0 - PROPORTION_FLOOR)
-            pos += 1
             props = np.empty(2)
-            props[s.omega_index] = w
-            props[1 - s.omega_index] = 1.0 - w
+            props[s.omega_index] = row[j]
+            props[1 - s.omega_index] = 1.0 - row[j]
+            j += 1
         else:
-            k = s.n_children - 1
-            a = np.r_[theta[pos : pos + k], 0.0]
-            pos += k
-            a -= a.max()
-            e = np.exp(a)
-            props = np.maximum(e / e.sum(), PROPORTION_FLOOR)
-            props /= props.sum()
+            props = row[j : j + s.n_children]
+            j += s.n_children
         proportions[s.name] = props
-    return HDParams(total=total, proportions=proportions)
+    return HDParams(total=float(row[0]), proportions=proportions)
 
 
 def log_jacobian(tree: DecompTree, theta: np.ndarray) -> float:

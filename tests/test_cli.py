@@ -240,6 +240,37 @@ class TestCliFlow:
         assert (out / "phi_mean_q0p5.csv").exists()
         assert (out / "trends_q1.csv").exists()
 
+    def test_sensitivity_on_unknown_split_gives_validation_record(self, workdir, capsys):
+        cfg_path = str(workdir / "config.json")
+        code = main(["sensitivity", "--config", cfg_path, "--q", "1", "0.1", "--split", "bogus"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "bogus" in record["message"]
+        assert not list((workdir / "out").glob("phi_mean_q*.csv"))
+
+    def test_draw_files_of_different_lengths_rejected(self, workdir, capsys):
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        coefficients = workdir / "out" / "coefficients.csv"
+        lines = coefficients.read_bytes().splitlines(keepends=True)
+        coefficients.write_bytes(b"".join(lines[:-1]))  # one draw short
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg_path]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "coefficients.csv" in record["message"]
+
+    def test_prior_check_on_intercept_only_model_gives_validation_record(self, workdir,
+                                                                         capsys):
+        raw = base_config()
+        raw["model"]["effects"] = []
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["prior-check", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "no variance proportions" in record["message"]
+
     def test_prior_check_reports_ks(self, workdir, capsys):
         cfg_path = str(workdir / "config.json")
         assert main(["prior-check", "--config", cfg_path]) == 0

@@ -174,6 +174,14 @@ class TestAssemble:
         with pytest.raises(ValidationError):
             model.build_tree()
 
+    @pytest.mark.parametrize("node", ["bogus", "x6_flex"])
+    def test_prior_on_unknown_node_rejected(self, node):
+        # a prior the tree never reads would be silently ignored
+        model = survey_model(n_basis=8, spatial_funcs=(5, 5))
+        priors = {**model.priors, node: PriorSpec(node, "uniform")}
+        with pytest.raises(ValidationError, match=rf"unknown tree nodes: \['{node}'\]"):
+            ModelSpec(effects=model.effects, priors=priors)
+
     def test_no_training_rows_rejected(self):
         # fitting such data would return prior draws as if fitted to it
         model = survey_model(n_basis=8, spatial_funcs=(5, 5))

@@ -8,7 +8,14 @@ from hdsdm.gmrf import CoefficientBlock, build_iid
 from hdsdm.bases import IndicatorBasis, LinearBasis
 from hdsdm.mcmc import McmcSettings, PosteriorSample, fit
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
-from hdsdm.partition import PHI_CHUNK, finite_pop_variance, phi, posterior_mean_trends
+from hdsdm.exceptions import ValidationError
+from hdsdm.partition import (
+    PHI_CHUNK,
+    finite_pop_variance,
+    phi,
+    posterior_mean_trends,
+    sensitivity_sweep,
+)
 from hdsdm.priors import PriorSpec
 from hdsdm.standardize import standardize
 from hdsdm.tree import HDParams
@@ -210,3 +217,18 @@ class TestTrends:
             G = res.assembled.effects[name].quadrature_design()
             per_draw = np.mean([G @ s.coefficients[name].values for s in res.samples], axis=0)
             np.testing.assert_allclose(curve, per_draw - per_draw.mean(), rtol=0, atol=1e-12)
+
+
+class TestSensitivitySweep:
+    def test_unknown_split_rejected_before_fitting(self, monkeypatch):
+        # a Dirichlet q on a node the tree lacks would change nothing
+        import hdsdm.partition
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(hdsdm.partition, "fit", no_fit)
+        settings = McmcSettings(chains=1, iterations=4, burn_in=2)
+        with pytest.raises(ValidationError, match=r"unknown tree nodes: \['bogus'\]"):
+            sensitivity_sweep(three_effect_model(), None, [1.0, 0.1], settings,
+                              split_name="bogus")

@@ -424,11 +424,15 @@ def three_covariate_priors(**overrides):
     return priors
 
 
-def three_covariate_fit(priors):
-    effects = [
+def three_covariate_effects():
+    return [
         EffectDecl(x, "linear", x, UniformInterval(-1.0, 1.0), side="abiotic")
         for x in ("a", "b", "c")
     ] + [EffectDecl("d", "iid", "g", UniformLevels(2), side="biotic")]
+
+
+def three_covariate_fit(priors):
+    effects = three_covariate_effects()
     rng = np.random.default_rng(0)
     data = Dataset.from_arrays(
         y=rng.integers(0, 2, 20),
@@ -517,6 +521,8 @@ class TestPriorValidation:
             HDEvaluator(three_covariate_tree(), priors)
         with pytest.raises(ValidationError, match="not valid|needs a binary split"):
             three_covariate_fit(priors)
+        with pytest.raises(ValidationError, match="not valid|needs a binary split"):
+            ModelSpec(effects=three_covariate_effects(), priors=priors)
 
     def test_exact_construction_is_not_a_family(self):
         with pytest.raises(ValidationError, match="unknown prior family"):
