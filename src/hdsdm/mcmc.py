@@ -21,6 +21,18 @@ the centered rescaling in (b) multiplies its rounding error; at the end of
 each chain the linear predictor is recomputed from the coefficients and
 checked against the incremental one.
 
+A chain without a likelihood term (no training rows, or a likelihood weight
+of 0, as in a prior check) draws (c) and (d) exactly from their full
+conditionals, which are then their priors: the intercept is mu_sd times a
+standard normal, and each leaf's whitened coefficients are the block's noise
+row for the iteration, already N(0, I). A random walk on such a target would
+only add autocorrelation and cost. These kernels report an acceptance rate
+of 1 and adapt nothing; (a) and (b) stay Metropolis steps, since they are
+what a prior check validates (the HD prior density and its Jacobian).
+Such a chain evaluates no likelihood in (a) and, without rows, forms no
+images; with rows (a weight of 0), ``V`` follows the exact draws, and the
+linear predictor is formed from it only for the end-of-chain check.
+
 Bookkeeping stays out of the way of the likelihood, without changing a bit
 of the draws: the sign 1 - 2y of ``bernoulli_loglik`` is formed once per
 chain; every proposed linear predictor is written into whichever of two
@@ -283,6 +295,34 @@ def _check_divergent(acc: dict[str, "_Accept"]) -> dict[str, float]:
     return rates
 
 
+def _centered_terms(
+    sig: np.ndarray, sig_new: np.ndarray, qnorm: list[float], dims: list[int]
+) -> tuple[float, list[float], list[float]]:
+    """Log acceptance ratio of the centered move (b), less its prior terms,
+    from leaf scales ``sig`` to ``sig_new`` with ``qnorm`` = |xi|^2 and
+    ``dims`` free coefficients per leaf; also the rescale factors
+    sig / sig_new and their squares.
+
+    The arithmetic is on Python floats and gives the bits of the numpy
+    scalar form. Where that form gives -inf or nan, a rejection, so does this
+    one: a zero scale and a squared factor that overflows give -inf.
+    """
+    cur, new = sig.tolist(), sig_new.tolist()
+    if 0.0 in cur or 0.0 in new:
+        return -math.inf, [], []
+    # numpy's log on the arrays: math.log rounds some values differently
+    log_ratio = (np.log(sig_new) - np.log(sig)).tolist()
+    ratios = [a / b for a, b in zip(cur, new)]
+    try:
+        squares = [r**2 for r in ratios]
+    except OverflowError:
+        return -math.inf, [], []
+    term = 0.0
+    for n, lr, q, r2 in zip(dims, log_ratio, qnorm, squares):
+        term += -n * lr - 0.5 * q * (r2 - 1.0)
+    return term, ratios, squares
+
+
 def _check_eta(
     assembled: AssembledModel, coefficients: dict[str, np.ndarray], mu: float, eta: np.ndarray
 ) -> None:
@@ -334,7 +374,7 @@ def _run_chain(
     else:
         mu = 0.0
     xi = {l: np.zeros(free_dims[l]) for l in leaves}
-    qnorm = {l: 0.0 for l in leaves}
+    qnorm = [0.0] * len(leaves)  # |xi|^2 per leaf
 
     # Per leaf, row 0 of `whitened` is the current xi and rows 1.. are the
     # proposal noise of the current block of iterations; `images` holds their
@@ -343,8 +383,11 @@ def _run_chain(
     # place between blocks, and each block's product rebuilds it from xi, so
     # that the rounding error the centered rescaling multiplies stays small.
     # A one-column design maps by an outer product, which gives the bits of
-    # the matrix product at a fraction of its cost.
+    # the matrix product at a fraction of its cost. Without a likelihood, (d)
+    # takes noise row j itself as the new xi, with its squared norm from
+    # `noise_norms`, and no image is formed when there are no training rows.
     whitened = [np.zeros((PROPOSAL_BLOCK + 1, free_dims[l])) for l in leaves]
+    noise_norms = [[] for _ in leaves]
     images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
     V = images[:, 0]
     designs_t = [np.ascontiguousarray(assembled.designs[l].T) for l in leaves]
@@ -361,8 +404,13 @@ def _run_chain(
     if not (np.isfinite(lp_theta) and np.isfinite(ll)):
         raise DiagnosticError("non-finite log posterior at the initial state")
 
+    intercept = assembled.model.intercept
     mu_sd = assembled.model.mu_prior_sd
     w = result.likelihood_weight
+    # Without a likelihood term the full conditionals of (c) and (d) are the
+    # priors N(0, mu_sd^2) and N(0, I), which are drawn exactly.
+    exact = w == 0.0 or n_obs == 0
+    dims = [free_dims[l] for l in leaves]
 
     prop_chol = np.eye(d)
     theta_history = np.empty((settings.burn_in, d))
@@ -370,13 +418,14 @@ def _run_chain(
     acc = {
         "hyper": _Accept(hyper_scale, settings.target_accept_hyper),
         "hyper_centered": _Accept(hyper_scale, settings.target_accept_hyper),
-        "mu": _Accept(np.log(0.5), settings.target_accept_block),
     }
-    for l in leaves:
-        acc[f"coef[{l}]"] = _Accept(
-            np.log(2.38 / np.sqrt(free_dims[l])), settings.target_accept_block
-        )
-    acc_coef = [acc[f"coef[{l}]"] for l in leaves]
+    if not exact:
+        acc["mu"] = _Accept(np.log(0.5), settings.target_accept_block)
+        for l in leaves:
+            acc[f"coef[{l}]"] = _Accept(
+                np.log(2.38 / np.sqrt(free_dims[l])), settings.target_accept_block
+            )
+    acc_coef = [] if exact else [acc[f"coef[{l}]"] for l in leaves]
 
     def coefficients() -> dict[str, np.ndarray]:
         """The current effects u = sigma T xi."""
@@ -406,9 +455,15 @@ def _run_chain(
         j = it % PROPOSAL_BLOCK + 1
         if j == 1:
             for k, l in enumerate(leaves):
+                # xi may be a view of a noise row, so it moves to row 0 before
+                # the noise rows are drawn again
                 whitened[k][0] = xi[l]
+                xi[l] = whitened[k][0]
                 rng.standard_normal(out=whitened[k][1:])
-                image_ops[k](whitened[k] @ transforms[l].T, designs_t[k], out=images[k])
+                if n_obs:
+                    image_ops[k](whitened[k] @ transforms[l].T, designs_t[k], out=images[k])
+                if exact:
+                    noise_norms[k] = np.einsum("ij,ij->i", whitened[k], whitened[k]).tolist()
         t1 = clock()
         t_prop += t1 - t0
 
@@ -417,18 +472,21 @@ def _run_chain(
             step = acc["hyper"].scale * (prop_chol @ rng.standard_normal(d))
             theta_new = theta + step
             lp_new, sig_new = eval_theta(theta_new)
-            if np.isfinite(lp_new):
+            if not math.isfinite(lp_new):
+                logr = -math.inf
+            elif exact:
+                logr = lp_new - lp_theta
+            else:
                 eta_new = eta_bufs[eta is eta_bufs[0]]
                 np.matmul(sig_new, V, out=eta_new)
                 eta_new += mu
                 ll_new = bernoulli_loglik(eta_new, y, sign)
                 logr = w * (ll_new - ll) + lp_new - lp_theta
-            else:
-                logr = -np.inf
             alpha = alpha_of(logr)
             if rng.random() < alpha:
-                theta, sig = theta_new, sig_new
-                eta, ll, lp_theta = eta_new, ll_new, lp_new
+                theta, sig, lp_theta = theta_new, sig_new, lp_new
+                if not exact:
+                    eta, ll = eta_new, ll_new
             acc["hyper"].update(alpha, it, adapting)
             t0 = clock()
             t_hyper += t0 - t1
@@ -438,55 +496,59 @@ def _run_chain(
             step = acc["hyper_centered"].scale * (prop_chol @ rng.standard_normal(d))
             theta_new = theta + step
             lp_new, sig_new = eval_theta(theta_new)
-            if np.isfinite(lp_new):
-                with np.errstate(divide="ignore"):
-                    log_ratio = np.log(sig_new) - np.log(sig)
-                term = 0.0
-                for k, l in enumerate(leaves):
-                    r = (sig[k] / sig_new[k]) ** 2
-                    term += -free_dims[l] * log_ratio[k] - 0.5 * qnorm[l] * (r - 1.0)
+            logr = -math.inf
+            if math.isfinite(lp_new):
+                term, ratios, squares = _centered_terms(sig, sig_new, qnorm, dims)
                 logr = term + lp_new - lp_theta
-            else:
-                logr = -np.inf
             alpha = alpha_of(logr)
             if rng.random() < alpha:
-                rescale = sig / sig_new
                 for k, l in enumerate(leaves):
-                    xi[l] *= rescale[k]
-                    qnorm[l] *= rescale[k] ** 2
-                V *= rescale[:, None]
+                    xi[l] *= ratios[k]
+                    qnorm[k] *= squares[k]
+                if n_obs:
+                    V *= np.array(ratios)[:, None]
                 theta, sig, lp_theta = theta_new, sig_new, lp_new
             acc["hyper_centered"].update(alpha, it, adapting)
             t1 = clock()
             t_centered += t1 - t0
 
         # (c) intercept
-        if assembled.model.intercept:
-            mu_new = mu + acc["mu"].scale * rng.standard_normal()
-            eta_new = np.add(eta, mu_new - mu, out=eta_bufs[eta is eta_bufs[0]])
-            ll_new = bernoulli_loglik(eta_new, y, sign)
-            logr = w * (ll_new - ll) - 0.5 * (mu_new**2 - mu**2) / mu_sd**2
-            alpha = alpha_of(logr)
-            if rng.random() < alpha:
-                mu, eta, ll = mu_new, eta_new, ll_new
-            acc["mu"].update(alpha, it, adapting)
+        if intercept:
+            if exact:
+                mu = mu_sd * rng.standard_normal()
+            else:
+                mu_new = mu + acc["mu"].scale * rng.standard_normal()
+                eta_new = np.add(eta, mu_new - mu, out=eta_bufs[eta is eta_bufs[0]])
+                ll_new = bernoulli_loglik(eta_new, y, sign)
+                logr = w * (ll_new - ll) - 0.5 * (mu_new**2 - mu**2) / mu_sd**2
+                alpha = alpha_of(logr)
+                if rng.random() < alpha:
+                    mu, eta, ll = mu_new, eta_new, ll_new
+                acc["mu"].update(alpha, it, adapting)
         t0 = clock()
         t_mu += t0 - t1
 
         # (d) coefficient blocks in prior-whitened coordinates
-        for k, l in enumerate(leaves):
-            s = acc_coef[k].scale
-            xi_new = xi[l] + s * whitened[k][j]
-            q_new = float(xi_new @ xi_new)
-            eta_new = np.multiply(images[k, j], sig[k] * s, out=eta_bufs[eta is eta_bufs[0]])
-            eta_new += eta
-            ll_new = bernoulli_loglik(eta_new, y, sign)
-            logr = w * (ll_new - ll) - 0.5 * (q_new - qnorm[l])
-            alpha = alpha_of(logr)
-            if rng.random() < alpha:
-                xi[l], qnorm[l], eta, ll = xi_new, q_new, eta_new, ll_new
-                V[k] += s * images[k, j]
-            acc_coef[k].update(alpha, it, adapting)
+        if exact:
+            for k, l in enumerate(leaves):
+                xi[l] = whitened[k][j]
+                qnorm[k] = noise_norms[k][j]
+                if n_obs:
+                    V[k] = images[k, j]
+        else:
+            for k, l in enumerate(leaves):
+                s = acc_coef[k].scale
+                xi_new = xi[l] + s * whitened[k][j]
+                q_new = float(xi_new @ xi_new)
+                eta_new = np.multiply(images[k, j], sig[k] * s, out=eta_bufs[eta is eta_bufs[0]])
+                eta_new += eta
+                ll_new = bernoulli_loglik(eta_new, y, sign)
+                logr = w * (ll_new - ll) - 0.5 * (q_new - qnorm[k])
+                alpha = alpha_of(logr)
+                if rng.random() < alpha:
+                    xi[l], qnorm[k], eta, ll = xi_new, q_new, eta_new, ll_new
+                    V[k] += s * images[k, j]
+                acc_coef[k].update(alpha, it, adapting)
         t1 = clock()
         t_coef += t1 - t0
 
@@ -516,8 +578,15 @@ def _run_chain(
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
+    if exact:  # eta is not tracked without a likelihood; form it from V
+        np.matmul(sig, V, out=eta)
+        eta += mu
     _check_eta(assembled, coefficients(), mu, eta)
     rates = _check_divergent(acc)
+    if exact:
+        # an exact draw is always accepted, which is no sign of a pinned kernel
+        rates["mu"] = 1.0 if intercept else np.nan
+        rates.update((f"coef[{l}]", 1.0) for l in leaves)
     return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
 
 
@@ -722,7 +791,16 @@ def fit(
     ``fork`` or CPU affinity, or another Python thread is running.
     ``result.timings`` are summed over chains, so with several workers they
     can exceed the wall time of the fit.
+
+    ``likelihood_weight`` multiplies the log-likelihood and must be a finite
+    number >= 0. At 0, or without training rows, the intercept and the
+    coefficients are drawn exactly from their priors (see the module notes).
     """
+    w = likelihood_weight
+    if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"likelihood_weight must be a number, got {w!r}")
+    if not 0.0 <= w < math.inf:  # also rejects nan
+        raise ValidationError(f"likelihood_weight must be finite and >= 0, got {w!r}")
     assembled = model if isinstance(model, AssembledModel) else assemble(model, data)
     chain_rngs = [
         np.random.default_rng(np.random.SeedSequence((settings.seed, 7, c)))

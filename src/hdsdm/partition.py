@@ -139,7 +139,8 @@ def sensitivity_sweep(
 
     Every fit reuses the same seed and settings, so entries differ only
     through the prior; emits the variance partition and the centered
-    posterior-mean trend curves for each run.
+    posterior-mean trend curves for each run. A fit that fails raises its
+    own exception, with the q it failed at put before its message.
     """
     entries = []
     for q in q_values:
@@ -154,7 +155,10 @@ def sensitivity_sweep(
         try:
             result = fit(model_q, data, settings)
         except Exception as err:
-            raise RuntimeError(f"sensitivity fit failed at q={q}") from err
+            # the fit's own error, so that callers see its type and reason
+            if len(err.args) == 1 and isinstance(err.args[0], str):
+                err.args = (f"sensitivity fit failed at q={q}: {err.args[0]}",)
+            raise
         entries.append(
             SweepEntry(
                 q=float(q),

@@ -274,6 +274,41 @@ class TestBitIdentity:
             ref = hyper_values_per_draw(result.assembled.tree, result.theta[c], result.mu[c])
             np.testing.assert_array_equal(result.hyper_draws[c], ref)
 
+    def test_centered_terms_match_the_numpy_scalar_form(self):
+        # the centered move (b) as numpy arrays and scalars, the reference
+        # for the float arithmetic of _centered_terms
+        def numpy_form(sig, sig_new, qnorm, dims):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                log_ratio = np.log(sig_new) - np.log(sig)
+                term = 0.0
+                for k in range(sig.size):
+                    r = (sig[k] / sig_new[k]) ** 2
+                    term += -dims[k] * log_ratio[k] - 0.5 * qnorm[k] * (r - 1.0)
+                rescale = sig / sig_new
+                return term, rescale, [f**2 for f in rescale]
+
+        rng = np.random.default_rng(21)
+        dims = [1, 1, 4, 16, 2, 9, 25]
+        cases = []
+        for _ in range(20_000):
+            sig = np.sqrt(np.exp(rng.uniform(-60.0, 40.0, 7)))
+            sig_new = sig * np.exp(rng.normal(0.0, 0.5, 7))
+            cases.append((sig, sig_new, rng.chisquare(dims).tolist()))
+        ones = np.ones(7)
+        for k, bad in enumerate([0.0, np.inf, 1e-200, 1e200]):  # rejections
+            sig = ones.copy()
+            sig[k] = bad
+            cases += [(sig, ones, [1.0] * 7), (ones, sig, [0.0] * 7)]
+        for sig, sig_new, qnorm in cases:
+            want, rescale, squares = numpy_form(sig, sig_new, qnorm, dims)
+            got, got_rescale, got_squares = mcmc._centered_terms(sig, sig_new, qnorm, dims)
+            if np.isfinite(want):
+                assert got == want
+                assert got_rescale == rescale.tolist()
+                assert got_squares == squares
+            else:  # -inf or nan, either way the move is rejected
+                assert not got > -np.inf
+
     def test_one_column_image_is_the_matrix_product(self):
         rng = np.random.default_rng(4)
         whitened = rng.standard_normal((PROPOSAL_BLOCK + 1, 1))
@@ -466,6 +501,42 @@ def assert_no_children():
     if hasattr(os, "waitpid"):
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestExactDraws:
+    """Without a likelihood term, (c) and (d) draw from their priors exactly."""
+
+    settings = McmcSettings(chains=2, iterations=600, burn_in=300, seed=9)
+
+    def test_weight_zero_with_rows_gives_the_draws_without_data(self):
+        # with rows, V follows the exact draws, so the end-of-chain check of
+        # the linear predictor runs on real rows
+        with_rows = fit(toy_model(), toy_data(n=60, seed=3), self.settings,
+                        likelihood_weight=0.0)
+        without = fit(toy_model(), None, self.settings, likelihood_weight=0.0)
+        assert with_rows.assembled.n_train == 60
+        assert_same_draws(with_rows, without)
+        assert with_rows.acceptance == without.acceptance
+
+    def test_exact_kernels_report_rate_one(self):
+        prior = fit(toy_model(), None, self.settings)  # no rows, so no likelihood
+        assert {k: r for k, r in prior.acceptance.items() if not k.startswith("hyper")} \
+            == {"mu": 1.0, "coef[lin]": 1.0, "coef[ran]": 1.0}
+        assert 0.01 < prior.acceptance["hyper"] < 0.99
+        assert 0.01 < prior.acceptance["hyper_centered"] < 0.99
+        # with a likelihood the same kernels are random walks
+        fitted = fit(toy_model(), toy_data(n=60, seed=3), self.settings)
+        assert fitted.acceptance.keys() == prior.acceptance.keys()
+        assert all(0.01 < r < 0.99 for r in fitted.acceptance.values())
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0, True, "1"])
+    def test_bad_likelihood_weight_rejected_before_sampling(self, monkeypatch, weight):
+        def no_chain(*args):
+            raise AssertionError("a chain was started")
+
+        monkeypatch.setattr(mcmc, "_run_chain", no_chain)
+        with pytest.raises(ValidationError, match="likelihood_weight"):
+            fit(toy_model(), toy_data(n=20), self.settings, likelihood_weight=weight)
 
 
 class TestParallelChains:

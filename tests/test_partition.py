@@ -220,6 +220,17 @@ class TestTrends:
 
 
 class TestSensitivitySweep:
+    def test_fit_error_keeps_its_type_and_names_the_q(self):
+        data = Dataset.from_arrays(
+            y=np.array([0, 1, 1, 0]), x=np.linspace(-0.5, 0.5, 4),
+            v=np.array([1.0, 2.0, 1.0, 2.0]), t=np.array([1.0, 2.0, 3.0, 4.0]),
+            train_mask=np.zeros(4, dtype=bool),
+        )
+        settings = McmcSettings(chains=1, iterations=4, burn_in=2)
+        message = r"^sensitivity fit failed at q=0\.5: the data have no training rows"
+        with pytest.raises(ValidationError, match=message):
+            sensitivity_sweep(three_effect_model(), data, [0.5, 1.0], settings)
+
     def test_unknown_split_rejected_before_fitting(self, monkeypatch):
         # a Dirichlet q on a node the tree lacks would change nothing
         import hdsdm.partition
