@@ -114,7 +114,9 @@ class BSplineBasis2D:
 
 def _check_support(x: np.ndarray, lower: float, upper: float) -> np.ndarray:
     slack = _SUPPORT_SLACK * (upper - lower)
-    bad = np.flatnonzero((x < lower - slack) | (x > upper + slack))
+    # written as the negation of "inside", so that nan, for which every
+    # comparison is false, counts as outside
+    bad = np.flatnonzero(~((x >= lower - slack) & (x <= upper + slack)))
     if bad.size:
         raise DomainError(
             f"{bad.size} covariate value(s) outside support [{lower}, {upper}]; "
@@ -133,18 +135,19 @@ def eval_basis(spec, x) -> np.ndarray:
     """Evaluate a basis at covariate values; rows are observations.
 
     ``x`` is 1D for the scalar kinds and (N, 2) for the tensor kind.
-    Values outside the declared support raise DomainError with the
-    offending indices.
+    Values outside the declared support, and non-finite values, raise
+    DomainError with the offending indices.
     """
     if isinstance(spec, LinearBasis):
         x = np.asarray(x, dtype=float).ravel()
         return ((x - spec.center) / spec.scale)[:, None]
     if isinstance(spec, IndicatorBasis):
-        x = np.asarray(x).ravel()
-        levels = np.rint(x).astype(int)
-        bad = np.flatnonzero(
-            (levels < 1) | (levels > spec.n_levels) | (np.abs(x - levels) > 1e-8)
-        )
+        x = np.asarray(x, dtype=float).ravel()
+        # only values that round to a level are cast to int: a cast of nan,
+        # inf or a huge value would warn and give an arbitrary integer
+        near = (x > 0.5) & (x < spec.n_levels + 0.5)  # false for nan
+        levels = np.rint(np.where(near, x, 1.0)).astype(int)
+        bad = np.flatnonzero(~near | (np.abs(x - levels) > 1e-8))
         if bad.size:
             raise DomainError(
                 f"{bad.size} value(s) are not levels in 1..{spec.n_levels}; "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -181,11 +182,14 @@ def build_settings(cfg: RunConfig, seed_override: int | None = None) -> McmcSett
 
 def _parse_float(value: str, column: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ValidationError(
             f"line {line}: cannot parse {column}={value!r} as a number"
         ) from None
+    if not math.isfinite(number):  # float() accepts "nan" and "inf"
+        raise ValidationError(f"line {line}: {column}={value!r} is not a finite number")
+    return number
 
 
 def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:

@@ -33,14 +33,19 @@ Such a chain evaluates no likelihood in (a) and, without rows, forms no
 images; with rows (a weight of 0), ``V`` follows the exact draws, and the
 linear predictor is formed from it only for the end-of-chain check.
 
-Bookkeeping stays out of the way of the likelihood, without changing a bit
-of the draws: the sign 1 - 2y of ``bernoulli_loglik`` is formed once per
-chain; every proposed linear predictor is written into whichever of two
-preallocated buffers does not hold the current one; a one-column design maps
-its proposals by an outer product. A retained draw stores its coordinates
-``theta``, its intercept and its coefficients (written in place); the
-reported hyperparameters (V and the proportions) are computed from ``theta``
-by ``tree.natural_values``, for all draws at once after the chains have run.
+Bookkeeping stays out of the way of the likelihood. Each chain multiplies
+the rows of its designs by the sign 1 - 2y once, so the proposal images, ``V``
+and the tracked predictor all carry it: the chain tracks x = (1 - 2y) eta,
+which is the argument ``bernoulli_loglik`` takes, and the intercept moves x
+by its step times the sign. Negation is exact, so x is (1 - 2y) eta bit for
+bit, and the end-of-chain check compares (1 - 2y) x with the recomputed
+predictor. Every proposed predictor is written into whichever of two
+preallocated buffers does not hold the current one, and the likelihood works
+in one more; a one-column design maps its proposals by an outer product. A
+retained draw stores its coordinates ``theta``, its intercept and its
+coefficients (written in place); the reported hyperparameters (V and the
+proportions) are computed from ``theta`` by ``tree.natural_values``, for all
+draws at once after the chains have run.
 
 Adaptation (proposal scales by Robbins-Monro toward the target acceptance
 rates, hyper covariance from the chain history) runs during burn-in only,
@@ -73,6 +78,7 @@ import pickle
 import signal
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,7 +191,7 @@ class Draws:
         return {l: c.reshape(self.n_samples, -1) for l, c in self.coefficients.items()}
 
 
-def as_draws(samples: Draws | list[PosteriorSample]) -> Draws:
+def as_draws(samples: Draws | Sequence[PosteriorSample]) -> Draws:
     """Draws as given, or a list of records stacked as a single chain."""
     if not isinstance(samples, Draws):
         leaves = samples[0].coefficients if samples else {}
@@ -200,24 +206,31 @@ def as_draws(samples: Draws | list[PosteriorSample]) -> Draws:
     return samples
 
 
-def bernoulli_loglik(eta: np.ndarray, y: np.ndarray, sign: np.ndarray | None = None) -> float:
-    """Sum of Bernoulli log-probabilities under the logit link.
+def bernoulli_loglik(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Sum of Bernoulli log-probabilities under the logit link, given the
+    signed linear predictor x = (1 - 2y) eta: each term is -log1p(exp(x)).
 
-    Each term is -softplus(x) with x = (1 - 2y) eta, written as
-    max(x, 0) + log1p(exp(-|x|)) so that numpy's vectorized exp and log1p
-    do the work (``np.logaddexp`` takes a scalar path per element). A caller
-    that evaluates many ``eta`` against one ``y`` passes ``sign`` = 1 - 2y
-    precomputed; the result is the same.
+    Three passes over the rows, exp, log1p and the sum, all in ``out``, a
+    scratch array of the shape of ``x`` (allocated when omitted). Where
+    x <= 0 a term has the bits of the stable form
+    max(x, 0) + log1p(exp(-|x|)); above 0 it is within one rounding of it.
+    Where exp overflows (x above about 709.78) the sum is not finite, and
+    the stable form is evaluated instead, without a warning; nan gives nan.
     """
-    if eta.size == 0:
-        return 0.0
-    x = (1.0 - 2.0 * y if sign is None else sign) * eta
-    t = np.abs(x)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    t += np.maximum(x, 0.0, out=x)
-    return float(-t.sum())
+    if out is None:
+        out = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=out)
+    np.log1p(out, out=out)
+    total = float(out.sum())
+    if math.isfinite(total):
+        return -total
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return float(-out.sum())
 
 
 def log_posterior(
@@ -241,7 +254,8 @@ def log_posterior(
         sd = assembled.model.mu_prior_sd
         lp += -0.5 * (state.mu / sd) ** 2 - 0.5 * np.log(2.0 * np.pi * sd * sd)
     eta = assembled.linear_predictor(state.coefficients, state.mu)
-    return likelihood_weight * bernoulli_loglik(eta, assembled.y_train) + lp
+    x = (1.0 - 2.0 * assembled.y_train) * eta
+    return likelihood_weight * bernoulli_loglik(x) + lp
 
 
 def hyper_param_names(assembled: AssembledModel) -> list[str]:
@@ -347,7 +361,7 @@ def _run_chain(
     priors = assembled.model.priors
     leaves = list(assembled.leaf_ids)
     y = assembled.y_train
-    sign = 1.0 - 2.0 * y  # for bernoulli_loglik, formed once per chain
+    sign = 1.0 - 2.0 * y
     n_obs = y.size
     d = n_coordinates(tree) if tree is not None else 0
 
@@ -378,29 +392,35 @@ def _run_chain(
 
     # Per leaf, row 0 of `whitened` is the current xi and rows 1.. are the
     # proposal noise of the current block of iterations; `images` holds their
-    # images G_l T_l (.) on the training rows. Row 0 of `images` is the
-    # unscaled per-leaf predictor V, with eta = mu + sig @ V. V is updated in
-    # place between blocks, and each block's product rebuilds it from xi, so
-    # that the rounding error the centered rescaling multiplies stays small.
-    # A one-column design maps by an outer product, which gives the bits of
-    # the matrix product at a fraction of its cost. Without a likelihood, (d)
+    # images G_l T_l (.) on the training rows. Each design row carries the
+    # sign 1 - 2y of its observation, so the images do too, and so does
+    # everything formed from them: row 0 of `images` is the signed per-leaf
+    # predictor V, and the tracked predictor is x = sign * eta =
+    # sig @ V + mu * sign, the argument of bernoulli_loglik. Negation is
+    # exact, so x is sign * eta bit for bit. V is updated in place between
+    # blocks, and each block's product rebuilds it from xi, so that the
+    # rounding error the centered rescaling multiplies stays small. A
+    # one-column design maps by an outer product, which gives the bits of the
+    # matrix product at a fraction of its cost. Without a likelihood, (d)
     # takes noise row j itself as the new xi, with its squared norm from
     # `noise_norms`, and no image is formed when there are no training rows.
     whitened = [np.zeros((PROPOSAL_BLOCK + 1, free_dims[l])) for l in leaves]
     noise_norms = [[] for _ in leaves]
     images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
     V = images[:, 0]
-    designs_t = [np.ascontiguousarray(assembled.designs[l].T) for l in leaves]
+    designs_t = [np.multiply(assembled.designs[l].T, sign, order="C") for l in leaves]
     image_ops = [np.multiply if g.shape[0] == 1 else np.matmul for g in designs_t]
 
-    # The current linear predictor `eta` is one of these two buffers, and each
-    # proposal is written into the other one.
-    eta_bufs = (np.empty(n_obs), np.empty(n_obs))
+    # The current signed predictor `x` is one of these two buffers, and each
+    # proposal is written into the other one; `scratch` is the likelihood's
+    # work array, and holds mu * sign in (a).
+    x_bufs = (np.empty(n_obs), np.empty(n_obs))
+    scratch = np.empty(n_obs)
     lp_theta, sig = eval_theta(theta)
-    eta = eta_bufs[0]
-    np.matmul(sig, V, out=eta)
-    eta += mu
-    ll = bernoulli_loglik(eta, y, sign)
+    x = x_bufs[0]
+    np.matmul(sig, V, out=x)
+    x += np.multiply(sign, mu, out=scratch)
+    ll = bernoulli_loglik(x, scratch)
     if not (np.isfinite(lp_theta) and np.isfinite(ll)):
         raise DiagnosticError("non-finite log posterior at the initial state")
 
@@ -477,16 +497,16 @@ def _run_chain(
             elif exact:
                 logr = lp_new - lp_theta
             else:
-                eta_new = eta_bufs[eta is eta_bufs[0]]
-                np.matmul(sig_new, V, out=eta_new)
-                eta_new += mu
-                ll_new = bernoulli_loglik(eta_new, y, sign)
+                x_new = x_bufs[x is x_bufs[0]]
+                np.matmul(sig_new, V, out=x_new)
+                x_new += np.multiply(sign, mu, out=scratch)
+                ll_new = bernoulli_loglik(x_new, scratch)
                 logr = w * (ll_new - ll) + lp_new - lp_theta
             alpha = alpha_of(logr)
             if rng.random() < alpha:
                 theta, sig, lp_theta = theta_new, sig_new, lp_new
                 if not exact:
-                    eta, ll = eta_new, ll_new
+                    x, ll = x_new, ll_new
             acc["hyper"].update(alpha, it, adapting)
             t0 = clock()
             t_hyper += t0 - t1
@@ -518,12 +538,13 @@ def _run_chain(
                 mu = mu_sd * rng.standard_normal()
             else:
                 mu_new = mu + acc["mu"].scale * rng.standard_normal()
-                eta_new = np.add(eta, mu_new - mu, out=eta_bufs[eta is eta_bufs[0]])
-                ll_new = bernoulli_loglik(eta_new, y, sign)
+                x_new = np.multiply(sign, mu_new - mu, out=x_bufs[x is x_bufs[0]])
+                x_new += x
+                ll_new = bernoulli_loglik(x_new, scratch)
                 logr = w * (ll_new - ll) - 0.5 * (mu_new**2 - mu**2) / mu_sd**2
                 alpha = alpha_of(logr)
                 if rng.random() < alpha:
-                    mu, eta, ll = mu_new, eta_new, ll_new
+                    mu, x, ll = mu_new, x_new, ll_new
                 acc["mu"].update(alpha, it, adapting)
         t0 = clock()
         t_mu += t0 - t1
@@ -540,13 +561,13 @@ def _run_chain(
                 s = acc_coef[k].scale
                 xi_new = xi[l] + s * whitened[k][j]
                 q_new = float(xi_new @ xi_new)
-                eta_new = np.multiply(images[k, j], sig[k] * s, out=eta_bufs[eta is eta_bufs[0]])
-                eta_new += eta
-                ll_new = bernoulli_loglik(eta_new, y, sign)
+                x_new = np.multiply(images[k, j], sig[k] * s, out=x_bufs[x is x_bufs[0]])
+                x_new += x
+                ll_new = bernoulli_loglik(x_new, scratch)
                 logr = w * (ll_new - ll) - 0.5 * (q_new - qnorm[k])
                 alpha = alpha_of(logr)
                 if rng.random() < alpha:
-                    xi[l], qnorm[k], eta, ll = xi_new, q_new, eta_new, ll_new
+                    xi[l], qnorm[k], x, ll = xi_new, q_new, x_new, ll_new
                     V[k] += s * images[k, j]
                 acc_coef[k].update(alpha, it, adapting)
         t1 = clock()
@@ -578,10 +599,10 @@ def _run_chain(
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
-    if exact:  # eta is not tracked without a likelihood; form it from V
-        np.matmul(sig, V, out=eta)
-        eta += mu
-    _check_eta(assembled, coefficients(), mu, eta)
+    if exact:  # x is not tracked without a likelihood; form it from V
+        np.matmul(sig, V, out=x)
+        x += np.multiply(sign, mu, out=scratch)
+    _check_eta(assembled, coefficients(), mu, sign * x)
     rates = _check_divergent(acc)
     if exact:
         # an exact draw is always accepted, which is no sign of a pinned kernel
@@ -741,6 +762,26 @@ def split_rhat(draws: np.ndarray) -> float:
     return float(np.sqrt(var_plus / within))
 
 
+class _Samples(Sequence):
+    """The records of ``FitResult.samples``. Record i is built on access, with
+    views of draw i's coefficients and ``hd`` left empty
+    (``from_unconstrained`` of the matching ``theta`` row gives it)."""
+
+    def __init__(self, draws: Draws):
+        self._mu = draws.mu.ravel()
+        self._coefficients = draws.flat_coefficients()
+
+    def __len__(self) -> int:
+        return self._mu.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # an integer, in range; negative counts from the end
+        coefficients = {l: CoefficientBlock(c[i], l) for l, c in self._coefficients.items()}
+        return PosteriorSample(None, coefficients, float(self._mu[i]))
+
+
 @dataclass
 class FitResult(Draws):
     """The retained draws, their HD coordinates ``theta`` (chains, draws, d)
@@ -761,14 +802,10 @@ class FitResult(Draws):
     hyper_draws: np.ndarray = field(init=False)
 
     @property
-    def samples(self) -> list[PosteriorSample]:
-        """The draws as records, rebuilt on each access; ``hd`` is left empty
-        (``from_unconstrained`` of the matching ``theta`` row gives it)."""
-        coefs = self.flat_coefficients()
-        return [
-            PosteriorSample(None, {l: CoefficientBlock(c[i], l) for l, c in coefs.items()}, mu)
-            for i, mu in enumerate(self.mu.ravel().tolist())
-        ]
+    def samples(self) -> Sequence[PosteriorSample]:
+        """The draws as records, chains one after another: a read-only
+        sequence that builds each record when it is accessed."""
+        return _Samples(self)
 
 
 def fit(
@@ -844,7 +881,7 @@ def fit(
 
 
 def predict(
-    result: Draws | list[PosteriorSample],
+    result: Draws | Sequence[PosteriorSample],
     newdata: dict[str, np.ndarray] | Dataset,
     assembled: AssembledModel | None = None,
     mask: np.ndarray | None = None,

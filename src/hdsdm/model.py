@@ -165,7 +165,8 @@ def _covariate_values(decl: EffectDecl, columns: dict[str, np.ndarray]) -> np.nd
         # bases with unbounded evaluation (linear) still only carry meaning
         # on the declared support the effect was standardized against
         slack = 1e-10 * (decl.dist.upper - decl.dist.lower)
-        bad = np.flatnonzero((x < decl.dist.lower - slack) | (x > decl.dist.upper + slack))
+        inside = (x >= decl.dist.lower - slack) & (x <= decl.dist.upper + slack)
+        bad = np.flatnonzero(~inside)  # nan is never inside
         if bad.size:
             raise DomainError(
                 f"effect {decl.effect_id!r}: {bad.size} value(s) outside declared "

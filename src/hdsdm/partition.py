@@ -10,6 +10,7 @@ under that grid by construction, so this equals the sum of their variances).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[str]]]:
 
 
 def phi(
-    samples: Draws | list[PosteriorSample], assembled: AssembledModel | None = None
+    samples: Draws | Sequence[PosteriorSample], assembled: AssembledModel | None = None
 ) -> PartitionResult:
     """Posterior variance shares phi per sample and their posterior mean, per
     effect group (the ``group`` of each effect declaration).

@@ -1,5 +1,7 @@
 """Basis evaluation, tensor products, pruning and lattice adjacency."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,14 @@ class TestScalarBases:
         with pytest.raises(DomainError) as err:
             eval_basis(IndicatorBasis(2), [1, 3, 2])
         assert err.value.indices == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+    def test_indicator_rejects_non_finite_without_a_cast_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                eval_basis(IndicatorBasis(3), [1.0, bad, 3.0, bad])
+        assert err.value.indices == [1, 3]
 
     def test_linear_centered(self):
         M = eval_basis(LinearBasis(center=0.0, scale=1.0), [0.0])
@@ -53,6 +63,15 @@ class TestBSpline1D:
             eval_basis(spec, [0.5, 1.5, -0.2])
         assert set(err.value.indices) == {1, 2}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_outside_the_support(self, bad):
+        spec = BSplineBasis1D(8, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                eval_basis(spec, [0.5, bad, 0.2])
+        assert err.value.indices == [1]
+
     def test_local_support(self):
         spec = BSplineBasis1D(n_funcs=12, lower=0.0, upper=1.0)
         M = eval_basis(spec, [0.05])
@@ -67,6 +86,17 @@ class TestTensorBasis:
         spec = tensor_basis(a, b)
         assert spec.n_funcs == 16
         assert spec.grid_dims == (4, 4)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_coordinate_is_outside_the_support(self, column):
+        spec = tensor_basis(BSplineBasis1D(5, 0.0, 1.0), BSplineBasis1D(4, 0.0, 1.0))
+        x = np.full((4, 2), 0.5)
+        x[2, column] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                eval_basis(spec, x)
+        assert err.value.indices == [2]
 
     def test_rejects_non_bspline(self):
         with pytest.raises(ValidationError):

@@ -329,6 +329,22 @@ class TestCliFlow:
         assert record["error"] == "ValidationError"
         assert key in record["message"]
 
+    @pytest.mark.parametrize("column, value", [("sst", "nan"), ("vessel", "NaN"),
+                                               ("year", "inf")])
+    def test_non_finite_covariate_gives_validation_record(self, workdir, capsys, column,
+                                                          value):
+        path = workdir / "data.csv"
+        rows = read_rows(path)
+        rows[5][column] = value  # file line 7
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert f"line 7: {column}={value!r} is not a finite number" in record["message"]
+
     @pytest.mark.parametrize("command, train_max_year, message", [
         ("fit", 1990, "no training rows"),
         ("sensitivity", 1990, "at q=1.0: the data have no training rows"),

@@ -2,6 +2,7 @@
 
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -179,8 +180,10 @@ class TestLogPosterior:
 
     def test_bernoulli_loglik_stable(self):
         eta = np.array([500.0, -500.0])
-        assert bernoulli_loglik(eta, np.array([1.0, 0.0])) == pytest.approx(0.0)
-        assert np.isfinite(bernoulli_loglik(eta, np.array([0.0, 1.0])))
+        y = np.array([1.0, 0.0])
+        assert bernoulli_loglik((1.0 - 2.0 * y) * eta) == pytest.approx(0.0)
+        y = np.array([0.0, 1.0])
+        assert np.isfinite(bernoulli_loglik((1.0 - 2.0 * y) * eta))
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 400.0])
     def test_bernoulli_loglik_matches_logaddexp(self, scale):
@@ -188,22 +191,56 @@ class TestLogPosterior:
         eta = scale * rng.standard_normal(5000)
         for y in (rng.integers(0, 2, eta.size).astype(float), np.zeros(eta.size),
                   np.ones(eta.size)):
-            ref = -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum()
-            assert bernoulli_loglik(eta, y) == pytest.approx(ref, rel=1e-12)
-            assert bernoulli_loglik(eta, y, 1.0 - 2.0 * y) == bernoulli_loglik(eta, y)
+            x = (1.0 - 2.0 * y) * eta
+            ref = -np.logaddexp(0.0, x).sum()
+            assert bernoulli_loglik(x) == pytest.approx(ref, rel=1e-12)
+            assert bernoulli_loglik(x, np.empty_like(x)) == bernoulli_loglik(x)
 
     def test_bernoulli_loglik_exact_at_extremes(self):
         values = [1e4, -1e4, 745.0, -745.0, np.inf, -np.inf, 0.0]
         for v in values:
             for y in (0.0, 1.0):
-                ref = -np.logaddexp(0.0, (1.0 - 2.0 * y) * v)
-                assert bernoulli_loglik(np.array([v]), np.array([y])) == ref
-                assert bernoulli_loglik(np.array([v]), np.array([y]), np.array([1 - 2 * y])) == ref
+                x = np.array([(1.0 - 2.0 * y) * v])
+                ref = -np.logaddexp(0.0, x[0])
+                assert bernoulli_loglik(x) == ref
+                assert bernoulli_loglik(x, np.empty(1)) == ref
         eta = np.array(values * 2)
         y = np.repeat([0.0, 1.0], len(values))
-        assert bernoulli_loglik(eta, y) == -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta).sum()
-        assert bernoulli_loglik(eta, y, 1.0 - 2.0 * y) == bernoulli_loglik(eta, y)
-        assert bernoulli_loglik(np.zeros(0), np.zeros(0)) == 0.0
+        x = (1.0 - 2.0 * y) * eta
+        assert bernoulli_loglik(x) == -np.logaddexp(0.0, x).sum()
+        assert bernoulli_loglik(x, np.empty_like(x)) == bernoulli_loglik(x)
+        assert bernoulli_loglik(np.zeros(0)) == 0.0
+
+    @staticmethod
+    def stable_loglik(x):
+        """The stable form of the kernel: -(max(x, 0) + log1p(exp(-|x|)))."""
+        return float(-(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))).sum())
+
+    def test_bernoulli_loglik_non_positive_rows_give_the_stable_bits(self):
+        x = -np.abs(3.0 * np.random.default_rng(4).standard_normal(5020))
+        x[:3] = (0.0, -0.0, -800.0)
+        assert bernoulli_loglik(x) == self.stable_loglik(x)
+
+    @pytest.mark.parametrize("big", [709.78, 709.79, 710.0, 1e4])
+    def test_bernoulli_loglik_at_the_overflow_boundary(self, big):
+        # exp overflows from about 709.78 on; the kernel then falls back to
+        # the stable form, which it must match exactly and without a warning
+        x = -np.abs(np.random.default_rng(5).standard_normal(1000))
+        x[[3, 500]] = big
+        out = np.empty_like(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bernoulli_loglik(x, out)
+        assert got == self.stable_loglik(x)
+        assert got < -2 * big
+
+    def test_bernoulli_loglik_nan_in_gives_nan_out(self):
+        x = -np.abs(np.random.default_rng(6).standard_normal(100))
+        for bad in ([np.nan], [np.nan, 1e4], [np.nan, np.inf]):
+            x[: len(bad)] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(bernoulli_loglik(x))
 
     def test_single_block_change_is_local(self):
         # changing one coefficient block moves only that block's Gaussian
@@ -226,9 +263,10 @@ class TestLogPosterior:
         prior_delta = log_posterior(asm, new_state, 0.0) - log_posterior(asm, state, 0.0)
         assert prior_delta == pytest.approx(gauss_delta, rel=1e-12)
 
+        sign = 1.0 - 2.0 * asm.y_train
         lik_delta = bernoulli_loglik(
-            asm.linear_predictor(new_coeffs, 0.1), asm.y_train
-        ) - bernoulli_loglik(asm.linear_predictor(coeffs, 0.1), asm.y_train)
+            sign * asm.linear_predictor(new_coeffs, 0.1)
+        ) - bernoulli_loglik(sign * asm.linear_predictor(coeffs, 0.1))
         full_delta = log_posterior(asm, new_state) - log_posterior(asm, state)
         assert full_delta == pytest.approx(gauss_delta + lik_delta, rel=1e-12)
 
@@ -316,6 +354,29 @@ class TestBitIdentity:
         np.testing.assert_array_equal(
             np.multiply(whitened, design_t), np.matmul(whitened, design_t)
         )
+
+    def test_signed_design_images_are_the_signed_images(self):
+        # the chain multiplies each design row by 1 - 2y and tracks
+        # x = sig @ V + mu * sign; negation is exact, so every image, and the
+        # predictor formed from them, is the sign times the unsigned one
+        from test_model import survey_data, survey_model
+
+        asm = assemble(survey_model(), survey_data(n=5020, seed=3))
+        sign = 1.0 - 2.0 * asm.y_train
+        rng = np.random.default_rng(14)
+        V, V_signed = [], []
+        for leaf in asm.leaf_ids:
+            transform = asm.effects[leaf].whitening_transform()
+            mapped = rng.standard_normal((PROPOSAL_BLOCK + 1, transform.shape[1])) @ transform.T
+            design_t = np.ascontiguousarray(asm.designs[leaf].T)
+            op = np.multiply if design_t.shape[0] == 1 else np.matmul
+            images, signed = op(mapped, design_t), op(mapped, design_t * sign)
+            np.testing.assert_array_equal(signed, sign * images)
+            V.append(images[0])
+            V_signed.append(signed[0])
+        sig, mu = rng.uniform(0.1, 3.0, len(V)), -0.7
+        x = sig @ np.array(V_signed) + mu * sign
+        np.testing.assert_array_equal(x, sign * (sig @ np.array(V) + mu))
 
 
 class TestDivergenceCheck:
@@ -444,6 +505,29 @@ class TestFit:
         np.testing.assert_array_equal(
             phi(result.samples, result.assembled).phi, phi(result).phi
         )
+
+    def test_samples_are_built_on_access(self):
+        result = fit(toy_model(), toy_data(n=60, seed=10),
+                     McmcSettings(chains=2, iterations=300, burn_in=200, seed=8))
+        samples = result.samples
+        n = result.mu.size
+        assert len(samples) == n == 200
+        flat = result.flat_coefficients()
+        for i in (0, 1, 137, n - 1, -1, -n, np.int64(5)):
+            record = samples[i]
+            assert record.hd is None and record.eta is None
+            assert record.mu == result.mu.ravel()[i]
+            for leaf, block in record.coefficients.items():
+                assert block.effect_id == leaf
+                np.testing.assert_array_equal(block.values, flat[leaf][i])
+        assert [s.mu for s in samples[3:9:2]] == result.mu.ravel()[3:9:2].tolist()
+        assert [s.mu for s in samples] == result.mu.ravel().tolist()
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                samples[bad]
+        with pytest.raises(TypeError):
+            samples[0] = samples[1]
+        assert samples[2] is not samples[2]  # nothing is kept between accesses
 
     def test_prior_only_uniform_share_centered(self):
         model = toy_model()

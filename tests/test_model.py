@@ -1,11 +1,13 @@
 """Model declaration, dataset validation, and assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
 from hdsdm.exceptions import DomainError, ValidationError
-from hdsdm.mcmc import McmcSettings, fit
+from hdsdm.mcmc import Draws, McmcSettings, fit, predict
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
 from hdsdm.priors import PriorSpec
 
@@ -84,6 +86,19 @@ def survey_data(n=200, seed=0, n_years=20):
     return Dataset.from_arrays(y=y, **cols)
 
 
+def linear_model():
+    """A linear abiotic effect of column ``a`` and an iid biotic vessel effect."""
+    effects = [
+        EffectDecl("a", "linear", "a", UniformInterval(0.0, 1.0), side="abiotic"),
+        EffectDecl("vessel", "iid", "vessel", UniformLevels(2), side="biotic"),
+    ]
+    priors = {
+        "total_variance": PriorSpec("total_variance", "jeffreys"),
+        "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "uniform"),
+    }
+    return ModelSpec(effects=effects, priors=priors)
+
+
 class TestDataset:
     def test_rejects_nonbinary_response(self):
         with pytest.raises(ValidationError):
@@ -140,6 +155,36 @@ class TestAssemble:
         data.columns["x1"][3] = 2.5  # outside [0, 1]
         with pytest.raises(DomainError):
             assemble(model, data)
+
+    @pytest.mark.parametrize("make_model, column", [
+        (linear_model, "a"),                                # linear
+        (lambda: survey_model(8, (5, 5)), "x1"),            # pspline
+        (lambda: survey_model(8, (5, 5)), "vessel"),        # iid
+        (lambda: survey_model(8, (5, 5)), "z2"),            # spatial2d
+        (lambda: survey_model(8, (5, 5)), "year"),          # rw1
+    ], ids=["linear", "pspline", "iid", "spatial2d", "rw1"])
+    def test_non_finite_covariate_is_a_domain_error(self, make_model, column):
+        # every comparison with nan is false, so a check written as
+        # "outside" would let it through to the basis evaluation
+        model = make_model()
+        data = survey_data(n=50)
+        data.columns["a"] = np.full(data.n, 0.5)
+        asm = assemble(model, data)
+        draws = Draws(mu=np.zeros((1, 1)), coefficients={
+            l: np.zeros((1, 1, asm.effects[l].n_coef)) for l in asm.leaf_ids})
+        for bad in (np.nan, np.inf):
+            columns = {k: v.copy() for k, v in data.columns.items()}
+            columns[column][[4, 9]] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as err:
+                    predict(draws, columns, assembled=asm)
+                assert err.value.indices == [4, 9]
+                data.columns[column][[4, 9]] = bad  # past the Dataset's own check
+                with pytest.raises(DomainError) as err:
+                    assemble(model, data)
+                assert err.value.indices == [4, 9]
+            data.columns[column][[4, 9]] = columns[column][0]
 
     def test_unresolvable_column(self):
         model = ModelSpec(
