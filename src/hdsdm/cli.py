@@ -118,7 +118,7 @@ def _load_samples(outdir: Path, assembled) -> Draws:
         raise ValidationError(f"samples.csv has {len(hyper)} rows and coefficients.csv "
                               f"{len(coef)}; they come from different fits")
     chains = int(hyper[:, 0].max()) + 1 if len(hyper) else 1
-    mu = hyper[:, names.index("mu") + 2] if "mu" in names else np.zeros(len(hyper))
+    mu = hyper[:, -1]  # the last of hyper_param_names
     ends = np.cumsum([1] + [assembled.effects[l].n_coef for l in assembled.leaf_ids])
     return Draws(mu=mu.reshape(chains, -1), coefficients={
         l: coef[:, a:b].copy().reshape(chains, -1, b - a)

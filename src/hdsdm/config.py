@@ -4,8 +4,9 @@ The config is a single JSON document (machine round-trippable, no comments)
 with five sections: ``data`` (file path and column names), ``supports``
 (declared covariate supports; these define the standardization
 distributions, not the data), ``model`` (effects and priors), ``mcmc``
-(sampler settings) and ``split`` (train/test year threshold). See the README
-for the full schema.
+(sampler settings) and ``split`` (train/test year threshold). An unknown
+section, or an unknown key in ``model``, an effect entry or ``mcmc``, is a
+ValidationError. See the README for the full schema.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .tree import build_default_tree
 
 __all__ = ["RunConfig", "ingest", "build_model", "build_settings", "read_point_cloud"]
 
+# the keys a model section and an effect entry may have; "intercept" may only
+# be true, since every model has one
+MODEL_KEYS = {"intercept", "effects", "priors"}
+EFFECT_KEYS = {"id", "kind", "support", "n_basis", "side", "role", "group"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -45,10 +51,17 @@ class RunConfig:
             raise ValidationError("config model section is missing 'effects'")
         if "priors" not in self.model:
             raise ValidationError("config model section is missing 'priors'")
+        _reject_unknown("config model section", self.model, MODEL_KEYS)
+        if self.model.get("intercept", True) is not True:
+            raise ValidationError(
+                "config model intercept must be true: every model has an intercept"
+            )
         for eff in self.model["effects"]:
-            for key in ("id", "kind"):
+            column = "covariates" if eff.get("kind") == "spatial2d" else "covariate"
+            for key in ("id", "kind", column):
                 if key not in eff:
                     raise ValidationError(f"effect entry missing {key!r}: {eff}")
+            _reject_unknown(f"effect {eff['id']!r}", eff, EFFECT_KEYS | {column})
             support_key = eff.get("support", eff.get("covariate"))
             if eff["kind"] != "spatial2d" and support_key not in self.supports:
                 raise ValidationError(
@@ -64,10 +77,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {"data", "supports", "model", "mcmc", "split", "output"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown config sections: {sorted(unknown)}")
+        _reject_unknown("config", d, {f.name for f in fields(cls)})
         return cls(**d)
 
     def save(self, path) -> None:
@@ -76,6 +86,12 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _reject_unknown(where: str, entry: dict, known: set[str]) -> None:
+    unknown = set(entry) - known
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys: {sorted(unknown)}")
 
 
 def read_point_cloud(path) -> np.ndarray:
@@ -163,20 +179,14 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
         for node, entry in declared.items()
     }
 
-    return ModelSpec(
-        effects=effects,
-        priors=priors,
-        intercept=bool(cfg.model.get("intercept", True)),
-    )
+    return ModelSpec(effects=effects, priors=priors)
 
 
 def build_settings(cfg: RunConfig, seed_override: int | None = None) -> McmcSettings:
     m = dict(cfg.mcmc)
     if seed_override is not None:
         m["seed"] = int(seed_override)
-    unknown = set(m) - {f.name for f in fields(McmcSettings)}
-    if unknown:
-        raise ValidationError(f"unknown mcmc settings: {sorted(unknown)}")
+    _reject_unknown("config mcmc section", m, {f.name for f in fields(McmcSettings)})
     return McmcSettings(**m)
 
 

@@ -22,16 +22,15 @@ each chain the linear predictor is recomputed from the coefficients and
 checked against the incremental one.
 
 A chain without a likelihood term (no training rows, or a likelihood weight
-of 0, as in a prior check) draws (c) and (d) exactly from their full
-conditionals, which are then their priors: the intercept is mu_sd times a
-standard normal, and each leaf's whitened coefficients are the block's noise
-row for the iteration, already N(0, I). A random walk on such a target would
-only add autocorrelation and cost. These kernels report an acceptance rate
-of 1 and adapt nothing; (a) and (b) stay Metropolis steps, since they are
-what a prior check validates (the HD prior density and its Jacobian).
-Such a chain evaluates no likelihood in (a) and, without rows, forms no
-images; with rows (a weight of 0), ``V`` follows the exact draws, and the
-linear predictor is formed from it only for the end-of-chain check.
+of 0, which hides the rows from the chain, as in a prior check) draws (c) and
+(d) exactly from their full conditionals, which are then their priors: the
+intercept is ``MU_PRIOR_SD`` times a standard normal, and each leaf's
+whitened coefficients are the block's noise row for the iteration, already
+N(0, I). A random walk on such a target would only add autocorrelation and
+cost. These kernels report an acceptance rate of 1 and adapt nothing; (a)
+and (b) stay Metropolis steps, since they are what a prior check validates
+(the HD prior density and its Jacobian). Such a chain evaluates no
+likelihood and forms no images.
 
 Bookkeeping stays out of the way of the likelihood. Each chain multiplies
 the rows of its designs by the sign 1 - 2y once, so the proposal images, ``V``
@@ -47,9 +46,13 @@ coefficients (written in place); the reported hyperparameters (V and the
 proportions) are computed from ``theta`` by ``tree.natural_values``, for all
 draws at once after the chains have run.
 
-Adaptation (proposal scales by Robbins-Monro toward the target acceptance
-rates, hyper covariance from the chain history) runs during burn-in only,
-so retained samples come from a fixed kernel.
+Adaptation runs during burn-in only, so retained samples come from a fixed
+kernel: the proposal scales move by Robbins-Monro toward the optimal-scaling
+acceptance rates, ``TARGET_ACCEPT_HYPER`` = 0.234 for the hyper blocks
+(Roberts, Gelman & Gilks 1997) and ``TARGET_ACCEPT_BLOCK`` = 0.44 for the
+intercept and the coefficient blocks (Roberts & Rosenthal 2001), and every
+``ADAPTATION_WINDOW`` iterations the hyper proposal covariance is re-estimated
+from the chain history.
 
 The chains of one fit share no state, so ``fit`` runs them at the same time
 in W = min(chains, usable CPUs) workers: worker 0 is the calling process and
@@ -79,13 +82,13 @@ import signal
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import DiagnosticError, ValidationError
 from .gmrf import CoefficientBlock
-from .model import AssembledModel, Dataset, ModelSpec, assemble
+from .model import MU_PRIOR_SD, AssembledModel, Dataset, ModelSpec, assemble
 from .priors import HDEvaluator, log_prior_unconstrained, prior_median_theta
 from .tree import (
     HDParams,
@@ -99,6 +102,13 @@ from .tree import (
 # iterations whose coefficient proposal noise is drawn, and mapped to the
 # training rows, at once
 PROPOSAL_BLOCK = 16
+
+# target acceptance rates of the hyper blocks (a, b) and of the scalar and
+# block updates (c, d), and the iterations between re-estimates of the hyper
+# proposal covariance during burn-in
+TARGET_ACCEPT_HYPER = 0.234
+TARGET_ACCEPT_BLOCK = 0.44
+ADAPTATION_WINDOW = 50
 
 # the sampler's kernels, as timed in FitResult.timings: the hyper updates (a)
 # and (b), the intercept (c), the coefficient blocks (d), the block draws of
@@ -126,13 +136,10 @@ class McmcSettings:
     iterations: int = 6000
     burn_in: int = 3000
     thinning: int = 1
-    adaptation_window: int = 50
-    target_accept_hyper: float = 0.234
-    target_accept_block: float = 0.44
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("chains", "iterations", "burn_in", "thinning", "adaptation_window", "seed"):
+        for name in ("chains", "iterations", "burn_in", "thinning", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -144,15 +151,6 @@ class McmcSettings:
             raise ValidationError("need iterations > burn_in >= 0")
         if self.thinning < 1:
             raise ValidationError("thinning must be >= 1")
-        if self.adaptation_window < 1:
-            raise ValidationError("adaptation_window must be >= 1")
-        for name in ("target_accept_hyper", "target_accept_block"):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float, np.integer, np.floating))
-            if isinstance(value, bool) or not real:
-                raise ValidationError(f"{name} must be a number, got {value!r}")
-            if not 0.0 < value < 1.0:  # also rejects nan
-                raise ValidationError(f"{name} must lie in (0, 1)")
 
 
 @dataclass
@@ -250,9 +248,7 @@ def log_posterior(
             lp += assembled.effects[leaf].coefficient_logpdf(
                 state.coefficients[leaf], sigma2[leaf]
             )
-    if assembled.model.intercept:
-        sd = assembled.model.mu_prior_sd
-        lp += -0.5 * (state.mu / sd) ** 2 - 0.5 * np.log(2.0 * np.pi * sd * sd)
+    lp += -0.5 * (state.mu / MU_PRIOR_SD) ** 2 - 0.5 * np.log(2.0 * np.pi * MU_PRIOR_SD**2)
     eta = assembled.linear_predictor(state.coefficients, state.mu)
     x = (1.0 - 2.0 * assembled.y_train) * eta
     return likelihood_weight * bernoulli_loglik(x) + lp
@@ -260,11 +256,9 @@ def log_posterior(
 
 def hyper_param_names(assembled: AssembledModel) -> list[str]:
     """Column names of ``FitResult.hyper_draws``: the natural coordinates of
-    the tree (``tree.natural_columns``), then ``mu`` with an intercept."""
+    the tree (``tree.natural_columns``), then ``mu``."""
     names = [] if assembled.tree is None else [n for n, _ in natural_columns(assembled.tree)]
-    if assembled.model.intercept:
-        names.append("mu")
-    return names
+    return names + ["mu"]
 
 
 class _Accept:
@@ -382,7 +376,7 @@ def _run_chain(
     # initialization: HD coordinates at prior medians, coefficients at zero,
     # intercept at the empirical logit
     theta = prior_median_theta(tree, priors).copy() if tree is not None else np.zeros(0)
-    if assembled.model.intercept and n_obs:
+    if n_obs:
         p0 = float(np.clip(y.mean(), 0.01, 0.99))
         mu = float(np.log(p0) - np.log1p(-p0))
     else:
@@ -401,9 +395,9 @@ def _run_chain(
     # blocks, and each block's product rebuilds it from xi, so that the
     # rounding error the centered rescaling multiplies stays small. A
     # one-column design maps by an outer product, which gives the bits of the
-    # matrix product at a fraction of its cost. Without a likelihood, (d)
+    # matrix product at a fraction of its cost. Without training rows, (d)
     # takes noise row j itself as the new xi, with its squared norm from
-    # `noise_norms`, and no image is formed when there are no training rows.
+    # `noise_norms`, and no image is formed.
     whitened = [np.zeros((PROPOSAL_BLOCK + 1, free_dims[l])) for l in leaves]
     noise_norms = [[] for _ in leaves]
     images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
@@ -424,27 +418,22 @@ def _run_chain(
     if not (np.isfinite(lp_theta) and np.isfinite(ll)):
         raise DiagnosticError("non-finite log posterior at the initial state")
 
-    intercept = assembled.model.intercept
-    mu_sd = assembled.model.mu_prior_sd
-    w = result.likelihood_weight
-    # Without a likelihood term the full conditionals of (c) and (d) are the
-    # priors N(0, mu_sd^2) and N(0, I), which are drawn exactly.
-    exact = w == 0.0 or n_obs == 0
+    # Without training rows the full conditionals of (c) and (d) are the
+    # priors N(0, MU_PRIOR_SD^2) and N(0, I), which are drawn exactly.
+    exact = n_obs == 0
     dims = [free_dims[l] for l in leaves]
 
     prop_chol = np.eye(d)
     theta_history = np.empty((settings.burn_in, d))
     hyper_scale = np.log(2.38 / np.sqrt(max(d, 1)))
     acc = {
-        "hyper": _Accept(hyper_scale, settings.target_accept_hyper),
-        "hyper_centered": _Accept(hyper_scale, settings.target_accept_hyper),
+        "hyper": _Accept(hyper_scale, TARGET_ACCEPT_HYPER),
+        "hyper_centered": _Accept(hyper_scale, TARGET_ACCEPT_HYPER),
     }
     if not exact:
-        acc["mu"] = _Accept(np.log(0.5), settings.target_accept_block)
+        acc["mu"] = _Accept(np.log(0.5), TARGET_ACCEPT_BLOCK)
         for l in leaves:
-            acc[f"coef[{l}]"] = _Accept(
-                np.log(2.38 / np.sqrt(free_dims[l])), settings.target_accept_block
-            )
+            acc[f"coef[{l}]"] = _Accept(np.log(2.38 / np.sqrt(free_dims[l])), TARGET_ACCEPT_BLOCK)
     acc_coef = [] if exact else [acc[f"coef[{l}]"] for l in leaves]
 
     def coefficients() -> dict[str, np.ndarray]:
@@ -480,10 +469,10 @@ def _run_chain(
                 whitened[k][0] = xi[l]
                 xi[l] = whitened[k][0]
                 rng.standard_normal(out=whitened[k][1:])
-                if n_obs:
-                    image_ops[k](whitened[k] @ transforms[l].T, designs_t[k], out=images[k])
                 if exact:
                     noise_norms[k] = np.einsum("ij,ij->i", whitened[k], whitened[k]).tolist()
+                else:
+                    image_ops[k](whitened[k] @ transforms[l].T, designs_t[k], out=images[k])
         t1 = clock()
         t_prop += t1 - t0
 
@@ -501,7 +490,7 @@ def _run_chain(
                 np.matmul(sig_new, V, out=x_new)
                 x_new += np.multiply(sign, mu, out=scratch)
                 ll_new = bernoulli_loglik(x_new, scratch)
-                logr = w * (ll_new - ll) + lp_new - lp_theta
+                logr = ll_new - ll + lp_new - lp_theta
             alpha = alpha_of(logr)
             if rng.random() < alpha:
                 theta, sig, lp_theta = theta_new, sig_new, lp_new
@@ -525,7 +514,7 @@ def _run_chain(
                 for k, l in enumerate(leaves):
                     xi[l] *= ratios[k]
                     qnorm[k] *= squares[k]
-                if n_obs:
+                if not exact:
                     V *= np.array(ratios)[:, None]
                 theta, sig, lp_theta = theta_new, sig_new, lp_new
             acc["hyper_centered"].update(alpha, it, adapting)
@@ -533,19 +522,18 @@ def _run_chain(
             t_centered += t1 - t0
 
         # (c) intercept
-        if intercept:
-            if exact:
-                mu = mu_sd * rng.standard_normal()
-            else:
-                mu_new = mu + acc["mu"].scale * rng.standard_normal()
-                x_new = np.multiply(sign, mu_new - mu, out=x_bufs[x is x_bufs[0]])
-                x_new += x
-                ll_new = bernoulli_loglik(x_new, scratch)
-                logr = w * (ll_new - ll) - 0.5 * (mu_new**2 - mu**2) / mu_sd**2
-                alpha = alpha_of(logr)
-                if rng.random() < alpha:
-                    mu, x, ll = mu_new, x_new, ll_new
-                acc["mu"].update(alpha, it, adapting)
+        if exact:
+            mu = MU_PRIOR_SD * rng.standard_normal()
+        else:
+            mu_new = mu + acc["mu"].scale * rng.standard_normal()
+            x_new = np.multiply(sign, mu_new - mu, out=x_bufs[x is x_bufs[0]])
+            x_new += x
+            ll_new = bernoulli_loglik(x_new, scratch)
+            logr = ll_new - ll - 0.5 * (mu_new**2 - mu**2) / MU_PRIOR_SD**2
+            alpha = alpha_of(logr)
+            if rng.random() < alpha:
+                mu, x, ll = mu_new, x_new, ll_new
+            acc["mu"].update(alpha, it, adapting)
         t0 = clock()
         t_mu += t0 - t1
 
@@ -554,8 +542,6 @@ def _run_chain(
             for k, l in enumerate(leaves):
                 xi[l] = whitened[k][j]
                 qnorm[k] = noise_norms[k][j]
-                if n_obs:
-                    V[k] = images[k, j]
         else:
             for k, l in enumerate(leaves):
                 s = acc_coef[k].scale
@@ -564,7 +550,7 @@ def _run_chain(
                 x_new = np.multiply(images[k, j], sig[k] * s, out=x_bufs[x is x_bufs[0]])
                 x_new += x
                 ll_new = bernoulli_loglik(x_new, scratch)
-                logr = w * (ll_new - ll) - 0.5 * (q_new - qnorm[k])
+                logr = ll_new - ll - 0.5 * (q_new - qnorm[k])
                 alpha = alpha_of(logr)
                 if rng.random() < alpha:
                     xi[l], qnorm[k], x, ll = xi_new, q_new, x_new, ll_new
@@ -579,7 +565,7 @@ def _run_chain(
             if (
                 d > 0
                 and it + 1 >= max(2 * d, 20)
-                and (it + 1) % settings.adaptation_window == 0
+                and (it + 1) % ADAPTATION_WINDOW == 0
             ):
                 window = theta_history[max(0, it - 2000) : it + 1]
                 cov = np.cov(window.T)
@@ -599,14 +585,11 @@ def _run_chain(
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
-    if exact:  # x is not tracked without a likelihood; form it from V
-        np.matmul(sig, V, out=x)
-        x += np.multiply(sign, mu, out=scratch)
     _check_eta(assembled, coefficients(), mu, sign * x)
     rates = _check_divergent(acc)
     if exact:
         # an exact draw is always accepted, which is no sign of a pinned kernel
-        rates["mu"] = 1.0 if intercept else np.nan
+        rates["mu"] = 1.0
         rates.update((f"coef[{l}]", 1.0) for l in leaves)
     return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
 
@@ -793,7 +776,6 @@ class FitResult(Draws):
     hyper_names: list[str]
     assembled: AssembledModel
     settings: McmcSettings
-    likelihood_weight: float = 1.0
     rhat: dict[str, float] = field(default_factory=dict)
     acceptance: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)  # kernel -> seconds, all chains
@@ -829,16 +811,19 @@ def fit(
     ``result.timings`` are summed over chains, so with several workers they
     can exceed the wall time of the fit.
 
-    ``likelihood_weight`` multiplies the log-likelihood and must be a finite
-    number >= 0. At 0, or without training rows, the intercept and the
-    coefficients are drawn exactly from their priors (see the module notes).
+    ``likelihood_weight`` is 1, or 0 for a prior check: at 0 the chains see
+    no rows (``result.assembled`` has none), and, as without training rows,
+    the intercept and the coefficients are drawn exactly from their priors
+    (see the module notes).
     """
     w = likelihood_weight
-    if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"likelihood_weight must be a number, got {w!r}")
-    if not 0.0 <= w < math.inf:  # also rejects nan
-        raise ValidationError(f"likelihood_weight must be finite and >= 0, got {w!r}")
+    real = isinstance(w, (int, float, np.integer, np.floating)) and not isinstance(w, bool)
+    if not (real and w in (0, 1)):
+        raise ValidationError(f"likelihood_weight must be 0 or 1, got {w!r}")
     assembled = model if isinstance(model, AssembledModel) else assemble(model, data)
+    if w == 0:
+        designs = {l: g[:0] for l, g in assembled.designs.items()}
+        assembled = replace(assembled, designs=designs, y_train=assembled.y_train[:0])
     chain_rngs = [
         np.random.default_rng(np.random.SeedSequence((settings.seed, 7, c)))
         for c in range(settings.chains)
@@ -857,17 +842,14 @@ def fit(
         hyper_names=names,
         assembled=assembled,
         settings=settings,
-        likelihood_weight=likelihood_weight,
     )
     with _one_blas_thread() as pinned:
         result.chain_workers = _chain_workers(settings.chains) if pinned else 1
         outcomes = _run_chains(result, chain_rngs, result.chain_workers)
-    columns = [np.empty((math.prod(shape), 0))]
+    hyper = result.mu.reshape(-1, 1)
     if d:
-        columns.append(natural_values(assembled.tree, result.theta.reshape(-1, d)))
-    if assembled.model.intercept:
-        columns.append(result.mu.reshape(-1, 1))
-    result.hyper_draws = np.hstack(columns).reshape(shape + (len(names),))
+        hyper = np.hstack([natural_values(assembled.tree, result.theta.reshape(-1, d)), hyper])
+    result.hyper_draws = hyper.reshape(shape + (len(names),))
     rates_by_chain = [rates for rates, _ in outcomes]
     result.timings = {k: sum(t[k] for _, t in outcomes) for k in KERNELS}
     for j, name in enumerate(names):
@@ -908,13 +890,18 @@ def predict(
                 f"mask must be boolean with one entry per row ({newdata.n}), "
                 f"got {use.dtype} of shape {use.shape}"
             )
-        columns = newdata.rows(use)
+        columns, n = newdata.rows(use), int(use.sum())
     elif mask is not None:
         raise ValidationError("mask applies to a Dataset; select the columns' rows instead")
     else:
-        columns = newdata
+        lengths = sorted({len(v) for v in newdata.values()})
+        if len(lengths) != 1:
+            raise ValidationError(
+                f"the rows are counted by the columns, which need one length, got {lengths}"
+                " (give an intercept-only model a Dataset)"
+            )
+        columns, n = newdata, lengths[0]
     designs = assembled.designs_at(columns)
-    n = next(iter(columns.values())).shape[0] if columns else None
     coef_mean = {l: c.mean(axis=0) for l, c in draws.flat_coefficients().items()}
     eta_mean = assembled.linear_predictor(coef_mean, draws.mu.mean(), designs, n=n)
     return 1.0 / (1.0 + np.exp(-eta_mean))

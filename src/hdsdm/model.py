@@ -31,7 +31,7 @@ from .tree import DecompTree, EffectLabel, build_default_tree
 
 EFFECT_KINDS = ("linear", "pspline", "iid", "rw1", "spatial2d")
 
-__all__ = ["EffectDecl", "ModelSpec", "Dataset", "AssembledModel", "assemble"]
+__all__ = ["MU_PRIOR_SD", "EffectDecl", "ModelSpec", "Dataset", "AssembledModel", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,17 @@ class EffectDecl:
         ]
 
 
+# standard deviation of the N(0, MU_PRIOR_SD^2) prior on the intercept
+MU_PRIOR_SD = 10.0
+
+
 @dataclass
 class ModelSpec:
-    """Bernoulli-logit model: intercept + standardized additive effects."""
+    """Bernoulli-logit model: an intercept with the prior N(0, MU_PRIOR_SD^2)
+    plus standardized additive effects."""
 
     effects: list[EffectDecl]
     priors: dict[str, PriorSpec]
-    intercept: bool = True
-    mu_prior_sd: float = 10.0
 
     def __post_init__(self):
         ids = [leaf for e in self.effects for leaf in e.leaf_ids]
@@ -245,12 +248,9 @@ class AssembledModel:
     def linear_predictor(self, coefficients: dict[str, np.ndarray], mu: float,
                          designs: dict[str, np.ndarray] | None = None,
                          n: int | None = None) -> np.ndarray:
+        """eta on the training rows, or on the ``n`` rows of ``designs``."""
         if designs is None:
             designs, n = self.designs, self.n_train
-        if n is None:
-            if not designs:
-                raise ValidationError("cannot infer row count without design blocks")
-            n = next(iter(designs.values())).shape[0]
         eta = np.full(n, float(mu))
         for leaf, G in designs.items():
             eta = eta + G @ coefficients[leaf]

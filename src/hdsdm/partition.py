@@ -11,7 +11,7 @@ under that grid by construction, so this equals the sum of their variances).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,12 +147,7 @@ def sensitivity_sweep(
     for q in q_values:
         priors = dict(model.priors)
         priors[split_name] = PriorSpec(split_name, "dirichlet", {"q": float(q)})
-        model_q = ModelSpec(
-            effects=model.effects,
-            priors=priors,
-            intercept=model.intercept,
-            mu_prior_sd=model.mu_prior_sd,
-        )
+        model_q = replace(model, priors=priors)
         try:
             result = fit(model_q, data, settings)
         except Exception as err:

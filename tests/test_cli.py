@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hdsdm.cli import _load_samples, main
 from hdsdm.config import RunConfig, build_model, build_settings, ingest, read_point_cloud
 from hdsdm.exceptions import ValidationError
-from hdsdm.mcmc import KERNELS, fit
+from hdsdm.mcmc import KERNELS, McmcSettings, fit
 
 
 def write_dataset(path: Path, n=240, seed=0):
@@ -111,6 +112,47 @@ class TestConfig:
         raw["mcmc"][key] = bad
         with pytest.raises(ValidationError, match=key):
             build_settings(RunConfig.from_dict(raw))
+
+    @pytest.mark.parametrize("entry, key", [(0, "nbasis"), (0, "covariates"),
+                                            (2, "priors")])
+    def test_unknown_effect_key_rejected(self, entry, key):
+        # a misspelt key would otherwise build the default silently
+        raw = base_config()
+        effect = raw["model"]["effects"][entry]
+        effect[key] = 8
+        with pytest.raises(ValidationError,
+                           match=rf"effect '{effect['id']}' has unknown keys: \['{key}'\]"):
+            RunConfig.from_dict(raw)
+
+    def test_effect_without_its_column_rejected(self):
+        raw = base_config()
+        raw["model"]["effects"][1]["support"] = raw["model"]["effects"][1].pop("covariate")
+        with pytest.raises(ValidationError, match="effect entry missing 'covariate'"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["mu_prior_sd", "effect"])
+    def test_unknown_model_key_rejected(self, key):
+        raw = base_config()
+        raw["model"][key] = 10.0
+        with pytest.raises(ValidationError, match=rf"model section has unknown keys: \['{key}'\]"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [False, 0, 1, "true", None])
+    def test_intercept_can_only_be_true(self, value):
+        raw = base_config()
+        raw["model"]["intercept"] = value
+        with pytest.raises(ValidationError, match="intercept must be true"):
+            RunConfig.from_dict(raw)
+        del raw["model"]["intercept"]
+        assert build_model(RunConfig.from_dict(raw)).effects
+
+    def test_readme_config_example_loads(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+        raw = json.loads(re.sub(r"//[^\n]*", "", example))
+        cfg = RunConfig.from_dict(raw)
+        assert build_settings(cfg) == McmcSettings(chains=4, iterations=8000, burn_in=4000,
+                                                   thinning=2, seed=1)
 
     def test_point_cloud_reader(self, tmp_path):
         p = tmp_path / "cloud.csv"
@@ -319,7 +361,11 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert "error" in record and "message" in record
 
-    @pytest.mark.parametrize("key, bad", [("seed", -1), ("iterations", 100.5)])
+    # the adaptation constants are no settings, at any value
+    @pytest.mark.parametrize("key, bad", [("seed", -1), ("iterations", 100.5),
+                                          ("adaptation_window", 50),
+                                          ("target_accept_hyper", 0.234),
+                                          ("target_accept_block", 0.44)])
     def test_bad_mcmc_settings_give_validation_record(self, workdir, capsys, key, bad):
         raw = base_config()
         raw["mcmc"][key] = bad

@@ -1,5 +1,6 @@
 """Posterior evaluation, sampler correctness oracles, prediction, metrics."""
 
+import dataclasses
 import os
 import time
 import warnings
@@ -25,7 +26,7 @@ from hdsdm.mcmc import (
     predict,
     split_rhat,
 )
-from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
+from hdsdm.model import MU_PRIOR_SD, Dataset, EffectDecl, ModelSpec, assemble
 from hdsdm.partition import phi
 from hdsdm.priors import PriorSpec
 from hdsdm.tree import (
@@ -136,7 +137,7 @@ class TestLogPosterior:
         expected = log_prior_unconstrained(asm.tree, asm.model.priors, theta)
         for leaf in asm.leaf_ids:
             expected += asm.effects[leaf].coefficient_logpdf(coeffs[leaf], s2[leaf])
-        expected += norm.logpdf(0.5, scale=asm.model.mu_prior_sd)
+        expected += norm.logpdf(0.5, scale=MU_PRIOR_SD)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_bruteforce_reimplementation(self):
@@ -167,7 +168,7 @@ class TestLogPosterior:
             expected += -0.5 * (
                 np.sum(np.log(2 * np.pi * lam[nz])) + np.sum(w**2 / lam[nz])
             )
-        expected += norm.logpdf(mu, scale=asm.model.mu_prior_sd)
+        expected += norm.logpdf(mu, scale=MU_PRIOR_SD)
         eta = (
             mu
             + asm.designs["lin"] @ u_lin
@@ -444,18 +445,15 @@ class TestFit:
             McmcSettings(chains=0)
         with pytest.raises(ValidationError):
             McmcSettings(thinning=0)
-        with pytest.raises(ValidationError, match="adaptation_window"):
-            McmcSettings(adaptation_window=0)
         for name, bad in [("seed", -1), ("seed", 1.5), ("iterations", 100.5),
                           ("chains", 2.0), ("burn_in", "10"), ("thinning", True),
-                          ("adaptation_window", None)]:
+                          ("seed", None)]:
             with pytest.raises(ValidationError, match=name):
                 McmcSettings(**{name: bad})
         assert McmcSettings(chains=np.int64(2), seed=np.uint32(7)).seed == 7
-        for name in ("target_accept_hyper", "target_accept_block"):
-            for bad in (0.0, 1.0, 1.5, -0.2, float("nan"), "0.3", None):
-                with pytest.raises(ValidationError, match=name):
-                    McmcSettings(**{name: bad})
+        # the adaptation constants are not settings
+        assert [f.name for f in dataclasses.fields(McmcSettings)] == [
+            "chains", "iterations", "burn_in", "thinning", "seed"]
 
     def test_intercept_only_recovery_against_grid_oracle(self):
         rng = np.random.default_rng(5)
@@ -593,12 +591,12 @@ class TestExactDraws:
     settings = McmcSettings(chains=2, iterations=600, burn_in=300, seed=9)
 
     def test_weight_zero_with_rows_gives_the_draws_without_data(self):
-        # with rows, V follows the exact draws, so the end-of-chain check of
-        # the linear predictor runs on real rows
+        # at weight 0 the chains see no rows, also when the data have some
         with_rows = fit(toy_model(), toy_data(n=60, seed=3), self.settings,
                         likelihood_weight=0.0)
         without = fit(toy_model(), None, self.settings, likelihood_weight=0.0)
-        assert with_rows.assembled.n_train == 60
+        assert with_rows.assembled.n_train == 0
+        assert not hasattr(with_rows, "likelihood_weight")
         assert_same_draws(with_rows, without)
         assert with_rows.acceptance == without.acceptance
 
@@ -613,7 +611,7 @@ class TestExactDraws:
         assert fitted.acceptance.keys() == prior.acceptance.keys()
         assert all(0.01 < r < 0.99 for r in fitted.acceptance.values())
 
-    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0, True, "1"])
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0, True, "1", 0.5, 2.0])
     def test_bad_likelihood_weight_rejected_before_sampling(self, monkeypatch, weight):
         def no_chain(*args):
             raise AssertionError("a chain was started")
@@ -786,6 +784,22 @@ class TestPredict:
         assert p.shape == (5,)
         with pytest.raises(ValidationError, match="mask"):  # no Dataset to mask
             predict(samples, data.rows(data.train_mask), assembled=asm, mask=np.arange(40) < 5)
+
+    def test_intercept_only_fit(self):
+        # no design blocks, so the rows are counted from the Dataset's mask;
+        # every model has its intercept, so a ModelSpec holds nothing else
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == ["effects", "priors"]
+        rng = np.random.default_rng(15)
+        data = Dataset.from_arrays(y=rng.integers(0, 2, 40), train_mask=np.arange(40) < 30)
+        result = fit(ModelSpec(effects=[], priors={}), data,
+                     McmcSettings(chains=1, iterations=200, burn_in=100, seed=1))
+        p = predict(result, data, mask=~data.train_mask)
+        expected = 1.0 / (1.0 + np.exp(-result.mu.mean()))
+        np.testing.assert_allclose(p, np.full(10, expected), rtol=1e-15)
+        assert predict(result, data).shape == (40,)
+        for columns in ({}, {"x": np.zeros(3), "g": np.ones(2)}):
+            with pytest.raises(ValidationError, match="one length"):
+                predict(result, columns)
 
     def test_out_of_support_newdata_rejected(self):
         from hdsdm.exceptions import DomainError

@@ -256,6 +256,42 @@ class TestAssemble:
             var = np.mean(np.sum(H * H, axis=1))
             assert var == pytest.approx(1.0, rel=1e-8)
 
+    def test_disconnected_spatial_lattice(self):
+        # two separated clusters leave two components of the cell lattice;
+        # each gets its own quadrature zero-mean constraint, so every draw
+        # has zero mean over each cluster
+        g = np.linspace(0.0, 0.2, 8)
+        block = np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
+        cloud = np.vstack([block, block + 0.8])
+        model = ModelSpec(
+            effects=[
+                EffectDecl("a", "linear", "a", UniformInterval(0.0, 1.0), side="abiotic"),
+                EffectDecl("spatial", "spatial2d", ("z1", "z2"), PointCloud(cloud),
+                           side="biotic", n_basis_2d=(12, 12)),
+            ],
+            priors=linear_model().priors,
+        )
+        eff = assemble(model, None).effects["spatial"]
+        assert eff.precision.null_dim == 2
+        assert eff.constraints.shape[1] == 2
+        on_first = eff.design(block).any(axis=0)
+        for col in eff.constraints.T:  # each constraint sits on one cluster
+            assert (col[on_first] == 0).all() or (col[~on_first] == 0).all()
+        H = eff.quadrature_design() @ eff.whitening_transform()
+        np.testing.assert_allclose(H[: len(block)].mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(H[len(block) :].mean(axis=0), 0.0, atol=1e-12)
+        assert np.mean(np.sum(H * H, axis=1)) == pytest.approx(1.0, rel=1e-8)
+
+        rng = np.random.default_rng(16)
+        pick = rng.integers(0, cloud.shape[0], 60)
+        data = Dataset.from_arrays(y=rng.integers(0, 2, 60), a=rng.uniform(0.0, 1.0, 60),
+                                   z1=cloud[pick, 0], z2=cloud[pick, 1])
+        result = fit(model, data, McmcSettings(chains=1, iterations=200, burn_in=100, seed=3))
+        assert np.isfinite(result.hyper_draws).all()
+        assert result.coefficients["spatial"].shape == (1, 100, eff.n_coef)
+        np.testing.assert_allclose(result.coefficients["spatial"][0] @ eff.constraints, 0.0,
+                                   atol=1e-10)
+
     def test_effect_kind_validation(self):
         with pytest.raises(ValidationError):
             EffectDecl("a", "unknown", "x", UniformInterval(0, 1))

@@ -368,6 +368,17 @@ class TestLogPrior:
         se = w.std() / np.sqrt(n)
         assert est == pytest.approx(1.0, abs=max(4 * se, 0.02))
 
+    def pc_beta_priors(self, tree):
+        """The survey priors with ``pc`` on V and ``beta`` on both binary
+        top-level splits."""
+        return {
+            **self.survey_priors(tree),
+            "total_variance": PriorSpec("total_variance", "pc", {"lam": 0.7}),
+            "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "beta", {"a": 2.0, "b": 5.0}),
+            "spatial_vs_temporal": PriorSpec("spatial_vs_temporal", "beta",
+                                             {"a": 0.5, "b": 1.5}),
+        }
+
     def test_compiled_evaluator_matches_slow_path(self):
         from test_tree import survey_tree
 
@@ -375,23 +386,49 @@ class TestLogPrior:
         from hdsdm.tree import from_unconstrained, n_coordinates, to_variances
 
         tree = survey_tree()
-        priors = self.survey_priors(tree)
-        ev = HDEvaluator(tree, priors)
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            theta = rng.normal(scale=2.0, size=n_coordinates(tree))
-            lp_fast, s2_fast = ev.evaluate(theta)
-            lp_slow = log_prior_unconstrained(tree, priors, theta)
-            s2_slow = to_variances(tree, from_unconstrained(tree, theta))
-            assert lp_fast == pytest.approx(lp_slow, rel=1e-10, abs=1e-10)
-            np.testing.assert_allclose(
-                s2_fast, [s2_slow[l] for l in tree.leaves], rtol=1e-10
-            )
-        # outside the Jeffreys truncation: -inf both ways
-        theta = np.zeros(n_coordinates(tree))
-        theta[0] = 35.0
-        assert ev.evaluate(theta)[0] == -np.inf
-        assert log_prior_unconstrained(tree, priors, theta) == -np.inf
+        for pc_beta in (False, True):
+            priors = self.pc_beta_priors(tree) if pc_beta else self.survey_priors(tree)
+            ev = HDEvaluator(tree, priors)
+            rng = np.random.default_rng(9)
+            for _ in range(50):
+                theta = rng.normal(scale=2.0, size=n_coordinates(tree))
+                lp_fast, s2_fast = ev.evaluate(theta)
+                lp_slow = log_prior_unconstrained(tree, priors, theta)
+                s2_slow = to_variances(tree, from_unconstrained(tree, theta))
+                assert lp_fast == pytest.approx(lp_slow, rel=1e-10, abs=1e-10)
+                np.testing.assert_allclose(
+                    s2_fast, [s2_slow[l] for l in tree.leaves], rtol=1e-10
+                )
+            # outside the Jeffreys truncation: -inf both ways; pc is not truncated
+            theta = np.zeros(n_coordinates(tree))
+            theta[0] = 35.0
+            assert np.isfinite(ev.evaluate(theta)[0]) == pc_beta
+            assert np.isfinite(log_prior_unconstrained(tree, priors, theta)) == pc_beta
+
+    def test_pc_and_beta_marginals_and_medians_match_scipy(self):
+        from scipy.stats import beta, expon
+        from test_tree import survey_tree
+
+        from hdsdm.priors import prior_median_theta
+        from hdsdm.tree import from_unconstrained
+
+        tree = survey_tree()
+        priors = self.pc_beta_priors(tree)
+        cdfs = marginal_cdfs(tree, priors)
+        median = from_unconstrained(tree, prior_median_theta(tree, priors))
+        # pc on V: the standard deviation sqrt(V) is exponential with rate lam
+        sd_law = expon(scale=1.0 / 0.7)
+        v = np.array([1e-6, 0.01, 0.5, 1.0, 4.0, 30.0])
+        np.testing.assert_allclose(cdfs["V"](v), sd_law.cdf(np.sqrt(v)), rtol=1e-12)
+        assert median.total == pytest.approx(sd_law.median() ** 2, rel=1e-12)
+        w = np.linspace(0.001, 0.999, 41)
+        for name, (a, b) in (("abiotic_vs_biotic", (2.0, 5.0)),
+                             ("spatial_vs_temporal", (0.5, 1.5))):
+            split = next(s for s in tree.splits if s.name == name)
+            key = f"{name}:{split.child_names[split.omega_index]}"
+            np.testing.assert_allclose(cdfs[key](w), beta(a, b).cdf(w), rtol=1e-12)
+            omega = median.proportions[name][split.omega_index]
+            assert omega == pytest.approx(beta(a, b).median(), rel=1e-9)
 
     def test_marginal_cdfs_cover_nodes(self):
         from test_tree import survey_tree
