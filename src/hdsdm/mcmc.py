@@ -231,11 +231,19 @@ def bernoulli_loglik(x: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(-out.sum())
 
 
+def _check_likelihood_weight(w) -> None:
+    real = isinstance(w, (int, float, np.integer, np.floating)) and not isinstance(w, bool)
+    if not (real and w in (0, 1)):
+        raise ValidationError(f"likelihood_weight must be 0 or 1, got {w!r}")
+
+
 def log_posterior(
     assembled: AssembledModel, state: ModelState, likelihood_weight: float = 1.0
 ) -> float:
     """Joint log density: Bernoulli likelihood + coefficient Gaussians given
-    sigma2(hd) + prior on the unconstrained HD coordinates (with Jacobian)."""
+    sigma2(hd) + prior on the unconstrained HD coordinates (with Jacobian).
+    ``likelihood_weight`` is 1, or 0 to leave the likelihood out."""
+    _check_likelihood_weight(likelihood_weight)
     tree = assembled.tree
     lp = 0.0
     if tree is not None:
@@ -249,9 +257,10 @@ def log_posterior(
                 state.coefficients[leaf], sigma2[leaf]
             )
     lp += -0.5 * (state.mu / MU_PRIOR_SD) ** 2 - 0.5 * np.log(2.0 * np.pi * MU_PRIOR_SD**2)
+    if not likelihood_weight:
+        return lp
     eta = assembled.linear_predictor(state.coefficients, state.mu)
-    x = (1.0 - 2.0 * assembled.y_train) * eta
-    return likelihood_weight * bernoulli_loglik(x) + lp
+    return bernoulli_loglik((1.0 - 2.0 * assembled.y_train) * eta) + lp
 
 
 def hyper_param_names(assembled: AssembledModel) -> list[str]:
@@ -816,12 +825,9 @@ def fit(
     the intercept and the coefficients are drawn exactly from their priors
     (see the module notes).
     """
-    w = likelihood_weight
-    real = isinstance(w, (int, float, np.integer, np.floating)) and not isinstance(w, bool)
-    if not (real and w in (0, 1)):
-        raise ValidationError(f"likelihood_weight must be 0 or 1, got {w!r}")
+    _check_likelihood_weight(likelihood_weight)
     assembled = model if isinstance(model, AssembledModel) else assemble(model, data)
-    if w == 0:
+    if not likelihood_weight:
         designs = {l: g[:0] for l, g in assembled.designs.items()}
         assembled = replace(assembled, designs=designs, y_train=assembled.y_train[:0])
     chain_rngs = [

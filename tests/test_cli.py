@@ -1,6 +1,7 @@
 """Config round-trip, ingestion validation, and CLI subcommand flows."""
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 from hdsdm.cli import _load_samples, main
-from hdsdm.config import RunConfig, build_model, build_settings, ingest, read_point_cloud
+from hdsdm.config import (
+    EFFECT_KEYS,
+    MODEL_KEYS,
+    RunConfig,
+    build_model,
+    build_settings,
+    ingest,
+    read_point_cloud,
+)
 from hdsdm.exceptions import ValidationError
 from hdsdm.mcmc import KERNELS, McmcSettings, fit
 
@@ -129,6 +138,45 @@ class TestConfig:
         raw["model"]["effects"][1]["support"] = raw["model"]["effects"][1].pop("covariate")
         with pytest.raises(ValidationError, match="effect entry missing 'covariate'"):
             RunConfig.from_dict(raw)
+
+    def test_key_sets_are_the_keys_build_model_reads(self, tmp_path):
+        # build_model reads every key that MODEL_KEYS and EFFECT_KEYS accept
+        # (but "intercept", which it need not read), and no other
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        (tmp_path / "cloud.csv").write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n0.5,0.5\n")
+        raw = base_config()
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        raw["model"]["priors"]["spatial_vs_temporal"] = {"family": "uniform"}
+        entries = [
+            ({"id": "sst2", "kind": "pspline", "covariate": "sst", "support": "sst",
+              "n_basis": 9, "side": "abiotic", "role": "main", "group": None}, "covariate"),
+            ({"id": "space", "kind": "spatial2d", "covariates": ["lon", "lat"],
+              "support": "cloud", "n_basis": [3, 3], "side": "biotic", "role": "main",
+              "group": "spatial"}, "covariates"),
+        ]
+        raw["model"]["effects"] += [entry for entry, _ in entries]
+        cfg = RunConfig.from_dict(raw)
+        read = set()  # the validation of a new config reads keys too
+        for k, (entry, column) in enumerate(entries, start=3):
+            assert set(entry) == EFFECT_KEYS | {column}
+            effects = list(cfg.model["effects"])
+            effects[k] = Recording(entry)
+            one = dataclasses.replace(cfg, model={**cfg.model, "effects": effects})
+            read = set()
+            build_model(one, tmp_path)
+            assert read == EFFECT_KEYS | {column}
+        whole = dataclasses.replace(cfg, model=Recording(cfg.model))
+        read = set()
+        build_model(whole, tmp_path)
+        assert read | {"intercept"} == MODEL_KEYS
 
     @pytest.mark.parametrize("key", ["mu_prior_sd", "effect"])
     def test_unknown_model_key_rejected(self, key):

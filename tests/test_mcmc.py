@@ -140,6 +140,16 @@ class TestLogPosterior:
         expected += norm.logpdf(0.5, scale=MU_PRIOR_SD)
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("weight", [0.5, 2.0, True, np.nan])
+    def test_bad_likelihood_weight_rejected(self, weight):
+        asm = assemble(toy_model(), toy_data(n=5))
+        state = ModelState(
+            theta=np.zeros(2), mu=0.0,
+            coefficients={l: np.zeros(asm.effects[l].n_coef) for l in asm.leaf_ids},
+        )
+        with pytest.raises(ValidationError, match="likelihood_weight must be 0 or 1"):
+            log_posterior(asm, state, likelihood_weight=weight)
+
     def test_matches_bruteforce_reimplementation(self):
         # independent oracle on a 5-observation toy model: Bernoulli pmf +
         # eigendecomposition-based subspace Gaussians + closed-form HD prior

@@ -399,11 +399,16 @@ class TestLogPrior:
                 np.testing.assert_allclose(
                     s2_fast, [s2_slow[l] for l in tree.leaves], rtol=1e-10
                 )
-            # outside the Jeffreys truncation: -inf both ways; pc is not truncated
             theta = np.zeros(n_coordinates(tree))
             theta[0] = 35.0
-            assert np.isfinite(ev.evaluate(theta)[0]) == pc_beta
-            assert np.isfinite(log_prior_unconstrained(tree, priors, theta)) == pc_beta
+            if pc_beta:
+                # pc is not truncated: finite both ways
+                assert np.isfinite(ev.evaluate(theta)[0])
+                assert np.isfinite(log_prior_unconstrained(tree, priors, theta))
+            else:
+                # outside the Jeffreys truncation: -inf both ways
+                assert ev.evaluate(theta)[0] == -np.inf
+                assert log_prior_unconstrained(tree, priors, theta) == -np.inf
 
     def test_pc_and_beta_marginals_and_medians_match_scipy(self):
         from scipy.stats import beta, expon
