@@ -123,6 +123,18 @@ def _build_dist(name: str, spec: dict, base_dir: Path):
     raise ValidationError(f"support {name!r}: unknown kind {kind!r}")
 
 
+def _n_basis(eff: dict, default: int | tuple[int, int]) -> int | tuple[int, int]:
+    """The effect's ``n_basis``: a positive integer, or a pair of them for a
+    ``spatial2d`` effect."""
+    nb = eff.get("n_basis", default)
+    pair = eff["kind"] == "spatial2d"
+    items = nb if pair and isinstance(nb, (list, tuple)) and len(nb) == 2 else [nb]
+    if len(items) == (2 if pair else 1) and all(type(x) is int and x > 0 for x in items):
+        return tuple(items) if pair else nb
+    want = "a pair of positive integers" if pair else "a positive integer"
+    raise ValidationError(f"effect {eff['id']!r}: n_basis must be {want}, got {nb!r}")
+
+
 def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
     """Materialize the declared effects and priors into a ModelSpec.
 
@@ -139,7 +151,6 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
         if kind == "spatial2d":
             cov = tuple(eff["covariates"])
             dist = dists[eff.get("support", "spatial")]
-            nb = eff.get("n_basis", [8, 8])
             effects.append(
                 EffectDecl(
                     effect_id=eff["id"],
@@ -149,7 +160,7 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
                     side=eff.get("side", "biotic"),
                     role=eff.get("role", "main"),
                     group=eff.get("group", "spatial"),
-                    n_basis_2d=(int(nb[0]), int(nb[1])),
+                    n_basis_2d=_n_basis(eff, (8, 8)),
                 )
             )
         else:
@@ -163,7 +174,7 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
                     side=eff.get("side", "abiotic"),
                     role=eff.get("role", "main"),
                     group=eff.get("group"),
-                    n_basis=int(eff.get("n_basis", 20)),
+                    n_basis=_n_basis(eff, 20),
                 )
             )
 

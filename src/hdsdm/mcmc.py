@@ -55,19 +55,21 @@ intercept and the coefficient blocks (Roberts & Rosenthal 2001), and every
 from the chain history.
 
 The chains of one fit share no state, so ``fit`` runs them at the same time
-in W = min(chains, usable CPUs) workers: worker 0 is the calling process and
-the others are ``fork``ed children, and worker w runs chains w, w + W, ....
-Each chain has its own random stream and writes disjoint rows of result
-arrays that live in anonymous shared memory, so no draw is copied between
-processes; a child sends back only its acceptance rates and kernel times.
-For the whole chain phase every loaded OpenBLAS is pinned to one thread (and
-restored afterwards): BLAS threads in each worker would compete for the same
-CPUs, and the proposal-image products give different bits at one and at two
-threads, so pinning also makes the draws independent of the machine. Where
-no OpenBLAS thread setter is found, the platform lacks ``fork`` or CPU
-affinity, or another Python thread is running (a forked child would hold
-only the forking thread), all chains run one after another in the calling
-process, with the same draws.
+in W = min(chains, usable CPUs) workers: the calling process runs chains 0,
+W, 2W, ..., and a standard-library pool of W - 1 ``fork``ed processes runs
+the others as queued tasks. Each chain has its own random stream and writes
+disjoint rows of result arrays in anonymous shared memory, which the pool
+inherits through ``fork``, so no draw is copied between processes; a task
+sends back only its acceptance rates and kernel times. When a chain fails,
+the queued chains never start, but one already running in a worker finishes
+first. For the whole chain phase every loaded OpenBLAS is pinned to one
+thread (and restored afterwards): BLAS threads in each worker would compete
+for the same CPUs, and the proposal-image products give different bits at
+one and at two threads, so pinning also makes the draws independent of the
+machine. Where no OpenBLAS thread setter is found, the platform lacks
+``fork`` or CPU affinity, or another Python thread is running (a forked
+child would hold only the forking thread), all chains run one after another
+in the calling process, with the same draws.
 """
 
 from __future__ import annotations
@@ -76,12 +78,13 @@ import contextlib
 import ctypes
 import math
 import mmap
+import multiprocessing
 import os
-import pickle
-import signal
 import threading
 import time
 from collections.abc import Sequence
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -674,68 +677,45 @@ def _shared(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
 
 
-def _chain_worker(result: FitResult, rngs: list, chains: range, fd: int) -> None:
-    """Body of a forked worker: run ``chains``, write the pickled record
-    ``(True, [(c, (rates, timings)), ...])`` or ``(False, exception)`` to
-    ``fd``, and leave by ``os._exit``, so that neither the parent's cleanup
-    nor its buffered output runs a second time. A worker that cannot write
-    its record leaves none, which the parent reports."""
-    try:
-        try:
-            record = (True, [(c, _run_chain(result, c, rngs[c])) for c in chains])
-        except Exception as err:  # noqa: BLE001 - sent to the parent, which raises it
-            record = (False, err)
-        payload = pickle.dumps(record)
-        with open(fd, "wb") as fh:
-            fh.write(payload)
-    finally:
-        os._exit(0)
+_forked = None  # (result, rngs), set only in a pool worker: inherited through fork, not pickled
+
+
+def _inherit(result: FitResult, rngs: list) -> None:
+    """Initializer of a pool worker: keep the fit's shared result arrays and
+    random streams as the fork left them."""
+    global _forked
+    _forked = (result, rngs)
+
+
+def _forked_chain(c: int) -> tuple[dict[str, float], dict[str, float]]:
+    result, rngs = _forked
+    return _run_chain(result, c, rngs[c])
 
 
 def _run_chains(
     result: FitResult, rngs: list, workers: int
 ) -> list[tuple[dict[str, float], dict[str, float]]]:
-    """(rates, timings) of every chain, running chains w, w + workers, ... in
-    worker w. Worker 0 is this process; the others are forked children that
-    write their draws into the result's shared arrays. A child's exception is
-    raised here, and on any exception every child is killed; every child is
-    reaped before this returns or raises."""
+    """(rates, timings) of every chain. This process runs chains 0, W, 2W, ...
+    (W = ``workers``); a pool of W - 1 forked processes runs the others as
+    queued tasks, writing their draws into the result's shared arrays. A
+    worker's exception is raised here. On any exception the queued chains
+    never start, but a chain already running in a worker runs to its end,
+    since the pool cannot stop it; every worker is reaped before this returns
+    or raises."""
     n = len(rngs)
-    out = {}
-    children = []  # (pid, read end of its pipe)
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _chain_worker(result, rngs, range(w, n, workers), write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        for c in range(0, n, workers):
-            out[c] = _run_chain(result, c, rngs[c])
-        for w, (pid, read_fd) in enumerate(children, start=1):
-            with open(read_fd, "rb", closefd=False) as fh:
-                payload = fh.read()
-            if not payload:
-                raise DiagnosticError(f"chain worker {w} (pid {pid}) exited without a result")
-            ok, record = pickle.loads(payload)  # written by our own child
-            if not ok:
-                raise record
-            out.update(record)
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still ours
-        raise
-    finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+    if workers == 1:
+        return [_run_chain(result, c, rngs[c]) for c in range(n)]
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(result, rngs)) as pool:
+        try:
+            forked = {c: pool.submit(_forked_chain, c) for c in range(n) if c % workers}
+            out = {c: _run_chain(result, c, rngs[c]) for c in range(0, n, workers)}
+            out.update((c, future.result()) for c, future in forked.items())
+        except BrokenProcessPool as err:
+            raise DiagnosticError("a chain worker exited without a result") from err
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return [out[c] for c in range(n)]
 
 
@@ -810,9 +790,11 @@ def fit(
     Chains are deterministic given (settings.seed, chain index); per-parameter
     split-R-hat is computed across chains for every reported hyperparameter.
 
-    The chains run at the same time in ``result.chain_workers`` =
-    min(chains, usable CPUs) workers: this process runs chains 0, W, 2W, ...
-    and ``fork``ed children run the others, writing into shared memory. Every
+    The chains run at the same time in ``result.chain_workers`` = W =
+    min(chains, usable CPUs) workers: this process runs chains 0, W, 2W, ...,
+    and a pool of W - 1 ``fork``ed processes runs the others as queued tasks,
+    writing into shared memory. If a chain fails, the queued chains are
+    cancelled, but one already running in a worker finishes first. Every
     loaded OpenBLAS runs on one thread while the chains run, so the draws do
     not depend on the CPU count or the BLAS thread setting. All chains run in
     this process when no OpenBLAS thread setter is found, the platform has no

@@ -202,11 +202,51 @@ class TestConfig:
         assert build_settings(cfg) == McmcSettings(chains=4, iterations=8000, burn_in=4000,
                                                    thinning=2, seed=1)
 
+    @pytest.mark.parametrize("bad", [[8, 8], "x", 2.7, 8.0, 0, -3, True, None])
+    def test_bad_n_basis_rejected(self, bad):
+        raw = base_config()
+        raw["model"]["effects"][0]["n_basis"] = bad
+        with pytest.raises(ValidationError,
+                           match=r"effect 'sst': n_basis must be a positive integer"):
+            build_model(RunConfig.from_dict(raw))
+
+    @pytest.mark.parametrize("bad", [8, [8], [8, 8, 8], [8, 2.5], [0, 8], ["8", 8],
+                                     [8, True], "88"])
+    def test_bad_spatial_n_basis_rejected(self, tmp_path, bad):
+        (tmp_path / "cloud.csv").write_text("0.0,0.0\n1.0,1.0\n")
+        raw = base_config()
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        raw["model"]["effects"].append(
+            {"id": "space", "kind": "spatial2d", "covariates": ["lon", "lat"],
+             "support": "cloud", "n_basis": bad})
+        raw["model"]["priors"]["spatial_vs_temporal"] = {"family": "uniform"}
+        with pytest.raises(ValidationError,
+                           match=r"effect 'space': n_basis must be a pair of positive integers"):
+            build_model(RunConfig.from_dict(raw), tmp_path)
+
+    def test_n_basis_defaults_and_pairs(self, tmp_path):
+        (tmp_path / "cloud.csv").write_text("0.0,0.0\n1.0,1.0\n")
+        raw = base_config()
+        del raw["model"]["effects"][0]["n_basis"]
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        raw["model"]["effects"].append(
+            {"id": "space", "kind": "spatial2d", "covariates": ["lon", "lat"],
+             "support": "cloud", "n_basis": [3, 4]})
+        raw["model"]["priors"]["spatial_vs_temporal"] = {"family": "uniform"}
+        decls = build_model(RunConfig.from_dict(raw), tmp_path).effects
+        assert decls[0].n_basis == 20
+        assert decls[-1].n_basis_2d == (3, 4)
+
     def test_point_cloud_reader(self, tmp_path):
         p = tmp_path / "cloud.csv"
         p.write_text("z1,z2\n0.0,0.5\n1.0,0.25\n")
         pts = read_point_cloud(p)
         np.testing.assert_allclose(pts, [[0.0, 0.5], [1.0, 0.25]])
+
+    def test_point_cloud_reader_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "cloud.csv"
+        p.write_text("z1,z2\n\n0.0,0.5\n\n\n1.0,0.25\n\n")
+        np.testing.assert_array_equal(read_point_cloud(p), [[0.0, 0.5], [1.0, 0.25]])
 
 
 class TestIngest:
@@ -317,6 +357,31 @@ class TestCliFlow:
         a = (workdir / "a" / "samples.csv").read_bytes()
         b = (workdir / "b" / "samples.csv").read_bytes()
         assert a == b
+
+    def test_seed_flag_overrides_the_config_seed(self, workdir):
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path, "--seed", "11", "--out",
+                     str(workdir / "flag")]) == 0
+        manifest = json.loads((workdir / "flag" / "manifest.json").read_text())
+        assert manifest["seed"] == 11
+        assert manifest["settings"]["seed"] == 11
+        raw = base_config()
+        raw["mcmc"]["seed"] = 11
+        RunConfig.from_dict(raw).save(workdir / "seeded.json")
+        assert main(["fit", "--config", str(workdir / "seeded.json"), "--out",
+                     str(workdir / "seeded")]) == 0
+        for name in ("samples.csv", "coefficients.csv"):
+            assert (workdir / "flag" / name).read_bytes() == \
+                (workdir / "seeded" / name).read_bytes()
+        assert json.loads((workdir / "seeded" / "manifest.json").read_text())["seed"] is None
+
+    def test_no_split_trains_on_every_row(self, workdir):
+        raw = base_config()
+        del raw["split"]
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 0
+        manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+        assert manifest["n_train"] == manifest["n_total"] == 240
 
     def test_sensitivity_writes_per_q_tables(self, workdir):
         cfg_path = str(workdir / "config.json")

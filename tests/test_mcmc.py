@@ -660,6 +660,50 @@ class TestParallelChains:
         assert_same_draws(forked, serial)
         assert serial.acceptance == forked.acceptance
 
+    def test_five_chains_queued_on_two_workers(self, monkeypatch, tmp_path):
+        if not mcmc._loaded_openblas():
+            pytest.skip("no OpenBLAS to pin: chains run in-process")
+        settings = dataclasses.replace(self.settings, chains=5)
+        run_chain = mcmc._run_chain
+
+        def recording_chain(result, c, rng):
+            (tmp_path / str(c)).write_text(str(os.getpid()))
+            return run_chain(result, c, rng)
+
+        monkeypatch.setattr(mcmc, "_run_chain", recording_chain)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pooled = self.fit_toy(settings)
+        assert pooled.chain_workers == 2
+        ran_here = {int(p.name) for p in tmp_path.iterdir()
+                    if p.read_text() == str(os.getpid())}
+        assert ran_here == {0, 2, 4}  # the rest ran in the pool
+        assert_no_children()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = self.fit_toy(settings)
+        assert serial.chain_workers == 1
+        assert_same_draws(pooled, serial)
+        assert serial.acceptance == pooled.acceptance
+
+    def test_failing_chain_zero_cancels_the_queued_chains(self, monkeypatch, tmp_path):
+        if not mcmc._loaded_openblas():
+            pytest.skip("no OpenBLAS to pin: chains run in-process")
+
+        def chain(result, c, rng):
+            (tmp_path / str(c)).touch()
+            if c == 0:
+                raise ValidationError("chain 0 failed")
+            time.sleep(0.2)  # keep the worker busy while the error is raised
+            return {}, {}
+
+        monkeypatch.setattr(mcmc, "_run_chain", chain)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(ValidationError, match="chain 0 failed"):
+            self.fit_toy(dataclasses.replace(self.settings, chains=8))
+        started = {int(p.name) for p in tmp_path.iterdir()}
+        assert 0 in started and not started & {2, 4, 6}  # the caller stopped at chain 0
+        assert not {1, 3, 5, 7} <= started  # queued chains were cancelled
+        assert_no_children()
+
     def test_chain_error_raised_and_children_reaped(self, monkeypatch):
         def drifted(*args):
             raise DiagnosticError("incremental linear predictor drifted by 1 (test)")

@@ -80,6 +80,53 @@ class TestBuildDefaultTree:
         split = tree.split("abiotic_mains_vs_interactions")
         assert split.child_names[split.omega_index] == "x1x2"
 
+    def test_several_interaction_groups_share_one_split(self):
+        tree = build_default_tree(
+            [
+                EffectLabel("x1", side="abiotic"),
+                EffectLabel("x2", side="abiotic"),
+                EffectLabel("x1x2", side="abiotic", role="interaction"),
+                EffectLabel("x1x3_lin", side="abiotic", role="interaction", group="x1x3"),
+                EffectLabel("x1x3_nonlin", side="abiotic", role="interaction", group="x1x3"),
+                EffectLabel("spatial", side="biotic", group="spatial"),
+            ]
+        )
+        splits = {s.name: (s.child_names, s.omega_index) for s in tree.splits}
+        assert splits == {
+            "abiotic_vs_biotic": (("abiotic_mains_vs_interactions", "spatial"), 0),
+            "abiotic_mains_vs_interactions": (("covariates", "abiotic_interactions"), 1),
+            "covariates": (("x1", "x2"), 0),
+            "abiotic_interactions": (("x1x2", "x1x3_flex"), 0),
+            "x1x3_flex": (("x1x3_lin", "x1x3_nonlin"), 1),
+        }
+        assert [s.name for s in tree.splits] == list(splits)  # preorder
+        assert tree.leaves == ("x1", "x2", "x1x2", "x1x3_lin", "x1x3_nonlin", "spatial")
+
+    def test_side_with_only_interactions(self):
+        tree = build_default_tree(
+            [
+                EffectLabel("x1", side="abiotic"),
+                EffectLabel("space_time", side="biotic", role="interaction"),
+                EffectLabel("space_year", side="biotic", role="interaction"),
+            ]
+        )
+        splits = {s.name: (s.child_names, s.omega_index) for s in tree.splits}
+        assert splits == {
+            "abiotic_vs_biotic": (("x1", "biotic_interactions"), 0),
+            "biotic_interactions": (("space_time", "space_year"), 0),
+        }
+        assert tree.leaves == ("x1", "space_time", "space_year")
+        # one interaction group on its own is its flexibility chain, with no split above it
+        alone = build_default_tree(
+            [
+                EffectLabel("st_a", side="biotic", role="interaction", group="st"),
+                EffectLabel("st_b", side="biotic", role="interaction", group="st"),
+            ]
+        )
+        assert [(s.name, s.child_names, s.omega_index) for s in alone.splits] == \
+            [("st_flex", ("st_a", "st_b"), 1)]
+        assert alone.leaves == ("st_a", "st_b")
+
     def test_no_interactions_prunes_level_two(self):
         names = [s.name for s in survey_tree().splits]
         assert not any("mains_vs_interactions" in n for n in names)
