@@ -4,8 +4,9 @@ One iteration performs: (a) a multivariate random-walk update of the
 unconstrained hyperparameter coordinates with an adapted proposal covariance
 (non-centered: coefficients keep their whitened values, so the likelihood
 sees rescaled effects); (b) an interweaved centered update of the same
-coordinates holding the latent effects fixed (no likelihood evaluation,
-coefficients rescaled on acceptance) to keep hyperparameter mixing robust
+coordinates holding the latent effects fixed (Yu & Meng 2011: no likelihood,
+the ratio needs only the differences of the leaf log scales, and the whitened
+coefficients are rescaled on acceptance) to keep hyperparameter mixing robust
 when the likelihood is informative; (c) a scalar intercept update; and
 (d) one joint Gaussian random-walk update per coefficient block in
 prior-whitened coordinates, which both enforces the effect constraints
@@ -30,7 +31,9 @@ N(0, I). A random walk on such a target would only add autocorrelation and
 cost. These kernels report an acceptance rate of 1 and adapt nothing; (a)
 and (b) stay Metropolis steps, since they are what a prior check validates
 (the HD prior density and its Jacobian). Such a chain evaluates no
-likelihood and forms no images.
+likelihood and forms no images. Nor does it do what (d) discards in the same
+iteration: (b) rescales nothing, and xi and |xi|^2 are rows of the block's
+noise and norms, turned into effects only for a retained draw and the check.
 
 Bookkeeping stays out of the way of the likelihood. Each chain multiplies
 the rows of its designs by the sign 1 - 2y once, so the proposal images, ``V``
@@ -315,32 +318,26 @@ def _check_divergent(acc: dict[str, "_Accept"]) -> dict[str, float]:
     return rates
 
 
-def _centered_terms(
-    sig: np.ndarray, sig_new: np.ndarray, qnorm: list[float], dims: list[int]
-) -> tuple[float, list[float], list[float]]:
-    """Log acceptance ratio of the centered move (b), less its prior terms,
-    from leaf scales ``sig`` to ``sig_new`` with ``qnorm`` = |xi|^2 and
-    ``dims`` free coefficients per leaf; also the rescale factors
-    sig / sig_new and their squares.
+def _centered_log_ratio(
+    lsig: list[float], lsig_new: list[float], qnorm: list[float], dims: list[int]
+) -> float:
+    """Log acceptance ratio of the centered move (b), less its prior terms.
 
-    The arithmetic is on Python floats and gives the bits of the numpy
-    scalar form. Where that form gives -inf or nan, a rejection, so does this
-    one: a zero scale and a squared factor that overflows give -inf.
+    The effects sigma * xi stay fixed while each leaf's log sigma moves from
+    ``lsig`` to ``lsig_new``; with D = lsig_new - lsig, xi becomes
+    exp(-D) xi, and for a leaf with ``dims`` free coefficients and
+    ``qnorm`` = |xi|^2 the coefficient density changes by
+    -dims D - q/2 (exp(-2D) - 1). Where exp(-2D) overflows, or q = 0 meets
+    an infinite term, the ratio is -inf: the move is rejected.
     """
-    cur, new = sig.tolist(), sig_new.tolist()
-    if 0.0 in cur or 0.0 in new:
-        return -math.inf, [], []
-    # numpy's log on the arrays: math.log rounds some values differently
-    log_ratio = (np.log(sig_new) - np.log(sig)).tolist()
-    ratios = [a / b for a, b in zip(cur, new)]
+    out = 0.0
     try:
-        squares = [r**2 for r in ratios]
+        for n, a, b, q in zip(dims, lsig, lsig_new, qnorm):
+            delta = b - a
+            out -= n * delta + 0.5 * q * (math.exp(-2.0 * delta) - 1.0)
     except OverflowError:
-        return -math.inf, [], []
-    term = 0.0
-    for n, lr, q, r2 in zip(dims, log_ratio, qnorm, squares):
-        term += -n * lr - 0.5 * q * (r2 - 1.0)
-    return term, ratios, squares
+        return -math.inf
+    return -math.inf if math.isnan(out) else out
 
 
 def _check_eta(
@@ -371,29 +368,26 @@ def _run_chain(
     n_obs = y.size
     d = n_coordinates(tree) if tree is not None else 0
 
-    transforms = {l: assembled.effects[l].whitening_transform() for l in leaves}
-    free_dims = {l: transforms[l].shape[1] for l in leaves}
-
-    evaluator = HDEvaluator(tree, priors) if tree is not None else None
-
-    def eval_theta(theta):
-        """(log prior incl. Jacobian, per-leaf sigma) or (-inf, None)."""
-        if tree is None:
-            return 0.0, np.zeros(0)
-        lp, s2 = evaluator.evaluate(theta)
-        if s2 is None:
-            return -np.inf, None
-        return lp, np.sqrt(s2)
+    transforms = [assembled.effects[l].whitening_transform() for l in leaves]
+    dims = [T.shape[1] for T in transforms]  # free coefficients per leaf
 
     # initialization: HD coordinates at prior medians, coefficients at zero,
     # intercept at the empirical logit
-    theta = prior_median_theta(tree, priors).copy() if tree is not None else np.zeros(0)
+    if tree is None:
+        theta, lp_theta, lsig = np.zeros(0), 0.0, []
+    else:
+        evaluator = HDEvaluator(tree, priors)
+        theta = prior_median_theta(tree, priors).copy()
+        lp_theta, lsig = evaluator.evaluate(theta)  # lsig: log sigma per leaf
+        if not math.isfinite(lp_theta):
+            raise DiagnosticError("non-finite log prior at the initial state")
+    sig = np.exp(lsig)
     if n_obs:
         p0 = float(np.clip(y.mean(), 0.01, 0.99))
         mu = float(np.log(p0) - np.log1p(-p0))
     else:
         mu = 0.0
-    xi = {l: np.zeros(free_dims[l]) for l in leaves}
+    xi = [np.zeros(n) for n in dims]
     qnorm = [0.0] * len(leaves)  # |xi|^2 per leaf
 
     # Per leaf, row 0 of `whitened` is the current xi and rows 1.. are the
@@ -407,11 +401,12 @@ def _run_chain(
     # blocks, and each block's product rebuilds it from xi, so that the
     # rounding error the centered rescaling multiplies stays small. A
     # one-column design maps by an outer product, which gives the bits of the
-    # matrix product at a fraction of its cost. Without training rows, (d)
-    # takes noise row j itself as the new xi, with its squared norm from
-    # `noise_norms`, and no image is formed.
-    whitened = [np.zeros((PROPOSAL_BLOCK + 1, free_dims[l])) for l in leaves]
-    noise_norms = [[] for _ in leaves]
+    # matrix product at a fraction of its cost. Without training rows, xi
+    # after (d) is noise row j itself, with its squared norms from row j of
+    # `noise_norms`; xi and sig are formed only where a draw is stored and at
+    # the end, and no image is formed.
+    whitened = [np.zeros((PROPOSAL_BLOCK + 1, n)) for n in dims]
+    noise_norms = np.zeros((PROPOSAL_BLOCK + 1, len(leaves)))
     images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
     V = images[:, 0]
     designs_t = [np.multiply(assembled.designs[l].T, sign, order="C") for l in leaves]
@@ -422,18 +417,16 @@ def _run_chain(
     # work array, and holds mu * sign in (a).
     x_bufs = (np.empty(n_obs), np.empty(n_obs))
     scratch = np.empty(n_obs)
-    lp_theta, sig = eval_theta(theta)
     x = x_bufs[0]
     np.matmul(sig, V, out=x)
     x += np.multiply(sign, mu, out=scratch)
     ll = bernoulli_loglik(x, scratch)
-    if not (np.isfinite(lp_theta) and np.isfinite(ll)):
-        raise DiagnosticError("non-finite log posterior at the initial state")
+    if not math.isfinite(ll):
+        raise DiagnosticError("non-finite log likelihood at the initial state")
 
     # Without training rows the full conditionals of (c) and (d) are the
     # priors N(0, MU_PRIOR_SD^2) and N(0, I), which are drawn exactly.
     exact = n_obs == 0
-    dims = [free_dims[l] for l in leaves]
 
     prop_chol = np.eye(d)
     theta_history = np.empty((settings.burn_in, d))
@@ -444,20 +437,20 @@ def _run_chain(
     }
     if not exact:
         acc["mu"] = _Accept(np.log(0.5), TARGET_ACCEPT_BLOCK)
-        for l in leaves:
-            acc[f"coef[{l}]"] = _Accept(np.log(2.38 / np.sqrt(free_dims[l])), TARGET_ACCEPT_BLOCK)
+        for l, n in zip(leaves, dims):
+            acc[f"coef[{l}]"] = _Accept(np.log(2.38 / np.sqrt(n)), TARGET_ACCEPT_BLOCK)
     acc_coef = [] if exact else [acc[f"coef[{l}]"] for l in leaves]
 
     def coefficients() -> dict[str, np.ndarray]:
         """The current effects u = sigma T xi."""
-        return {l: sig[k] * (transforms[l] @ xi[l]) for k, l in enumerate(leaves)}
+        return {l: sig[k] * (transforms[k] @ xi[k]) for k, l in enumerate(leaves)}
 
     def store_coefficients(kept: int) -> None:
         """Write the current effects into retained draw ``kept`` in place;
         the same values as ``coefficients()``."""
         for k, l in enumerate(leaves):
             row = result.coefficients[l][c, kept]
-            np.matmul(transforms[l], xi[l], out=row)
+            np.matmul(transforms[k], xi[k], out=row)
             row *= sig[k]
 
     def alpha_of(logr: float) -> float:
@@ -475,16 +468,19 @@ def _run_chain(
 
         j = it % PROPOSAL_BLOCK + 1
         if j == 1:
-            for k, l in enumerate(leaves):
-                # xi may be a view of a noise row, so it moves to row 0 before
-                # the noise rows are drawn again
-                whitened[k][0] = xi[l]
-                xi[l] = whitened[k][0]
-                rng.standard_normal(out=whitened[k][1:])
+            for k, w in enumerate(whitened):
                 if exact:
-                    noise_norms[k] = np.einsum("ij,ij->i", whitened[k], whitened[k]).tolist()
+                    rng.standard_normal(out=w[1:])
+                    np.einsum("ij,ij->i", w, w, out=noise_norms[:, k])
                 else:
-                    image_ops[k](whitened[k] @ transforms[l].T, designs_t[k], out=images[k])
+                    # xi may be a view of a noise row, so it moves to row 0
+                    # before the noise rows are drawn again
+                    w[0] = xi[k]
+                    xi[k] = w[0]
+                    rng.standard_normal(out=w[1:])
+                    image_ops[k](w @ transforms[k].T, designs_t[k], out=images[k])
+            if exact:
+                block_norms = noise_norms.tolist()
         t1 = clock()
         t_prop += t1 - t0
 
@@ -492,12 +488,13 @@ def _run_chain(
             # (a) hyper block, non-centered: effects rescale with sigma
             step = acc["hyper"].scale * (prop_chol @ rng.standard_normal(d))
             theta_new = theta + step
-            lp_new, sig_new = eval_theta(theta_new)
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
             if not math.isfinite(lp_new):
                 logr = -math.inf
             elif exact:
                 logr = lp_new - lp_theta
             else:
+                sig_new = np.exp(lsig_new)
                 x_new = x_bufs[x is x_bufs[0]]
                 np.matmul(sig_new, V, out=x_new)
                 x_new += np.multiply(sign, mu, out=scratch)
@@ -505,30 +502,34 @@ def _run_chain(
                 logr = ll_new - ll + lp_new - lp_theta
             alpha = alpha_of(logr)
             if rng.random() < alpha:
-                theta, sig, lp_theta = theta_new, sig_new, lp_new
+                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
                 if not exact:
-                    x, ll = x_new, ll_new
+                    sig, x, ll = sig_new, x_new, ll_new
             acc["hyper"].update(alpha, it, adapting)
             t0 = clock()
             t_hyper += t0 - t1
 
             # (b) hyper block, centered interweave: effects held fixed, so the
-            # likelihood is unchanged; coefficients rescale on acceptance
+            # likelihood is unchanged; the ratio needs only log sigma
             step = acc["hyper_centered"].scale * (prop_chol @ rng.standard_normal(d))
             theta_new = theta + step
-            lp_new, sig_new = eval_theta(theta_new)
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
             logr = -math.inf
             if math.isfinite(lp_new):
-                term, ratios, squares = _centered_terms(sig, sig_new, qnorm, dims)
-                logr = term + lp_new - lp_theta
+                logr = _centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp_theta
             alpha = alpha_of(logr)
             if rng.random() < alpha:
-                for k, l in enumerate(leaves):
-                    xi[l] *= ratios[k]
-                    qnorm[k] *= squares[k]
                 if not exact:
-                    V *= np.array(ratios)[:, None]
-                theta, sig, lp_theta = theta_new, sig_new, lp_new
+                    # xi scales by sig / sig_new; an exact chain's (d) draws
+                    # xi and qnorm afresh in this iteration
+                    sig_new = np.exp(lsig_new)
+                    ratios = sig / sig_new
+                    for k, r in enumerate(ratios.tolist()):
+                        xi[k] *= r
+                        qnorm[k] *= r * r
+                    V *= ratios[:, None]
+                    sig = sig_new
+                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
             acc["hyper_centered"].update(alpha, it, adapting)
             t1 = clock()
             t_centered += t1 - t0
@@ -551,13 +552,11 @@ def _run_chain(
 
         # (d) coefficient blocks in prior-whitened coordinates
         if exact:
-            for k, l in enumerate(leaves):
-                xi[l] = whitened[k][j]
-                qnorm[k] = noise_norms[k][j]
+            qnorm = block_norms[j]  # xi is noise row j of each leaf's block
         else:
-            for k, l in enumerate(leaves):
+            for k, w in enumerate(whitened):
                 s = acc_coef[k].scale
-                xi_new = xi[l] + s * whitened[k][j]
+                xi_new = xi[k] + s * w[j]
                 q_new = float(xi_new @ xi_new)
                 x_new = np.multiply(images[k, j], sig[k] * s, out=x_bufs[x is x_bufs[0]])
                 x_new += x
@@ -565,7 +564,7 @@ def _run_chain(
                 logr = ll_new - ll - 0.5 * (q_new - qnorm[k])
                 alpha = alpha_of(logr)
                 if rng.random() < alpha:
-                    xi[l], qnorm[k], x, ll = xi_new, q_new, x_new, ll_new
+                    xi[k], qnorm[k], x, ll = xi_new, q_new, x_new, ll_new
                     V[k] += s * images[k, j]
                 acc_coef[k].update(alpha, it, adapting)
         t1 = clock()
@@ -592,11 +591,15 @@ def _run_chain(
 
         kept, skip = divmod(it - settings.burn_in, settings.thinning)
         if kept >= 0 and skip == 0:
+            if exact:
+                xi, sig = [w[j] for w in whitened], np.exp(lsig)
             store_coefficients(kept)
             result.theta[c, kept] = theta
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
+    if exact:
+        xi, sig = [w[j] for w in whitened], np.exp(lsig)
     _check_eta(assembled, coefficients(), mu, sign * x)
     rates = _check_divergent(acc)
     if exact:

@@ -540,112 +540,109 @@ def log_prior_unconstrained(tree: DecompTree, priors, theta: np.ndarray) -> floa
 
 
 class HDEvaluator:
-    """Precompiled joint evaluation of the HD prior and leaf variances.
+    """Precompiled joint evaluation of the HD prior and the leaf scales.
 
-    Bundles, per split, the theta offsets, the Dirichlet-style exponents
-    with the log-ratio Jacobian folded in, and per-leaf root-to-leaf index
-    paths, so the MCMC hot loop does one flat pass per proposal. Numerics
-    match ``log_prior_unconstrained`` + ``to_variances``. Priors that do not
-    fit the tree raise ValidationError (``_as_prior_map``).
+    ``evaluate(theta)`` returns the log prior density of the unconstrained
+    coordinates, Jacobian included, and the log sigma of each leaf in
+    ``tree.leaves`` order as a list of floats; outside the support, or where
+    the density underflows, it returns (-inf, None). It is one flat pass on
+    Python floats that calls no numpy. Each split writes the log variance of
+    each child once into a flat list: its own entry plus the child's log
+    proportion (a log-sigmoid for a binary split, a float log-sum-exp for a
+    multi-branch one). So a leaf's entry is log V plus the sum of the log
+    proportions on its root-to-leaf path, and its log sigma is half of it.
+    The entry indices and each node's constants are fixed here.
+
+    Where every proportion is at least ``tree.PROPORTION_FLOOR``, the values
+    agree with ``log_prior_unconstrained`` and ``to_variances`` up to
+    rounding. Beyond that floor the reference clamps the proportions and this
+    does not: it gives the unclamped density, with log-softmax proportions.
+    Priors that do not fit the tree raise ValidationError (``_as_prior_map``).
     """
 
     def __init__(self, tree: DecompTree, priors):
         pm = _as_prior_map(tree, priors)
         v_spec = pm["total_variance"]
-        self.v_family = v_spec.family
-        # scalars are kept as Python floats, so that evaluate does its scalar
-        # arithmetic on floats (the same IEEE operations as on numpy scalars)
-        lam = v_spec.params.get("lam")
-        self.v_lam = None if lam is None else float(lam)
+        # pc: lam and log(lam) - log(2); jeffreys: no lam and the log normalizer
+        if v_spec.family == "pc":
+            self.v_lam = float(v_spec.params["lam"])
+            self.v_const = math.log(self.v_lam) - math.log(2.0)
+        else:
+            self.v_lam = None
+            self.v_const = -math.log(JEFFREYS_LOG_BOUNDS[1] - JEFFREYS_LOG_BOUNDS[0])
 
-        # per split: (start, n_children, is_binary, omega_index, kind,
-        #             conc-or-lam, lognorm-or-const)
+        # per split, in pre-order: (theta position, entry of its own log
+        # variance, n_children, omega_index, kind, a, const), with a the
+        # exponents (designated child first for a binary split) of the
+        # Dirichlet-style density with the log-ratio Jacobian folded in, or
+        # lam for pc0. Entry 0 of the flat list is log V, and each split's
+        # children follow those of the splits before it.
         self.split_meta = []
-        pos = 1
+        entry = {tree.leaves: 0}  # leaves below a node -> entry of its log variance
+        pos = n_entries = 1
         for s in tree.splits:
             spec = pm[s.name]
-            n = s.n_children
-            start = pos
-            pos += 1 if s.is_binary else n - 1
+            own = entry[sum(s.child_leaves, ())]
+            for ci, leaves in enumerate(s.child_leaves):
+                entry[leaves] = n_entries + ci
+            n_entries += s.n_children
             if spec.family == "pc0":
                 lam = float(spec.params["lam"])
                 const = float(np.log(lam) - np.log(2.0) - np.log(-np.expm1(-lam)))
-                self.split_meta.append(
-                    (start, n, s.is_binary, s.omega_index, "pc0", lam, const)
-                )
-                continue
-            if spec.family == "beta":
-                conc = np.empty(2)
-                conc[s.omega_index] = spec.params["a"]
-                conc[1 - s.omega_index] = spec.params["b"]
+                self.split_meta.append((pos, own, 2, s.omega_index, "pc0", lam, const))
             else:
-                conc = _concentration(s, spec)
-            lognorm = float(gammaln(conc.sum()) - gammaln(conc).sum())
-            # prior exponent (conc - 1) plus the log-ratio Jacobian
-            if s.is_binary:
-                conc = tuple(conc.tolist())
-            self.split_meta.append(
-                (start, n, s.is_binary, s.omega_index, "dirichlet", conc, lognorm)
-            )
+                if spec.family == "beta":
+                    conc = np.array([spec.params["a"], spec.params["b"]], dtype=float)
+                else:
+                    conc = _concentration(s, spec)
+                    if s.is_binary:
+                        conc = conc[[s.omega_index, 1 - s.omega_index]]
+                const = float(gammaln(conc.sum()) - gammaln(conc).sum())
+                self.split_meta.append((pos, own, s.n_children, s.omega_index, "dirichlet",
+                                        tuple(conc.tolist()), const))
+            pos += 1 if s.is_binary else s.n_children - 1
+        self.leaf_entries = [entry[(leaf,)] for leaf in tree.leaves]
 
-        self.leaf_paths = []
-        for leaf in tree.leaves:
-            path = []
-            for k, s in enumerate(tree.splits):
-                for ci, leaves in enumerate(s.child_leaves):
-                    if leaf in leaves:
-                        path.append((k, ci))
-                        break
-            self.leaf_paths.append(path)
-
-    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """(log prior incl. Jacobian, leaf variances in tree.leaves order)."""
+    def evaluate(self, theta: np.ndarray) -> tuple[float, list[float] | None]:
+        """(log prior incl. Jacobian, log sigma per leaf in tree.leaves order)."""
         th = theta.tolist()
         t = th[0]
-        if self.v_family == "jeffreys":
+        if self.v_lam is None:
             lo, hi = JEFFREYS_LOG_BOUNDS
             if not lo <= t <= hi:
-                return -np.inf, None
-            logp = -math.log(hi - lo)
+                return -math.inf, None
+            logp = self.v_const
         else:
-            lam = self.v_lam
-            logp = math.log(lam) - lam * math.exp(0.5 * t) - math.log(2.0) + 0.5 * t
+            try:
+                logp = self.v_const - self.v_lam * math.exp(0.5 * t) + 0.5 * t
+            except OverflowError:  # V above exp(1419): the density underflows
+                return -math.inf, None
 
-        log_props = []
-        for start, n, is_binary, omega_index, kind, a, b in self.split_meta:
-            if is_binary:
-                x = th[start]
-                if x > 0:
-                    log_w = -math.log1p(math.exp(-x))
-                else:
-                    log_w = x - math.log1p(math.exp(x))
+        logs = [t]
+        for pos, own, n, omega_index, kind, a, const in self.split_meta:
+            base = logs[own]
+            if n == 2:
+                x = th[pos]
+                # log w and log(1 - w) of the designated proportion w = 1/(1 + exp(-x))
+                log_w = -math.log1p(math.exp(-x)) if x > 0 else x - math.log1p(math.exp(x))
+                log_v = log_w - x
                 if omega_index == 0:
-                    lp_children = (log_w, log_w - x)
+                    logs += (base + log_w, base + log_v)
                 else:
-                    lp_children = (log_w - x, log_w)
+                    logs += (base + log_v, base + log_w)
                 if kind == "dirichlet":
-                    logp += b + a[0] * lp_children[0] + a[1] * lp_children[1]
+                    logp += const + a[0] * log_w + a[1] * log_v
                 else:  # pc0
-                    w = math.exp(log_w)
-                    logp += b - a * math.sqrt(w) + 0.5 * log_w + (log_w - x)
+                    logp += const - a * math.exp(0.5 * log_w) + 0.5 * log_w + log_v
             else:
-                # exp, sum and dot stay numpy's: math.exp and a Python sum
-                # round differently
-                raw = th[start : start + n - 1]
+                raw = th[pos : pos + n - 1]
                 raw.append(0.0)
                 top = max(raw)
-                raw = [r - top for r in raw]
-                log_sum = math.log(np.exp(raw).sum())
-                lp_children = [r - log_sum for r in raw]
-                logp += b + float(np.dot(a, lp_children))
-            log_props.append(lp_children)
-        sigma2 = np.empty(len(self.leaf_paths))
-        for i, path in enumerate(self.leaf_paths):
-            acc = t
-            for k, ci in path:
-                acc += log_props[k][ci]
-            sigma2[i] = math.exp(acc)
-        return logp, sigma2
+                log_sum = top + math.log(sum([math.exp(r - top) for r in raw]))
+                lp = [r - log_sum for r in raw]
+                logs += [base + r for r in lp]
+                logp += const + sum([ai * r for ai, r in zip(a, lp)])
+        return logp, [0.5 * logs[i] for i in self.leaf_entries]
 
 
 def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:

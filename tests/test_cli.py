@@ -113,13 +113,15 @@ class TestConfig:
         assert build_settings(cfg).seed == 5
         assert build_settings(cfg, seed_override=9).seed == 9
 
-    @pytest.mark.parametrize("key, bad", [("adaptation_window", 0),
-                                          ("target_accept_block", 1.5),
-                                          ("target_accept_hyper", 0.0)])
+    @pytest.mark.parametrize("key, bad", [("thinning", 0), ("chains", True),
+                                          ("burn_in", 600)])  # iterations is 600
     def test_build_settings_rejects_breaking_values(self, key, bad):
+        message = {"thinning": r"^thinning must be >= 1$",
+                   "chains": r"^chains must be an integer, got True$",
+                   "burn_in": r"^need iterations > burn_in >= 0$"}[key]
         raw = base_config()
         raw["mcmc"][key] = bad
-        with pytest.raises(ValidationError, match=key):
+        with pytest.raises(ValidationError, match=message):
             build_settings(RunConfig.from_dict(raw))
 
     @pytest.mark.parametrize("entry, key", [(0, "nbasis"), (0, "covariates"),

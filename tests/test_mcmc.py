@@ -1,6 +1,7 @@
 """Posterior evaluation, sampler correctness oracles, prediction, metrics."""
 
 import dataclasses
+import math
 import os
 import time
 import warnings
@@ -28,7 +29,7 @@ from hdsdm.mcmc import (
 )
 from hdsdm.model import MU_PRIOR_SD, Dataset, EffectDecl, ModelSpec, assemble
 from hdsdm.partition import phi
-from hdsdm.priors import PriorSpec
+from hdsdm.priors import HDEvaluator, PriorSpec
 from hdsdm.tree import (
     EffectLabel,
     build_default_tree,
@@ -282,6 +283,36 @@ class TestLogPosterior:
         assert full_delta == pytest.approx(gauss_delta + lik_delta, rel=1e-12)
 
 
+    def test_centered_ratio_matches_the_log_posterior(self):
+        # the centered move (b) holds the effects u = sigma T xi fixed, so its
+        # ratio plus the change of the HD prior is the change of the joint
+        # density at likelihood weight 0; log_posterior reaches the effects'
+        # densities through coefficient_logpdf and the prior through
+        # log_prior_unconstrained, and shares no code with the ratio
+        from test_model import survey_data, survey_model
+
+        asm = assemble(survey_model(), survey_data(n=300, seed=3))
+        evaluator = HDEvaluator(asm.tree, asm.model.priors)
+        transforms = [asm.effects[l].whitening_transform() for l in asm.leaf_ids]
+        dims = [T.shape[1] for T in transforms]
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            theta = rng.normal(0.0, 1.5, n_coordinates(asm.tree))
+            theta_new = theta + rng.normal(0.0, 0.5, theta.size)
+            lp, lsig = evaluator.evaluate(theta)
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
+            xi = [rng.standard_normal(n) for n in dims]
+            coefficients = {
+                l: math.exp(s) * (T @ z) for l, s, T, z in zip(asm.leaf_ids, lsig, transforms, xi)
+            }
+            want = log_posterior(
+                asm, ModelState(theta_new, 0.3, coefficients), likelihood_weight=0.0
+            ) - log_posterior(asm, ModelState(theta, 0.3, coefficients), likelihood_weight=0.0)
+            qnorm = [float(z @ z) for z in xi]
+            got = mcmc._centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp
+            assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestBitIdentity:
     """The sampler's shortcuts give the same bits as the plain computations."""
 
@@ -323,40 +354,27 @@ class TestBitIdentity:
             ref = hyper_values_per_draw(result.assembled.tree, result.theta[c], result.mu[c])
             np.testing.assert_array_equal(result.hyper_draws[c], ref)
 
-    def test_centered_terms_match_the_numpy_scalar_form(self):
-        # the centered move (b) as numpy arrays and scalars, the reference
-        # for the float arithmetic of _centered_terms
-        def numpy_form(sig, sig_new, qnorm, dims):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                log_ratio = np.log(sig_new) - np.log(sig)
-                term = 0.0
-                for k in range(sig.size):
-                    r = (sig[k] / sig_new[k]) ** 2
-                    term += -dims[k] * log_ratio[k] - 0.5 * qnorm[k] * (r - 1.0)
-                rescale = sig / sig_new
-                return term, rescale, [f**2 for f in rescale]
-
-        rng = np.random.default_rng(21)
+    def test_centered_ratio_rejects_at_the_extremes(self):
+        # log-sigma differences of about +-460 (sigma = 1e-200 or 1e200
+        # against 1) and infinite ones (a zero or infinite sigma): where
+        # exp(-2D) overflows, or q = 0 meets an infinite term, the move is
+        # rejected, and no exception escapes; where exp(-2D) underflows the
+        # ratio is -dims D + q/2
         dims = [1, 1, 4, 16, 2, 9, 25]
-        cases = []
-        for _ in range(20_000):
-            sig = np.sqrt(np.exp(rng.uniform(-60.0, 40.0, 7)))
-            sig_new = sig * np.exp(rng.normal(0.0, 0.5, 7))
-            cases.append((sig, sig_new, rng.chisquare(dims).tolist()))
-        ones = np.ones(7)
-        for k, bad in enumerate([0.0, np.inf, 1e-200, 1e200]):  # rejections
-            sig = ones.copy()
-            sig[k] = bad
-            cases += [(sig, ones, [1.0] * 7), (ones, sig, [0.0] * 7)]
-        for sig, sig_new, qnorm in cases:
-            want, rescale, squares = numpy_form(sig, sig_new, qnorm, dims)
-            got, got_rescale, got_squares = mcmc._centered_terms(sig, sig_new, qnorm, dims)
-            if np.isfinite(want):
-                assert got == want
-                assert got_rescale == rescale.tolist()
-                assert got_squares == squares
-            else:  # -inf or nan, either way the move is rejected
-                assert not got > -np.inf
+        unit = [0.0] * 7  # log sigma of sigma = 1
+        big = math.log(1e200)
+        for k in range(7):
+            for bad in (-big, big, -math.inf, math.inf):
+                moved = unit.copy()
+                moved[k] = bad
+                for lsig, lsig_new in ((moved, unit), (unit, moved)):
+                    delta = lsig_new[k] - lsig[k]
+                    for q in (0.0, 1.0):
+                        got = mcmc._centered_log_ratio(lsig, lsig_new, [q] * 7, dims)
+                        if delta < 0:
+                            assert got == -math.inf
+                        else:
+                            assert got == pytest.approx(-dims[k] * delta + 0.5 * q, rel=1e-15)
 
     def test_one_column_image_is_the_matrix_product(self):
         rng = np.random.default_rng(4)

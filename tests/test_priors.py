@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest, t as student_t
 
@@ -12,6 +15,7 @@ from hdsdm.gmrf import build_rw2
 from hdsdm.mcmc import McmcSettings, fit
 from hdsdm.model import Dataset, EffectDecl, ModelSpec
 from hdsdm.priors import (
+    JEFFREYS_LOG_BOUNDS,
     HDEvaluator,
     PriorSpec,
     dirichlet_q_calibrate,
@@ -392,12 +396,12 @@ class TestLogPrior:
             rng = np.random.default_rng(9)
             for _ in range(50):
                 theta = rng.normal(scale=2.0, size=n_coordinates(tree))
-                lp_fast, s2_fast = ev.evaluate(theta)
+                lp_fast, lsig = ev.evaluate(theta)
                 lp_slow = log_prior_unconstrained(tree, priors, theta)
                 s2_slow = to_variances(tree, from_unconstrained(tree, theta))
                 assert lp_fast == pytest.approx(lp_slow, rel=1e-10, abs=1e-10)
                 np.testing.assert_allclose(
-                    s2_fast, [s2_slow[l] for l in tree.leaves], rtol=1e-10
+                    np.exp(2.0 * np.array(lsig)), [s2_slow[l] for l in tree.leaves], rtol=1e-10
                 )
             theta = np.zeros(n_coordinates(tree))
             theta[0] = 35.0
@@ -405,6 +409,11 @@ class TestLogPrior:
                 # pc is not truncated: finite both ways
                 assert np.isfinite(ev.evaluate(theta)[0])
                 assert np.isfinite(log_prior_unconstrained(tree, priors, theta))
+                # until exp(t / 2) overflows: a rejection both ways, not an error
+                theta[0] = 1500.0
+                assert ev.evaluate(theta) == (-np.inf, None)
+                with np.errstate(over="ignore"):
+                    assert log_prior_unconstrained(tree, priors, theta) == -np.inf
             else:
                 # outside the Jeffreys truncation: -inf both ways
                 assert ev.evaluate(theta)[0] == -np.inf
@@ -569,3 +578,132 @@ class TestPriorValidation:
     def test_exact_construction_is_not_a_family(self):
         with pytest.raises(ValidationError, match="unknown prior family"):
             PriorSpec("x1_flex", "pc0_exact", {"lam": 0.1})
+
+
+@st.composite
+def trees_and_priors(draw):
+    """A default tree of 1-7 effects with random sides, roles and groups, and
+    a random family with random parameters on each node."""
+    labels = []
+    for i in range(draw(st.integers(1, 7))):
+        side = draw(st.sampled_from(["abiotic", "biotic"]))
+        role = draw(st.sampled_from(["main", "main", "interaction"]))
+        group = draw(st.sampled_from([None, f"{side}_{role}_1", f"{side}_{role}_2"]))
+        labels.append(EffectLabel(f"e{i}", side, role=role, group=group))
+    tree = build_default_tree(labels)
+    positive = st.floats(0.2, 5.0)
+    if draw(st.booleans()):
+        priors = {"total_variance": PriorSpec("total_variance", "jeffreys")}
+    else:
+        priors = {"total_variance": PriorSpec("total_variance", "pc", {"lam": draw(positive)})}
+    for s in tree.splits:
+        families = ["uniform", "dirichlet", "dirichlet vector"]
+        family = draw(st.sampled_from(families + (["beta", "pc0"] if s.is_binary else [])))
+        if family == "uniform":
+            spec = PriorSpec(s.name, "uniform")
+        elif family == "dirichlet":
+            spec = PriorSpec(s.name, "dirichlet", {"q": draw(positive)})
+        elif family == "dirichlet vector":
+            q = draw(st.lists(positive, min_size=s.n_children, max_size=s.n_children))
+            spec = PriorSpec(s.name, "dirichlet", {"q": q})
+        elif family == "beta":
+            spec = PriorSpec(s.name, "beta", {"a": draw(positive), "b": draw(positive)})
+        else:
+            spec = PriorSpec(s.name, "pc0", {"lam": draw(positive)})
+        priors[s.name] = spec
+    return tree, priors
+
+
+def unclamped_log_prior(tree, priors, theta):
+    """(log prior incl. Jacobian, log sigma per leaf) with log-softmax
+    proportions that are never clamped: the oracle beyond the floor."""
+    from scipy.special import betaln, gammaln, log_softmax
+
+    t = theta[0]
+    spec = priors["total_variance"]
+    if spec.family == "jeffreys":
+        lo, hi = JEFFREYS_LOG_BOUNDS
+        lp = -np.log(hi - lo) if lo <= t <= hi else -np.inf
+    else:  # density lam / (2 sqrt(V)) exp(-lam sqrt(V)), times dV/dt = V
+        lam = spec.params["lam"]
+        lp = np.log(lam / 2.0) + 0.5 * t - lam * np.exp(0.5 * t)
+    log_var = dict.fromkeys(tree.leaves, t)
+    pos = 1
+    for s in tree.splits:
+        spec = priors[s.name]
+        if s.is_binary:
+            x = theta[pos]
+            logs = np.empty(2)
+            logs[s.omega_index] = -np.logaddexp(0.0, -x)
+            logs[1 - s.omega_index] = -np.logaddexp(0.0, x)
+            pos += 1
+        else:
+            logs = log_softmax(np.append(theta[pos : pos + s.n_children - 1], 0.0))
+            pos += s.n_children - 1
+        lp += logs.sum()  # the Jacobian of the logit or the additive log-ratio
+        log_w = logs[s.omega_index]
+        if spec.family in ("uniform", "dirichlet"):
+            conc = np.ones(s.n_children) * spec.params.get("q", 1.0)
+            lp += gammaln(conc.sum()) - gammaln(conc).sum() + ((conc - 1.0) * logs).sum()
+        elif spec.family == "beta":
+            a, b = spec.params["a"], spec.params["b"]
+            lp += -betaln(a, b) + (a - 1.0) * log_w + (b - 1.0) * logs[1 - s.omega_index]
+        else:  # pc0: lam / (2 sqrt(w)) exp(-lam sqrt(w)) / (1 - exp(-lam))
+            lam = spec.params["lam"]
+            lp += (np.log(lam / 2.0) - 0.5 * log_w - lam * np.exp(0.5 * log_w)
+                   - np.log(-np.expm1(-lam)))
+        for child_log, leaves in zip(logs, s.child_leaves):
+            for leaf in leaves:
+                log_var[leaf] += child_log
+    return lp, [0.5 * log_var[leaf] for leaf in tree.leaves]
+
+
+class TestEvaluatorProperty:
+    """HDEvaluator on random trees and prior families: where every proportion
+    is above the floor it agrees with log_prior_unconstrained and
+    to_variances; beyond it, with the unclamped log-softmax density."""
+
+    @staticmethod
+    def coordinates(data, tree, priors, split_bound):
+        t_bound = 29.0 if priors["total_variance"].family == "jeffreys" else 20.0
+        coords = st.floats(-split_bound, split_bound)
+        return np.array([data.draw(st.floats(-t_bound, t_bound))] + data.draw(
+            st.lists(coords, min_size=n_coordinates(tree) - 1, max_size=n_coordinates(tree) - 1)
+        ))
+
+    @hyp_settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(model=trees_and_priors(), data=st.data())
+    def test_matches_the_reference_above_the_floor(self, model, data):
+        from hdsdm.tree import from_unconstrained, to_variances
+
+        tree, priors = model
+        # |coordinate| <= 12 keeps every proportion above 6e-12 > PROPORTION_FLOOR,
+        # and far enough from 1 that the reference's 1 - w is accurate
+        theta = self.coordinates(data, tree, priors, 12.0)
+        lp, lsig = HDEvaluator(tree, priors).evaluate(theta)
+        assert lp == pytest.approx(log_prior_unconstrained(tree, priors, theta),
+                                   rel=1e-9, abs=1e-9)
+        s2 = to_variances(tree, from_unconstrained(tree, theta))
+        np.testing.assert_allclose(lsig, [0.5 * np.log(s2[l]) for l in tree.leaves],
+                                   rtol=1e-9, atol=1e-9)
+
+    @hyp_settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(model=trees_and_priors(), data=st.data())
+    def test_matches_the_unclamped_density_beyond_the_floor(self, model, data):
+        tree, priors = model
+        theta = self.coordinates(data, tree, priors, 800.0)
+        lp, lsig = HDEvaluator(tree, priors).evaluate(theta)
+        want_lp, want_lsig = unclamped_log_prior(tree, priors, theta)
+        assert lp == pytest.approx(want_lp, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(lsig, want_lsig, rtol=1e-9, atol=1e-9)
+
+    def test_the_reference_clamps_where_the_evaluator_does_not(self):
+        from test_tree import survey_tree
+
+        tree = survey_tree()
+        priors = TestLogPrior().survey_priors(tree)
+        theta = np.zeros(n_coordinates(tree))
+        theta[2] = 800.0  # the first coordinate of the 'covariates' split
+        lp = HDEvaluator(tree, priors).evaluate(theta)[0]
+        assert lp == pytest.approx(unclamped_log_prior(tree, priors, theta)[0], rel=1e-12)
+        assert lp < -2000.0 < -100.0 < log_prior_unconstrained(tree, priors, theta)
