@@ -22,18 +22,20 @@ the centered rescaling in (b) multiplies its rounding error; at the end of
 each chain the linear predictor is recomputed from the coefficients and
 checked against the incremental one.
 
-A chain without a likelihood term (no training rows, or a likelihood weight
-of 0, which hides the rows from the chain, as in a prior check) draws (c) and
-(d) exactly from their full conditionals, which are then their priors: the
-intercept is ``MU_PRIOR_SD`` times a standard normal, and each leaf's
-whitened coefficients are the block's noise row for the iteration, already
-N(0, I). A random walk on such a target would only add autocorrelation and
-cost. These kernels report an acceptance rate of 1 and adapt nothing; (a)
-and (b) stay Metropolis steps, since they are what a prior check validates
-(the HD prior density and its Jacobian). Such a chain evaluates no
-likelihood and forms no images. Nor does it do what (d) discards in the same
-iteration: (b) rescales nothing, and xi and |xi|^2 are rows of the block's
-noise and norms, turned into effects only for a retained draw and the check.
+A chain without training rows (a likelihood weight of 0 hides them, as in a
+prior check) runs in a loop of its own, where the full conditionals of (c)
+and (d) are the priors N(0, ``MU_PRIOR_SD``^2) and N(0, I) of the whitened
+xi. (a) and (b) stay Metropolis steps on theta, a list of floats, with the
+same proposal law, acceptance rule and adaptation: they are what a prior
+check validates. Their proposal normals (times the proposal factor) and
+uniforms are drawn once per ``ADAPTATION_WINDOW`` iterations, where that
+factor may change, and so is |xi|^2 per leaf, all that (b) reads of xi, as
+chi^2 with the leaf's free dimension. A kept iteration stores theta, log
+sigma and |xi|^2. After the loop each kept xi is sqrt(|xi|^2) g / |g| with g
+~ N(0, I), which is exactly N(0, I); the effects sigma T xi take one matrix
+product per leaf, and the intercepts one vector of normals. Such a chain
+evaluates no likelihood, reports acceptance 1 for (c) and (d), and draws a
+random stream unlike that of earlier versions; chains with rows do not.
 
 Bookkeeping stays out of the way of the likelihood. Each chain multiplies
 the rows of its designs by the sign 1 - 2y once, so the proposal images, ``V``
@@ -119,7 +121,9 @@ ADAPTATION_WINDOW = 50
 # the sampler's kernels, as timed in FitResult.timings: the hyper updates (a)
 # and (b), the intercept (c), the coefficient blocks (d), the block draws of
 # coefficient proposals with their images on the training rows, and
-# adaptation plus writing the retained draws
+# adaptation plus writing the retained draws. In a chain without rows,
+# "proposals" is the block draws of (a), (b) and |xi|^2, and "mu" and "coef"
+# are the exact draws of the kept intercepts and effects after the loop.
 KERNELS = ("hyper", "hyper_centered", "mu", "coef", "proposals", "store")
 
 __all__ = [
@@ -354,39 +358,73 @@ def _check_eta(
         )
 
 
-def _run_chain(
-    result: FitResult, c: int, rng: np.random.Generator
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Run chain c, writing its retained draws into row c of the result's
-    arrays; return its acceptance rates and the seconds spent in each kernel."""
-    assembled, settings = result.assembled, result.settings
-    tree = assembled.tree
-    priors = assembled.model.priors
-    leaves = list(assembled.leaf_ids)
-    y = assembled.y_train
-    sign = 1.0 - 2.0 * y
-    n_obs = y.size
-    d = n_coordinates(tree) if tree is not None else 0
+def _alpha(logr: float) -> float:
+    """Metropolis acceptance probability of a log ratio."""
+    if logr >= 0.0:
+        return 1.0
+    if logr > -745.0:  # exp underflow floor; also rejects nan/-inf
+        return math.exp(logr)
+    return 0.0
 
-    transforms = [assembled.effects[l].whitening_transform() for l in leaves]
-    dims = [T.shape[1] for T in transforms]  # free coefficients per leaf
 
-    # initialization: HD coordinates at prior medians, coefficients at zero,
-    # intercept at the empirical logit
-    if tree is None:
-        theta, lp_theta, lsig = np.zeros(0), 0.0, []
-    else:
+def _hyper_start(assembled: AssembledModel) -> tuple:
+    """(evaluator, theta at the prior medians, its log prior, its log sigma
+    per leaf, acceptance records of the hyper moves (a) and (b))."""
+    tree, priors = assembled.tree, assembled.model.priors
+    evaluator, theta, lp_theta, lsig = None, np.zeros(0), 0.0, []
+    if tree is not None:
         evaluator = HDEvaluator(tree, priors)
         theta = prior_median_theta(tree, priors).copy()
         lp_theta, lsig = evaluator.evaluate(theta)  # lsig: log sigma per leaf
         if not math.isfinite(lp_theta):
             raise DiagnosticError("non-finite log prior at the initial state")
+    scale = np.log(2.38 / np.sqrt(max(theta.size, 1)))
+    acc = {k: _Accept(scale, TARGET_ACCEPT_HYPER) for k in ("hyper", "hyper_centered")}
+    return evaluator, theta, lp_theta, lsig, acc
+
+
+def _adapt(theta_history: np.ndarray, it: int, burn_in: int, prop_chol: np.ndarray,
+           acc: dict[str, _Accept]) -> np.ndarray:
+    """After burn-in iteration ``it`` (``theta_history`` filled up to it):
+    the hyper proposal factor, re-estimated every ``ADAPTATION_WINDOW``
+    iterations; at the end of burn-in the acceptance records restart."""
+    d = theta_history.shape[1]
+    if d > 0 and it + 1 >= max(2 * d, 20) and (it + 1) % ADAPTATION_WINDOW == 0:
+        window = theta_history[max(0, it - 2000) : it + 1]
+        cov = np.atleast_2d(np.cov(window.T)) + 1e-8 * np.eye(d)
+        try:
+            prop_chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            pass
+    if it + 1 == burn_in:
+        for a in acc.values():
+            a.reset()  # diagnostics reflect the frozen kernel only
+    return prop_chol
+
+
+def _run_chain(
+    result: FitResult, c: int, rng: np.random.Generator
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Run chain c, writing its retained draws into row c of the result's
+    arrays; return its acceptance rates and the seconds spent in each kernel.
+    A chain without training rows runs in ``_run_prior_chain``."""
+    assembled, settings = result.assembled, result.settings
+    leaves = list(assembled.leaf_ids)
+    transforms = [assembled.effects[l].whitening_transform() for l in leaves]
+    dims = [T.shape[1] for T in transforms]  # free coefficients per leaf
+    y = assembled.y_train
+    if y.size == 0:
+        return _run_prior_chain(result, c, rng, leaves, transforms, dims)
+    sign = 1.0 - 2.0 * y
+    n_obs = y.size
+
+    # initialization: HD coordinates at prior medians, coefficients at zero,
+    # intercept at the empirical logit
+    evaluator, theta, lp_theta, lsig, acc = _hyper_start(assembled)
+    d = theta.size
     sig = np.exp(lsig)
-    if n_obs:
-        p0 = float(np.clip(y.mean(), 0.01, 0.99))
-        mu = float(np.log(p0) - np.log1p(-p0))
-    else:
-        mu = 0.0
+    p0 = float(np.clip(y.mean(), 0.01, 0.99))
+    mu = float(np.log(p0) - np.log1p(-p0))
     xi = [np.zeros(n) for n in dims]
     qnorm = [0.0] * len(leaves)  # |xi|^2 per leaf
 
@@ -401,12 +439,8 @@ def _run_chain(
     # blocks, and each block's product rebuilds it from xi, so that the
     # rounding error the centered rescaling multiplies stays small. A
     # one-column design maps by an outer product, which gives the bits of the
-    # matrix product at a fraction of its cost. Without training rows, xi
-    # after (d) is noise row j itself, with its squared norms from row j of
-    # `noise_norms`; xi and sig are formed only where a draw is stored and at
-    # the end, and no image is formed.
+    # matrix product at a fraction of its cost.
     whitened = [np.zeros((PROPOSAL_BLOCK + 1, n)) for n in dims]
-    noise_norms = np.zeros((PROPOSAL_BLOCK + 1, len(leaves)))
     images = np.zeros((len(leaves), PROPOSAL_BLOCK + 1, n_obs))
     V = images[:, 0]
     designs_t = [np.multiply(assembled.designs[l].T, sign, order="C") for l in leaves]
@@ -424,41 +458,12 @@ def _run_chain(
     if not math.isfinite(ll):
         raise DiagnosticError("non-finite log likelihood at the initial state")
 
-    # Without training rows the full conditionals of (c) and (d) are the
-    # priors N(0, MU_PRIOR_SD^2) and N(0, I), which are drawn exactly.
-    exact = n_obs == 0
-
     prop_chol = np.eye(d)
     theta_history = np.empty((settings.burn_in, d))
-    hyper_scale = np.log(2.38 / np.sqrt(max(d, 1)))
-    acc = {
-        "hyper": _Accept(hyper_scale, TARGET_ACCEPT_HYPER),
-        "hyper_centered": _Accept(hyper_scale, TARGET_ACCEPT_HYPER),
-    }
-    if not exact:
-        acc["mu"] = _Accept(np.log(0.5), TARGET_ACCEPT_BLOCK)
-        for l, n in zip(leaves, dims):
-            acc[f"coef[{l}]"] = _Accept(np.log(2.38 / np.sqrt(n)), TARGET_ACCEPT_BLOCK)
-    acc_coef = [] if exact else [acc[f"coef[{l}]"] for l in leaves]
-
-    def coefficients() -> dict[str, np.ndarray]:
-        """The current effects u = sigma T xi."""
-        return {l: sig[k] * (transforms[k] @ xi[k]) for k, l in enumerate(leaves)}
-
-    def store_coefficients(kept: int) -> None:
-        """Write the current effects into retained draw ``kept`` in place;
-        the same values as ``coefficients()``."""
-        for k, l in enumerate(leaves):
-            row = result.coefficients[l][c, kept]
-            np.matmul(transforms[k], xi[k], out=row)
-            row *= sig[k]
-
-    def alpha_of(logr: float) -> float:
-        if logr >= 0.0:
-            return 1.0
-        if logr > -745.0:  # exp underflow floor; also rejects nan/-inf
-            return math.exp(logr)
-        return 0.0
+    acc["mu"] = _Accept(np.log(0.5), TARGET_ACCEPT_BLOCK)
+    for l, n in zip(leaves, dims):
+        acc[f"coef[{l}]"] = _Accept(np.log(2.38 / np.sqrt(n)), TARGET_ACCEPT_BLOCK)
+    acc_coef = [acc[f"coef[{l}]"] for l in leaves]
 
     t_prop = t_hyper = t_centered = t_mu = t_coef = t_store = 0.0
     clock = time.perf_counter
@@ -469,18 +474,12 @@ def _run_chain(
         j = it % PROPOSAL_BLOCK + 1
         if j == 1:
             for k, w in enumerate(whitened):
-                if exact:
-                    rng.standard_normal(out=w[1:])
-                    np.einsum("ij,ij->i", w, w, out=noise_norms[:, k])
-                else:
-                    # xi may be a view of a noise row, so it moves to row 0
-                    # before the noise rows are drawn again
-                    w[0] = xi[k]
-                    xi[k] = w[0]
-                    rng.standard_normal(out=w[1:])
-                    image_ops[k](w @ transforms[k].T, designs_t[k], out=images[k])
-            if exact:
-                block_norms = noise_norms.tolist()
+                # the current xi moves to row 0, whose image rebuilds V, and
+                # stays a view of it until (d) accepts a move
+                w[0] = xi[k]
+                xi[k] = w[0]
+                rng.standard_normal(out=w[1:])
+                image_ops[k](w @ transforms[k].T, designs_t[k], out=images[k])
         t1 = clock()
         t_prop += t1 - t0
 
@@ -489,22 +488,18 @@ def _run_chain(
             step = acc["hyper"].scale * (prop_chol @ rng.standard_normal(d))
             theta_new = theta + step
             lp_new, lsig_new = evaluator.evaluate(theta_new)
-            if not math.isfinite(lp_new):
-                logr = -math.inf
-            elif exact:
-                logr = lp_new - lp_theta
-            else:
+            logr = -math.inf
+            if math.isfinite(lp_new):
                 sig_new = np.exp(lsig_new)
                 x_new = x_bufs[x is x_bufs[0]]
                 np.matmul(sig_new, V, out=x_new)
                 x_new += np.multiply(sign, mu, out=scratch)
                 ll_new = bernoulli_loglik(x_new, scratch)
                 logr = ll_new - ll + lp_new - lp_theta
-            alpha = alpha_of(logr)
+            alpha = _alpha(logr)
             if rng.random() < alpha:
                 theta, lsig, lp_theta = theta_new, lsig_new, lp_new
-                if not exact:
-                    sig, x, ll = sig_new, x_new, ll_new
+                sig, x, ll = sig_new, x_new, ll_new
             acc["hyper"].update(alpha, it, adapting)
             t0 = clock()
             t_hyper += t0 - t1
@@ -517,95 +512,153 @@ def _run_chain(
             logr = -math.inf
             if math.isfinite(lp_new):
                 logr = _centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp_theta
-            alpha = alpha_of(logr)
+            alpha = _alpha(logr)
             if rng.random() < alpha:
-                if not exact:
-                    # xi scales by sig / sig_new; an exact chain's (d) draws
-                    # xi and qnorm afresh in this iteration
-                    sig_new = np.exp(lsig_new)
-                    ratios = sig / sig_new
-                    for k, r in enumerate(ratios.tolist()):
-                        xi[k] *= r
-                        qnorm[k] *= r * r
-                    V *= ratios[:, None]
-                    sig = sig_new
-                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
+                # xi scales by sig / sig_new
+                sig_new = np.exp(lsig_new)
+                ratios = sig / sig_new
+                for k, r in enumerate(ratios.tolist()):
+                    xi[k] *= r
+                    qnorm[k] *= r * r
+                V *= ratios[:, None]
+                theta, lsig, lp_theta, sig = theta_new, lsig_new, lp_new, sig_new
             acc["hyper_centered"].update(alpha, it, adapting)
             t1 = clock()
             t_centered += t1 - t0
 
         # (c) intercept
-        if exact:
-            mu = MU_PRIOR_SD * rng.standard_normal()
-        else:
-            mu_new = mu + acc["mu"].scale * rng.standard_normal()
-            x_new = np.multiply(sign, mu_new - mu, out=x_bufs[x is x_bufs[0]])
-            x_new += x
-            ll_new = bernoulli_loglik(x_new, scratch)
-            logr = ll_new - ll - 0.5 * (mu_new**2 - mu**2) / MU_PRIOR_SD**2
-            alpha = alpha_of(logr)
-            if rng.random() < alpha:
-                mu, x, ll = mu_new, x_new, ll_new
-            acc["mu"].update(alpha, it, adapting)
+        mu_new = mu + acc["mu"].scale * rng.standard_normal()
+        x_new = np.multiply(sign, mu_new - mu, out=x_bufs[x is x_bufs[0]])
+        x_new += x
+        ll_new = bernoulli_loglik(x_new, scratch)
+        logr = ll_new - ll - 0.5 * (mu_new**2 - mu**2) / MU_PRIOR_SD**2
+        alpha = _alpha(logr)
+        if rng.random() < alpha:
+            mu, x, ll = mu_new, x_new, ll_new
+        acc["mu"].update(alpha, it, adapting)
         t0 = clock()
         t_mu += t0 - t1
 
         # (d) coefficient blocks in prior-whitened coordinates
-        if exact:
-            qnorm = block_norms[j]  # xi is noise row j of each leaf's block
-        else:
-            for k, w in enumerate(whitened):
-                s = acc_coef[k].scale
-                xi_new = xi[k] + s * w[j]
-                q_new = float(xi_new @ xi_new)
-                x_new = np.multiply(images[k, j], sig[k] * s, out=x_bufs[x is x_bufs[0]])
-                x_new += x
-                ll_new = bernoulli_loglik(x_new, scratch)
-                logr = ll_new - ll - 0.5 * (q_new - qnorm[k])
-                alpha = alpha_of(logr)
-                if rng.random() < alpha:
-                    xi[k], qnorm[k], x, ll = xi_new, q_new, x_new, ll_new
-                    V[k] += s * images[k, j]
-                acc_coef[k].update(alpha, it, adapting)
+        for k, w in enumerate(whitened):
+            s = acc_coef[k].scale
+            xi_new = xi[k] + s * w[j]
+            q_new = float(xi_new @ xi_new)
+            x_new = np.multiply(images[k, j], sig[k] * s, out=x_bufs[x is x_bufs[0]])
+            x_new += x
+            ll_new = bernoulli_loglik(x_new, scratch)
+            logr = ll_new - ll - 0.5 * (q_new - qnorm[k])
+            alpha = _alpha(logr)
+            if rng.random() < alpha:
+                xi[k], qnorm[k], x, ll = xi_new, q_new, x_new, ll_new
+                V[k] += s * images[k, j]
+            acc_coef[k].update(alpha, it, adapting)
         t1 = clock()
         t_coef += t1 - t0
 
         if adapting:
             if d > 0:
                 theta_history[it] = theta
-            if (
-                d > 0
-                and it + 1 >= max(2 * d, 20)
-                and (it + 1) % ADAPTATION_WINDOW == 0
-            ):
-                window = theta_history[max(0, it - 2000) : it + 1]
-                cov = np.cov(window.T)
-                cov = np.atleast_2d(cov) + 1e-8 * np.eye(d)
-                try:
-                    prop_chol = np.linalg.cholesky(cov)
-                except np.linalg.LinAlgError:
-                    pass
-            if it + 1 == settings.burn_in:
-                for a in acc.values():
-                    a.reset()  # diagnostics reflect the frozen kernel only
+            prop_chol = _adapt(theta_history, it, settings.burn_in, prop_chol, acc)
 
         kept, skip = divmod(it - settings.burn_in, settings.thinning)
         if kept >= 0 and skip == 0:
-            if exact:
-                xi, sig = [w[j] for w in whitened], np.exp(lsig)
-            store_coefficients(kept)
+            for k, l in enumerate(leaves):  # the effects u = sigma T xi, in place
+                row = result.coefficients[l][c, kept]
+                np.matmul(transforms[k], xi[k], out=row)
+                row *= sig[k]
             result.theta[c, kept] = theta
             result.mu[c, kept] = mu
         t_store += clock() - t1
 
-    if exact:
-        xi, sig = [w[j] for w in whitened], np.exp(lsig)
-    _check_eta(assembled, coefficients(), mu, sign * x)
+    u = {l: sig[k] * (transforms[k] @ xi[k]) for k, l in enumerate(leaves)}
+    _check_eta(assembled, u, mu, sign * x)
+    return _check_divergent(acc), dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
+
+
+def _run_prior_chain(
+    result: FitResult, c: int, rng: np.random.Generator, leaves: list[str],
+    transforms: list[np.ndarray], dims: list[int]
+) -> tuple[dict[str, float], dict[str, float]]:
+    """``_run_chain`` without training rows: Metropolis (a) and (b) on theta,
+    exact intercepts and effects for the kept draws (see the module notes)."""
+    settings = result.settings
+    evaluator, theta, lp_theta, lsig, acc = _hyper_start(result.assembled)
+    d, theta = theta.size, theta.tolist()
+    acc_a, acc_b = acc["hyper"], acc["hyper_centered"]
+    qnorm = [0.0] * len(leaves)  # |xi|^2 per leaf, of the initial xi = 0
+    n_keep = result.mu.shape[1]
+    kept = np.empty((n_keep, 2, len(leaves)))  # log sigma and |xi|^2 of each kept draw
+    prop_chol = np.eye(d)
+    theta_history = np.empty((settings.burn_in, d))
+
+    t_prop = t_hyper = t_centered = t_store = 0.0
+    clock = time.perf_counter
+    for start in range(0, settings.iterations, ADAPTATION_WINDOW) if d else ():
+        t0 = clock()
+        n = min(ADAPTATION_WINDOW, settings.iterations - start)
+        steps = (rng.standard_normal((n, 2, d)) @ prop_chol.T).tolist()
+        uniforms = rng.random((n, 2)).tolist()
+        norms = rng.chisquare(dims, (n, len(leaves))).tolist()
+        t1 = clock()
+        t_prop += t1 - t0
+        for it, (step_a, step_b), (u_a, u_b), q_new in zip(
+            range(start, start + n), steps, uniforms, norms
+        ):
+            adapting = it < settings.burn_in
+            # (a): without a likelihood, the ratio is that of the prior
+            s = acc_a.scale
+            theta_new = [t + s * z for t, z in zip(theta, step_a)]
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
+            alpha = _alpha(lp_new - lp_theta)
+            if u_a < alpha:
+                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
+            acc_a.update(alpha, it, adapting)
+            t0 = clock()
+            t_hyper += t0 - t1
+
+            # (b): reads |xi|^2 of the last (d); (d) draws xi afresh, so
+            # nothing is rescaled on acceptance
+            s = acc_b.scale
+            theta_new = [t + s * z for t, z in zip(theta, step_b)]
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
+            logr = -math.inf
+            if math.isfinite(lp_new):
+                logr = _centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp_theta
+            alpha = _alpha(logr)
+            if u_b < alpha:
+                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
+            acc_b.update(alpha, it, adapting)
+            t1 = clock()
+            t_centered += t1 - t0
+
+            qnorm = q_new  # (d), for the norms; a direction only where kept
+            if adapting:
+                theta_history[it] = theta
+                prop_chol = _adapt(theta_history, it, settings.burn_in, prop_chol, acc)
+            k, skip = divmod(it - settings.burn_in, settings.thinning)
+            if k >= 0 and skip == 0:
+                result.theta[c, k] = theta
+                kept[k] = lsig, qnorm
+            t0 = clock()
+            t_store += t0 - t1
+            t1 = t0
+
+    t0 = clock()
+    result.mu[c] = MU_PRIOR_SD * rng.standard_normal(n_keep)
+    t_mu, t0 = clock() - t0, clock()
+    # xi = sqrt(q) g / |g| is N(0, I) given |xi|^2 = q; the effects are sigma T xi
+    scales = np.exp(kept[:, 0]) * np.sqrt(kept[:, 1])
+    for k, l in enumerate(leaves):
+        g = rng.standard_normal((n_keep, dims[k]))
+        g *= (scales[:, k] / np.linalg.norm(g, axis=1))[:, None]
+        np.matmul(g, transforms[k].T, out=result.coefficients[l][c])
+    t_coef = clock() - t0
+
     rates = _check_divergent(acc)
-    if exact:
-        # an exact draw is always accepted, which is no sign of a pinned kernel
-        rates["mu"] = 1.0
-        rates.update((f"coef[{l}]", 1.0) for l in leaves)
+    # an exact draw is always accepted, which is no sign of a pinned kernel
+    rates["mu"] = 1.0
+    rates.update((f"coef[{l}]", 1.0) for l in leaves)
     return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
 
 

@@ -603,9 +603,10 @@ class HDEvaluator:
             pos += 1 if s.is_binary else s.n_children - 1
         self.leaf_entries = [entry[(leaf,)] for leaf in tree.leaves]
 
-    def evaluate(self, theta: np.ndarray) -> tuple[float, list[float] | None]:
-        """(log prior incl. Jacobian, log sigma per leaf in tree.leaves order)."""
-        th = theta.tolist()
+    def evaluate(self, theta: np.ndarray | list[float]) -> tuple[float, list[float] | None]:
+        """(log prior incl. Jacobian, log sigma per leaf in tree.leaves order)
+        at ``theta``, an array or a list of floats."""
+        th = theta if isinstance(theta, list) else theta.tolist()
         t = th[0]
         if self.v_lam is None:
             lo, hi = JEFFREYS_LOG_BOUNDS

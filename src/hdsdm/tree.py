@@ -382,25 +382,28 @@ def natural_values(tree: DecompTree, theta: np.ndarray) -> np.ndarray:
     coordinates; ``from_unconstrained`` unpacks one of its rows."""
     theta = np.asarray(theta, dtype=float)
     out = np.empty((theta.shape[0], len(natural_columns(tree))))
-    out[:, 0] = np.exp(theta[:, 0])
-    j = pos = 1
-    for s in tree.splits:
-        if s.is_binary:
-            w = 1.0 / (1.0 + np.exp(-theta[:, pos]))
-            out[:, j] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
-            j += 1
-            pos += 1
-        else:
-            k = s.n_children - 1
-            a = np.zeros((theta.shape[0], k + 1))
-            a[:, :k] = theta[:, pos : pos + k]
-            pos += k
-            a -= a.max(axis=1, keepdims=True)
-            e = np.exp(a)
-            props = np.maximum(e / e.sum(axis=1, keepdims=True), PROPORTION_FLOOR)
-            props /= props.sum(axis=1, keepdims=True)
-            out[:, j : j + k + 1] = props
-            j += k + 1
+    # exp overflows to inf past 709.78: V = inf, where every prior density is
+    # 0, and a designated proportion of 0, which the floor clamps
+    with np.errstate(over="ignore"):
+        out[:, 0] = np.exp(theta[:, 0])
+        j = pos = 1
+        for s in tree.splits:
+            if s.is_binary:
+                w = 1.0 / (1.0 + np.exp(-theta[:, pos]))
+                out[:, j] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
+                j += 1
+                pos += 1
+            else:
+                k = s.n_children - 1
+                a = np.zeros((theta.shape[0], k + 1))
+                a[:, :k] = theta[:, pos : pos + k]
+                pos += k
+                a -= a.max(axis=1, keepdims=True)
+                e = np.exp(a)
+                props = np.maximum(e / e.sum(axis=1, keepdims=True), PROPORTION_FLOOR)
+                props /= props.sum(axis=1, keepdims=True)
+                out[:, j : j + k + 1] = props
+                j += k + 1
     return out
 
 

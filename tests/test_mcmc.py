@@ -1,6 +1,7 @@
 """Posterior evaluation, sampler correctness oracles, prediction, metrics."""
 
 import dataclasses
+import itertools
 import math
 import os
 import time
@@ -60,6 +61,16 @@ def toy_data(n=5, seed=0):
         x=rng.uniform(-1, 1, n),
         g=rng.integers(1, 3, n).astype(float),
     )
+
+
+def rw1_model():
+    """The toy model with a 6-level rw1 walk (5 free coefficients) for its
+    biotic effect."""
+    effects = [
+        EffectDecl("lin", "linear", "x", UniformInterval(-1.0, 1.0), side="abiotic"),
+        EffectDecl("walk", "rw1", "t", UniformLevels(6), side="biotic", group="temporal"),
+    ]
+    return ModelSpec(effects=effects, priors=toy_model().priors)
 
 
 def three_covariate_model():
@@ -311,6 +322,25 @@ class TestLogPosterior:
             qnorm = [float(z @ z) for z in xi]
             got = mcmc._centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp
             assert got == pytest.approx(want, rel=1e-9)
+
+    def test_overflowing_total_variance_gives_minus_inf_without_a_warning(self):
+        # at theta_0 = 1500, V = exp(1500) overflows to inf, where the pc
+        # density of V is 0: the reference prior and the joint density are
+        # -inf, and the overflow is no warning
+        from hdsdm.priors import log_prior_unconstrained
+
+        priors = dict(toy_model().priors,
+                      total_variance=PriorSpec("total_variance", "pc", {"lam": 1.0}))
+        asm = assemble(ModelSpec(effects=toy_model().effects, priors=priors), toy_data(n=5))
+        state = ModelState(
+            theta=np.array([1500.0, 0.3]), mu=0.0,
+            coefficients={l: np.zeros(asm.effects[l].n_coef) for l in asm.leaf_ids},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_prior_unconstrained(asm.tree, priors, state.theta) == -np.inf
+            for weight in (0.0, 1.0):
+                assert log_posterior(asm, state, likelihood_weight=weight) == -np.inf
 
 
 class TestBitIdentity:
@@ -577,11 +607,12 @@ class TestFit:
 
     def test_kernel_timings_cover_at_most_the_fit(self):
         # timings are summed over chains, and concurrent chains can sum to
-        # more than the wall time; each chain's kernels still fit in the fit
-        for chains in (1, 2):
+        # more than the wall time; each chain's kernels still fit in the fit.
+        # A chain without rows runs, and times, a loop of its own.
+        for data, chains in itertools.product((toy_data(n=60, seed=8), None), (1, 2)):
             settings = McmcSettings(chains=chains, iterations=400, burn_in=200, seed=6)
             t0 = time.perf_counter()
-            result = fit(toy_model(), toy_data(n=60, seed=8), settings)
+            result = fit(toy_model(), data, settings)
             wall = time.perf_counter() - t0
             assert set(result.timings) == set(KERNELS)
             assert all(t >= 0.0 for t in result.timings.values())
@@ -638,6 +669,51 @@ class TestExactDraws:
         fitted = fit(toy_model(), toy_data(n=60, seed=3), self.settings)
         assert fitted.acceptance.keys() == prior.acceptance.keys()
         assert all(0.01 < r < 0.99 for r in fitted.acceptance.values())
+
+    @pytest.mark.parametrize("model", [toy_model(), rw1_model()], ids=["toy", "rw1"])
+    def test_kept_coefficients_follow_their_prior_law(self, model):
+        # an oracle that shares no code with the chain: each whitened draw
+        # xi = T^+ u / sigma, with sigma from the reference map of theta, is
+        # N(0, I), so |xi|^2 is chi^2 with the leaf's free dimension and each
+        # coordinate is N(0, 1); the effects keep their constraints
+        from scipy.stats import chi2, kstest
+
+        from hdsdm.tree import to_variances
+
+        result = fit(model, None, McmcSettings(chains=2, iterations=2500, burn_in=500, seed=21))
+        asm = result.assembled
+        variances = [to_variances(asm.tree, from_unconstrained(asm.tree, th))
+                     for th in result.theta.reshape(-1, result.theta.shape[-1])]
+        pvalues = {"mu": kstest(result.mu.ravel() / MU_PRIOR_SD, norm.cdf).pvalue}
+        for leaf, u in result.flat_coefficients().items():
+            effect = asm.effects[leaf]
+            T = effect.whitening_transform()
+            sigma = np.sqrt([v[leaf] for v in variances])
+            xi = u @ np.linalg.pinv(T).T / sigma[:, None]
+            pvalues[leaf] = kstest((xi**2).sum(axis=1), chi2(T.shape[1]).cdf).pvalue
+            pvalues[f"{leaf}[0]"] = kstest(xi[:, 0], norm.cdf).pvalue
+            if effect.constraints is not None:
+                assert np.all(np.abs(u @ effect.constraints) <= 1e-9 * sigma[:, None])
+        assert min(pvalues.values()) > 1e-3, pvalues
+
+    def test_no_likelihood_evaluated_and_same_draws_on_any_cpu_count(self, monkeypatch):
+        def no_likelihood(*args):
+            raise AssertionError("a likelihood was evaluated")
+
+        monkeypatch.setattr(mcmc, "bernoulli_loglik", no_likelihood)
+        forked = fit(toy_model(), None, self.settings)
+        if mcmc._loaded_openblas():
+            assert forked.chain_workers == min(2, usable_cpus())
+        # mu and the effects are written after each chain's loop, so a chain
+        # that wrote a private copy would leave zeros here
+        assert np.all(forked.mu != 0.0)
+        assert all(np.all(np.abs(u).max(axis=-1) > 0.0) for u in forked.coefficients.values())
+        assert_no_children()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = fit(toy_model(), None, self.settings)
+        assert serial.chain_workers == 1
+        assert_same_draws(forked, serial)
+        assert serial.acceptance == forked.acceptance
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0, True, "1", 0.5, 2.0])
     def test_bad_likelihood_weight_rejected_before_sampling(self, monkeypatch, weight):

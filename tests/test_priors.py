@@ -412,8 +412,7 @@ class TestLogPrior:
                 # until exp(t / 2) overflows: a rejection both ways, not an error
                 theta[0] = 1500.0
                 assert ev.evaluate(theta) == (-np.inf, None)
-                with np.errstate(over="ignore"):
-                    assert log_prior_unconstrained(tree, priors, theta) == -np.inf
+                assert log_prior_unconstrained(tree, priors, theta) == -np.inf
             else:
                 # outside the Jeffreys truncation: -inf both ways
                 assert ev.evaluate(theta)[0] == -np.inf
