@@ -15,6 +15,7 @@ from scipy.interpolate import BSpline
 from .exceptions import DimensionError, DomainError, ValidationError
 
 PRUNE_TOL = 1e-12
+DEGREE = 3  # every B-spline here is cubic
 _SUPPORT_SLACK = 1e-10  # relative slack for floating-point boundary values
 
 __all__ = [
@@ -58,33 +59,29 @@ class IndicatorBasis:
 
 @dataclass(frozen=True)
 class BSplineBasis1D:
-    """Clamped B-spline basis with equally spaced interior knots on [lower, upper].
+    """Clamped cubic B-spline basis, equally spaced interior knots on [lower, upper].
 
-    Boundary knots are repeated degree+1 times, so the basis is a partition
+    Boundary knots are repeated DEGREE+1 times, so the basis is a partition
     of unity on the closed interval including both endpoints.
     """
 
     n_funcs: int
     lower: float
     upper: float
-    degree: int = 3
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise DimensionError(f"degree must be >= 1, got {self.degree}")
-        if self.n_funcs < self.degree + 1:
+        if self.n_funcs < DEGREE + 1:
             raise DimensionError(
-                f"need at least degree+1={self.degree + 1} functions, got {self.n_funcs}"
+                f"a cubic B-spline basis needs at least {DEGREE + 1} functions, "
+                f"got {self.n_funcs}"
             )
         if not self.upper > self.lower:
             raise ValidationError(f"empty support [{self.lower}, {self.upper}]")
 
     @property
     def knots(self) -> np.ndarray:
-        inner = np.linspace(self.lower, self.upper, self.n_funcs - self.degree + 1)
-        return np.r_[
-            np.full(self.degree, self.lower), inner, np.full(self.degree, self.upper)
-        ]
+        inner = np.linspace(self.lower, self.upper, self.n_funcs - DEGREE + 1)
+        return np.r_[np.full(DEGREE, self.lower), inner, np.full(DEGREE, self.upper)]
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def _check_support(x: np.ndarray, lower: float, upper: float) -> np.ndarray:
 
 def _eval_bspline1d(spec: BSplineBasis1D, x: np.ndarray) -> np.ndarray:
     x = _check_support(x, spec.lower, spec.upper)
-    return BSpline.design_matrix(x, spec.knots, spec.degree, extrapolate=False).toarray()
+    return BSpline.design_matrix(x, spec.knots, DEGREE, extrapolate=False).toarray()
 
 
 def eval_basis(spec, x) -> np.ndarray:

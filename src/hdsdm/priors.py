@@ -1,16 +1,25 @@
 """Priors for total variance and proportion parameters.
 
-Includes the shrinkage prior obtained by placing an exponential law on a
+The HD prior is a product of one law per node of the decomposition tree.
+``_as_prior_map``, the one check of the priors a tree takes, reads each
+node's ``PriorSpec`` as one of four laws; every function here that takes a
+tree and its priors goes through it, and ``ModelSpec`` runs it when a model
+is built:
+
+- on the total variance V, ``jeffreys`` (1/V truncated to log V in
+  ``JEFFREYS_LOG_BOUNDS``) or ``pc(lam)`` (Exponential(lam) on sqrt(V));
+- on a split, ``dirichlet(q)`` on its proportions, with q the exponents in
+  child order ('uniform' is q = 1, and beta(a, b) on a binary split is q = a
+  on the designated child and b on the other), or ``pc0(lam)`` on the
+  designated proportion of a binary split.
+
+``pc0`` is the shrinkage prior obtained by placing an exponential law on a
 Kullback-Leibler-based distance from a zero-contribution base model. For a
 proportion of variance this reduces, whenever the sum-of-ranks condition
 holds, to a truncated exponential on sqrt(omega) (the "simplified form"),
 which is independent of the effect bases and precision matrices. The exact
 numeric construction (distance between rank-deficient Gaussian laws) is kept
 for validation of that simplification, not for inference.
-
-Which priors fit a tree is decided in one place, ``_as_prior_map``: every
-function here that takes a tree and its priors goes through it, and
-``ModelSpec`` runs it when a model is built.
 """
 
 from __future__ import annotations
@@ -448,12 +457,15 @@ def pc0_exact_logpdf_numeric(
 # ---------------------------------------------------------------------------
 
 
-def _as_prior_map(tree: DecompTree, priors) -> dict[str, PriorSpec]:
-    """Priors keyed by node, once they fit ``tree``; the one check of the
-    priors a tree takes. Raises ValidationError for a node without a prior, a
-    prior on a node the tree lacks, a total-variance family other than
-    jeffreys/pc, jeffreys/pc on a split, beta/pc0 on a split that is not
-    binary, and a Dirichlet q whose length is not the split's child count."""
+def _as_prior_map(tree: DecompTree, priors) -> dict[str, tuple[str, object]]:
+    """The law of each node of ``tree`` (module docstring), once its priors
+    fit it: ('jeffreys', None) or ('pc', lam) on 'total_variance', and
+    ('dirichlet', q in child order) or ('pc0', lam) on each split. The one
+    reader of ``PriorSpec.family`` and ``params``. Raises ValidationError for
+    a node without a prior, a prior on a node the tree lacks, a total-variance
+    family other than jeffreys/pc, jeffreys/pc on a split, beta/pc0 on a
+    split that is not binary, and a Dirichlet q whose length is not the
+    split's child count."""
     pm = priors if isinstance(priors, dict) else {p.node: p for p in priors}
     nodes = {"total_variance", *(s.name for s in tree.splits)}
     missing = nodes - set(pm)
@@ -462,29 +474,34 @@ def _as_prior_map(tree: DecompTree, priors) -> dict[str, PriorSpec]:
     unknown = set(pm) - nodes
     if unknown:
         raise ValidationError(f"priors declared for unknown tree nodes: {sorted(unknown)}")
-    family = pm["total_variance"].family
-    if family not in _V_FAMILIES:
-        raise ValidationError(f"family {family!r} not valid for the total variance")
+    spec = pm["total_variance"]
+    if spec.family not in _V_FAMILIES:
+        raise ValidationError(f"family {spec.family!r} not valid for the total variance")
+    lam = float(spec.params["lam"]) if spec.family == "pc" else None
+    laws = {"total_variance": (spec.family, lam)}
     for s in tree.splits:
         spec = pm[s.name]
         if spec.family in _V_FAMILIES:
             raise ValidationError(f"family {spec.family!r} not valid for split {s.name!r}")
         if spec.family in ("beta", "pc0") and not s.is_binary:
             raise ValidationError(f"{spec.family} prior needs a binary split, got {s.name!r}")
-        q_shape = np.shape(spec.params["q"]) if spec.family == "dirichlet" else ()
-        if q_shape not in ((), (s.n_children,)):
-            raise ValidationError(
-                f"split {s.name!r}: q must be a scalar or have {s.n_children} "
-                f"entries, got shape {q_shape}"
-            )
-    return pm
-
-
-def _concentration(split, spec: PriorSpec) -> np.ndarray:
-    """Dirichlet exponents of a 'uniform' or 'dirichlet' split prior."""
-    if spec.family == "uniform":
-        return np.ones(split.n_children)
-    return np.asarray(spec.params["q"], dtype=float) * np.ones(split.n_children)
+        if spec.family == "pc0":
+            laws[s.name] = ("pc0", float(spec.params["lam"]))
+            continue
+        if spec.family == "beta":
+            q = np.empty(2)
+            q[s.omega_index] = spec.params["a"]
+            q[1 - s.omega_index] = spec.params["b"]
+        else:
+            q = spec.params["q"] if spec.family == "dirichlet" else 1.0
+            if np.shape(q) not in ((), (s.n_children,)):
+                raise ValidationError(
+                    f"split {s.name!r}: q must be a scalar or have {s.n_children} "
+                    f"entries, got shape {np.shape(q)}"
+                )
+            q = np.asarray(q, dtype=float) * np.ones(s.n_children)
+        laws[s.name] = ("dirichlet", q)
+    return laws
 
 
 def _dirichlet_logpdf(props: np.ndarray, conc: np.ndarray) -> float:
@@ -497,42 +514,35 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
     """Sum of node-wise log prior densities on the natural (V, omega) scale.
 
     Assumes prior independence across splits. Returns -inf outside prior
-    support (e.g. the truncation range of the Jeffreys prior); raises on
-    simplex-boundary proportions.
+    support (e.g. the truncation range of the Jeffreys prior); raises on a
+    total variance that is not positive and on simplex-boundary proportions.
     """
-    pm = _as_prior_map(tree, priors)
+    laws = _as_prior_map(tree, priors)
     if p.total <= 0:
         raise ValidationError("total variance must be positive")
 
-    spec = pm["total_variance"]
-    if spec.family == "jeffreys":
+    kind, lam = laws["total_variance"]
+    if kind == "jeffreys":
         out = float(jeffreys_logpdf(p.total))
     else:
-        out = float(pc_variance_logpdf(p.total, spec.params["lam"]))
+        out = float(pc_variance_logpdf(p.total, lam))
 
     for s in tree.splits:
         props = _check_omega_interior(p.proportions[s.name])
-        spec = pm[s.name]
-        if spec.family in ("uniform", "dirichlet"):
-            out += _dirichlet_logpdf(props, _concentration(s, spec))
-        elif spec.family == "beta":
-            w = props[s.omega_index]
-            a, b = spec.params["a"], spec.params["b"]
-            out += float(
-                gammaln(a + b)
-                - gammaln(a)
-                - gammaln(b)
-                + (a - 1) * np.log(w)
-                + (b - 1) * np.log1p(-w)
-            )
-        else:  # pc0
-            out += float(pc0_simplified_logpdf(props[s.omega_index], spec.params["lam"]))
+        kind, param = laws[s.name]
+        if kind == "dirichlet":
+            out += _dirichlet_logpdf(props, param)
+        else:
+            out += float(pc0_simplified_logpdf(props[s.omega_index], param))
     return out
 
 
 def log_prior_unconstrained(tree: DecompTree, priors, theta: np.ndarray) -> float:
-    """Prior density of the unconstrained coordinates (includes the Jacobian)."""
+    """Prior density of the unconstrained coordinates (includes the Jacobian);
+    -inf where V = exp(theta[0]) is not a positive finite float."""
     p = from_unconstrained(tree, theta)
+    if not 0.0 < p.total < np.inf:
+        return -np.inf
     lp = log_prior(tree, priors, p)
     if not np.isfinite(lp):
         return -np.inf
@@ -561,14 +571,12 @@ class HDEvaluator:
     """
 
     def __init__(self, tree: DecompTree, priors):
-        pm = _as_prior_map(tree, priors)
-        v_spec = pm["total_variance"]
-        # pc: lam and log(lam) - log(2); jeffreys: no lam and the log normalizer
-        if v_spec.family == "pc":
-            self.v_lam = float(v_spec.params["lam"])
+        laws = _as_prior_map(tree, priors)
+        kind, self.v_lam = laws["total_variance"]  # v_lam is None under jeffreys
+        # pc: log(lam) - log(2); jeffreys: the log normalizer
+        if kind == "pc":
             self.v_const = math.log(self.v_lam) - math.log(2.0)
         else:
-            self.v_lam = None
             self.v_const = -math.log(JEFFREYS_LOG_BOUNDS[1] - JEFFREYS_LOG_BOUNDS[0])
 
         # per split, in pre-order: (theta position, entry of its own log
@@ -581,22 +589,16 @@ class HDEvaluator:
         entry = {tree.leaves: 0}  # leaves below a node -> entry of its log variance
         pos = n_entries = 1
         for s in tree.splits:
-            spec = pm[s.name]
+            kind, param = laws[s.name]
             own = entry[sum(s.child_leaves, ())]
             for ci, leaves in enumerate(s.child_leaves):
                 entry[leaves] = n_entries + ci
             n_entries += s.n_children
-            if spec.family == "pc0":
-                lam = float(spec.params["lam"])
-                const = float(np.log(lam) - np.log(2.0) - np.log(-np.expm1(-lam)))
-                self.split_meta.append((pos, own, 2, s.omega_index, "pc0", lam, const))
+            if kind == "pc0":
+                const = float(np.log(param) - np.log(2.0) - np.log(-np.expm1(-param)))
+                self.split_meta.append((pos, own, 2, s.omega_index, "pc0", param, const))
             else:
-                if spec.family == "beta":
-                    conc = np.array([spec.params["a"], spec.params["b"]], dtype=float)
-                else:
-                    conc = _concentration(s, spec)
-                    if s.is_binary:
-                        conc = conc[[s.omega_index, 1 - s.omega_index]]
+                conc = param[[s.omega_index, 1 - s.omega_index]] if s.is_binary else param
                 const = float(gammaln(conc.sum()) - gammaln(conc).sum())
                 self.split_meta.append((pos, own, s.n_children, s.omega_index, "dirichlet",
                                         tuple(conc.tolist()), const))
@@ -614,10 +616,13 @@ class HDEvaluator:
                 return -math.inf, None
             logp = self.v_const
         else:
+            # V = exp(t) must be a positive finite float, as in the reference
             try:
-                logp = self.v_const - self.v_lam * math.exp(0.5 * t) + 0.5 * t
-            except OverflowError:  # V above exp(1419): the density underflows
+                if math.exp(t) == 0.0:  # below the least float
+                    return -math.inf, None
+            except OverflowError:  # above the largest
                 return -math.inf, None
+            logp = self.v_const - self.v_lam * math.exp(0.5 * t) + 0.5 * t
 
         logs = [t]
         for pos, own, n, omega_index, kind, a, const in self.split_meta:
@@ -647,28 +652,27 @@ class HDEvaluator:
 
 
 def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
-    """Unconstrained coordinates at the per-node prior medians (initialization)."""
-    pm = _as_prior_map(tree, priors)
-    spec = pm["total_variance"]
-    if spec.family == "pc":
-        total = float((np.log(2.0) / spec.params["lam"]) ** 2)
-    else:
-        total = 1.0
+    """Unconstrained coordinates of the chains' start: V and each binary
+    split's designated proportion at the median of its law, and each
+    multi-branch split at the barycentre of its simplex."""
+    laws = _as_prior_map(tree, priors)
+    kind, lam = laws["total_variance"]
+    total = float((np.log(2.0) / lam) ** 2) if kind == "pc" else 1.0
     proportions = {}
     for s in tree.splits:
-        spec = pm[s.name]
-        if spec.family == "beta":
-            w = float(beta_dist.ppf(0.5, spec.params["a"], spec.params["b"]))
-        elif spec.family == "pc0":
-            w = float(pc0_quantile(0.5, spec.params["lam"]))
+        if not s.is_binary:
+            proportions[s.name] = np.full(s.n_children, 1.0 / s.n_children)
+            continue
+        kind, param = laws[s.name]
+        if kind == "pc0":
+            w = float(pc0_quantile(0.5, param))
         else:
-            w = 1.0 / s.n_children
-        if s.is_binary:
-            props = np.empty(2)
-            props[s.omega_index] = w
-            props[1 - s.omega_index] = 1.0 - w
-        else:
-            props = np.full(s.n_children, 1.0 / s.n_children)
+            a, b = param[s.omega_index], param[1 - s.omega_index]
+            # a symmetric law's median is 1/2, which beta_dist.ppf misses by an ulp
+            w = 0.5 if a == b else float(beta_dist.ppf(0.5, a, b))
+        props = np.empty(2)
+        props[s.omega_index] = w
+        props[1 - s.omega_index] = 1.0 - w
         proportions[s.name] = props
     return to_unconstrained(tree, HDParams(total=total, proportions=proportions))
 
@@ -676,33 +680,24 @@ def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
 def marginal_cdfs(tree: DecompTree, priors) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
     """Analytic marginal CDFs for natural-scale parameters, for KS checks.
 
-    Keys are 'V' and '<split>:<child>' for each proportion entry; Dirichlet
-    entries use the Beta(q_i, sum(q) - q_i) marginal.
+    Keys are 'V' and '<split>:<child>': every child of a Dirichlet split,
+    whose entry i has the Beta(q_i, sum(q) - q_i) marginal, and the
+    designated child of a pc0 split.
     """
-    pm = _as_prior_map(tree, priors)
+    laws = _as_prior_map(tree, priors)
     out: dict[str, Callable] = {}
-    spec = pm["total_variance"]
-    if spec.family == "jeffreys":
+    kind, lam = laws["total_variance"]
+    if kind == "jeffreys":
         lo, hi = JEFFREYS_LOG_BOUNDS
         out["V"] = lambda v: np.clip((np.log(v) - lo) / (hi - lo), 0.0, 1.0)
     else:
-        lam = spec.params["lam"]
-        out["V"] = lambda v, lam=lam: -np.expm1(-lam * np.sqrt(v))
+        out["V"] = lambda v: -np.expm1(-lam * np.sqrt(v))
     for s in tree.splits:
-        spec = pm[s.name]
-        if spec.family in ("uniform", "dirichlet"):
-            conc = _concentration(s, spec)
-            for i, child in enumerate(s.child_names):
-                a_i, rest = conc[i], conc.sum() - conc[i]
-                out[f"{s.name}:{child}"] = (
-                    lambda w, a=a_i, b=rest: beta_dist.cdf(np.asarray(w), a, b)
-                )
-        elif spec.family == "beta":
+        kind, param = laws[s.name]
+        if kind == "dirichlet":
+            for child, a, b in zip(s.child_names, param, param.sum() - param):
+                out[f"{s.name}:{child}"] = lambda w, a=a, b=b: beta_dist.cdf(np.asarray(w), a, b)
+        else:
             child = s.child_names[s.omega_index]
-            a, b = spec.params["a"], spec.params["b"]
-            out[f"{s.name}:{child}"] = lambda w, a=a, b=b: beta_dist.cdf(np.asarray(w), a, b)
-        else:  # pc0
-            child = s.child_names[s.omega_index]
-            lam = spec.params["lam"]
-            out[f"{s.name}:{child}"] = lambda w, lam=lam: pc0_cdf(np.asarray(w), lam)
+            out[f"{s.name}:{child}"] = lambda w, lam=param: pc0_cdf(np.asarray(w), lam)
     return out

@@ -65,7 +65,11 @@ def reference_variance(basis, precision: PrecisionStructure, constraints, dist) 
     D(x)' Cov D(x) under the constrained coefficient covariance; with a
     zero-mean constraint in place this is the full Var_{X,u}[f(X) | 1].
     """
-    law = constrained_gaussian(precision, constraints)
+    return _unit_variance(constrained_gaussian(precision, constraints), basis, dist)
+
+
+def _unit_variance(law: SubspaceGaussian, basis, dist) -> float:
+    """``reference_variance`` of an effect whose constrained law is built."""
     G = eval_basis(basis, dist.grid())
     half = np.linalg.solve(law.chol, law.basis.T @ G.T)  # r x Q
     c2 = float(np.mean(np.sum(half**2, axis=0)))
@@ -142,15 +146,15 @@ def standardize(
         resid = d - A_extra @ np.linalg.lstsq(A_extra, d, rcond=None)[0]
         need_d = np.linalg.norm(resid) > 1e-10 * np.linalg.norm(d)
     A = _stack_constraints(extras + ([d] if need_d else []))
-    c2 = reference_variance(basis, precision, A, dist)
+    law = constrained_gaussian(precision, A)
     return StandardizedEffect(
         effect_id=effect_id,
         basis=basis,
         precision=precision,
         constraints=A,
-        scale_constant=float(np.sqrt(c2)),
+        scale_constant=float(np.sqrt(_unit_variance(law, basis, dist))),
         dist=dist,
-        law=constrained_gaussian(precision, A),
+        law=law,
     )
 
 

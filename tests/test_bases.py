@@ -46,16 +46,20 @@ class TestScalarBases:
 
 class TestBSpline1D:
     @pytest.mark.parametrize(
-        "n_funcs,lower,upper,degree",
-        [(20, -1.0, 3.0, 3), (4, 0.0, 1.0, 3), (7, -2.0, -0.5, 2), (12, 5.0, 50.0, 3)],
+        "n_funcs,lower,upper",
+        [(20, -1.0, 3.0), (4, 0.0, 1.0), (7, -2.0, -0.5), (12, 5.0, 50.0)],
     )
-    def test_partition_of_unity(self, n_funcs, lower, upper, degree):
-        spec = BSplineBasis1D(n_funcs=n_funcs, lower=lower, upper=upper, degree=degree)
+    def test_partition_of_unity(self, n_funcs, lower, upper):
+        spec = BSplineBasis1D(n_funcs=n_funcs, lower=lower, upper=upper)
         x = np.linspace(lower, upper, 1000)
         M = eval_basis(spec, x)
         assert M.shape == (1000, n_funcs)
         np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(M >= 0)
+
+    def test_fewer_than_four_functions_rejected(self):
+        with pytest.raises(DimensionError, match="at least 4 functions, got 3"):
+            BSplineBasis1D(n_funcs=3, lower=0.0, upper=1.0)
 
     def test_out_of_support_lists_indices(self):
         spec = BSplineBasis1D(n_funcs=6, lower=0.0, upper=1.0)
@@ -75,14 +79,14 @@ class TestBSpline1D:
     def test_local_support(self):
         spec = BSplineBasis1D(n_funcs=12, lower=0.0, upper=1.0)
         M = eval_basis(spec, [0.05])
-        # cubic splines: at most degree+1 nonzero functions per point
+        # cubic splines: at most 4 nonzero functions per point
         assert np.count_nonzero(M) <= 4
 
 
 class TestTensorBasis:
     def test_dimensions(self):
-        a = BSplineBasis1D(n_funcs=4, lower=0.0, upper=1.0, degree=2)
-        b = BSplineBasis1D(n_funcs=4, lower=0.0, upper=2.0, degree=2)
+        a = BSplineBasis1D(n_funcs=4, lower=0.0, upper=1.0)
+        b = BSplineBasis1D(n_funcs=4, lower=0.0, upper=2.0)
         spec = tensor_basis(a, b)
         assert spec.n_funcs == 16
         assert spec.grid_dims == (4, 4)

@@ -409,7 +409,7 @@ class TestLogPrior:
                 # pc is not truncated: finite both ways
                 assert np.isfinite(ev.evaluate(theta)[0])
                 assert np.isfinite(log_prior_unconstrained(tree, priors, theta))
-                # until exp(t / 2) overflows: a rejection both ways, not an error
+                # until exp(t) overflows: a rejection both ways, not an error
                 theta[0] = 1500.0
                 assert ev.evaluate(theta) == (-np.inf, None)
                 assert log_prior_unconstrained(tree, priors, theta) == -np.inf
@@ -417,6 +417,10 @@ class TestLogPrior:
                 # outside the Jeffreys truncation: -inf both ways
                 assert ev.evaluate(theta)[0] == -np.inf
                 assert log_prior_unconstrained(tree, priors, theta) == -np.inf
+            # exp(t) underflows to V = 0: a rejection both ways, not an error
+            theta[0] = -1500.0
+            assert ev.evaluate(theta) == (-np.inf, None)
+            assert log_prior_unconstrained(tree, priors, theta) == -np.inf
 
     def test_pc_and_beta_marginals_and_medians_match_scipy(self):
         from scipy.stats import beta, expon
@@ -706,3 +710,43 @@ class TestEvaluatorProperty:
         lp = HDEvaluator(tree, priors).evaluate(theta)[0]
         assert lp == pytest.approx(unclamped_log_prior(tree, priors, theta)[0], rel=1e-12)
         assert lp < -2000.0 < -100.0 < log_prior_unconstrained(tree, priors, theta)
+
+
+class TestStartAndMarginalsProperty:
+    """prior_median_theta and marginal_cdfs on random trees and prior
+    families, against the law of each node as its PriorSpec states it."""
+
+    @hyp_settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(model=trees_and_priors())
+    def test_the_start_is_the_median_of_each_node_law(self, model):
+        from scipy.stats import beta
+
+        from hdsdm.priors import prior_median_theta
+        from hdsdm.tree import from_unconstrained
+
+        tree, priors = model
+        cdfs = marginal_cdfs(tree, priors)
+        start = from_unconstrained(tree, prior_median_theta(tree, priors))
+        assert cdfs["V"](start.total) == pytest.approx(0.5, abs=1e-9)
+        grid = np.linspace(0.005, 0.995, 25)
+        for s in tree.splits:
+            spec = priors[s.name]
+            designated = s.child_names[s.omega_index]
+            if spec.family == "pc0":
+                laws = {designated: lambda w, lam=spec.params["lam"]: pc0_cdf(w, lam)}
+            else:
+                if spec.family == "beta":
+                    q = np.empty(2)
+                    q[s.omega_index], q[1 - s.omega_index] = spec.params["a"], spec.params["b"]
+                elif spec.family == "dirichlet":
+                    q = np.ones(s.n_children) * spec.params["q"]
+                else:  # uniform
+                    q = np.ones(s.n_children)
+                laws = {child: beta(q[i], q.sum() - q[i]).cdf
+                        for i, child in enumerate(s.child_names)}
+            for child, cdf in laws.items():
+                np.testing.assert_allclose(cdfs[f"{s.name}:{child}"](grid), cdf(grid),
+                                           rtol=1e-9, atol=1e-12)
+            if s.is_binary:
+                omega = start.proportions[s.name][s.omega_index]
+                assert cdfs[f"{s.name}:{designated}"](omega) == pytest.approx(0.5, abs=1e-9)
