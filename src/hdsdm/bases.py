@@ -26,6 +26,7 @@ __all__ = [
     "eval_basis",
     "tensor_basis",
     "prune_basis",
+    "pruned_design",
     "lattice_adjacency",
 ]
 
@@ -125,7 +126,9 @@ def _check_support(x: np.ndarray, lower: float, upper: float) -> np.ndarray:
 
 def _eval_bspline1d(spec: BSplineBasis1D, x: np.ndarray) -> np.ndarray:
     x = _check_support(x, spec.lower, spec.upper)
-    return BSpline.design_matrix(x, spec.knots, DEGREE, extrapolate=False).toarray()
+    # x is clipped to the knot span, where extrapolation changes nothing; with
+    # extrapolate=False scipy checks the span again with Python's min and max
+    return BSpline.design_matrix(x, spec.knots, DEGREE, extrapolate=True).toarray()
 
 
 def eval_basis(spec, x) -> np.ndarray:
@@ -188,21 +191,26 @@ def prune_basis(
     the threshold only guards floating-point noise). Returns the pruned spec
     and the retained full-grid indices.
     """
+    pruned, retained, _ = pruned_design(spec, support_points)
+    return pruned, retained
+
+
+def pruned_design(
+    spec: BSplineBasis2D, support_points: np.ndarray
+) -> tuple[BSplineBasis2D, np.ndarray, np.ndarray]:
+    """``prune_basis`` plus the pruned basis evaluated at the support points,
+    all from one evaluation of the full grid over the cloud."""
     pts = np.asarray(support_points, dtype=float)
     if pts.size == 0:
         raise ValidationError("support point cloud is empty")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionError(f"support points must be (Q, 2), got shape {pts.shape}")
-    full = BSplineBasis2D(basis_a=spec.basis_a, basis_b=spec.basis_b)
-    max_abs = np.zeros(full.n_funcs)
-    for start in range(0, pts.shape[0], 4096):
-        block = eval_basis(full, pts[start : start + 4096])
-        np.maximum(max_abs, np.abs(block).max(axis=0), out=max_abs)
-    retained = np.flatnonzero(max_abs > PRUNE_TOL)
+    full = eval_basis(BSplineBasis2D(basis_a=spec.basis_a, basis_b=spec.basis_b), pts)
+    retained = np.flatnonzero(np.abs(full).max(axis=0) > PRUNE_TOL)
     pruned = BSplineBasis2D(
         basis_a=spec.basis_a, basis_b=spec.basis_b, retained=tuple(int(i) for i in retained)
     )
-    return pruned, retained
+    return pruned, retained, full[:, retained]
 
 
 def lattice_adjacency(retained_indices, grid_dims: tuple[int, int]) -> np.ndarray:

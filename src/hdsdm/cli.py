@@ -150,7 +150,7 @@ def _cmd_fit(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
 def _cmd_predict(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     data = ingest(cfg.data["path"], cfg, base_dir)
     model = build_model(cfg, base_dir)
-    assembled = assemble(model, data)
+    assembled = assemble(model, None)  # predict evaluates the designs at the test rows only
     samples = _load_samples(outdir, assembled)
     test_mask = ~data.train_mask
     if not test_mask.any():

@@ -213,11 +213,51 @@ def _parse_float(value: str, column: str, line: int) -> float:
     return number
 
 
+def _check_row(row: list[str], line: int, header: list[str], response: str,
+               needed: list[str]) -> None:
+    """Raise the ValidationError of the first fault of one data row: its field
+    count, then its response, then each needed column in header order."""
+    if len(row) != len(header):
+        raise ValidationError(
+            f"line {line}: {len(row)} fields, but the header has {len(header)}"
+        )
+    at = dict(zip(header, row))
+    if at[response] not in ("0", "1"):
+        raise ValidationError(
+            f"line {line}: response {response}={at[response]!r} is not binary 0/1"
+        )
+    for c in needed:
+        _parse_float(at[c], c, line)
+
+
+def _parse_columns(rows: list[list[str]], header: list[str], response: str,
+                   needed: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
+    """The response and the needed columns as float arrays, or None when any
+    row fails a check of ``_check_row``."""
+    if set(map(len, rows)) != {len(header)}:
+        return None
+    # a repeated column name reads its last column, as csv.DictReader does
+    table = dict(zip(header, zip(*rows)))
+    if not set(table[response]) <= {"0", "1"}:
+        return None
+    try:
+        # numpy parses each string with Python's float, as _parse_float does
+        cols = {c: np.array(table[c], dtype=float) for c in needed}
+    except ValueError:
+        return None
+    if not all(np.isfinite(v).all() for v in cols.values()):
+        return None
+    return np.array(table[response], dtype=float), cols
+
+
 def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     """Parse the delimited data file, validate, and tag train/test rows.
 
-    The response must be binary 0/1; rows are reported by file line number
-    on any parse or validation failure. Level-coded supports may declare an
+    Every data row has one field per header column, and the response is
+    binary 0/1; a parse or validation failure names the physical line of
+    the file (blank lines are skipped but counted). The file is read in one
+    pass and converted column by column; rows are examined one at a time
+    only to name the first faulty line. Level-coded supports may declare an
     integer ``offset`` subtracted from the raw column (e.g. ``year`` 2000..
     2019 with offset 1999 becomes levels 1..20); the train/test split always
     tests the raw year against ``split.train_max_year``.
@@ -235,26 +275,24 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
         needed.add(year_col)
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = ({response} | needed) - set(header)
         if missing:
             raise ValidationError(f"{path}: missing columns {sorted(missing)}")
-        y = []
-        columns: dict[str, list[float]] = {c: [] for c in needed}
-        for line, row in enumerate(reader, start=2):
-            raw = row[response]
-            if raw not in ("0", "1"):
-                raise ValidationError(
-                    f"line {line}: response {response}={raw!r} is not binary 0/1"
-                )
-            y.append(int(raw))
-            for c in needed:
-                columns[c].append(_parse_float(row[c], c, line))
-
-    if not y:
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
-    cols = {c: np.asarray(v) for c, v in columns.items()}
+    needed = [c for c in header if c in needed]
+    parsed = _parse_columns(rows, header, response, needed)
+    if parsed is None:
+        for row, line in zip(rows, lines):
+            _check_row(row, line, header, response, needed)
+    y, cols = parsed
 
     threshold = cfg.split.get("train_max_year")
     if year_col and threshold is not None:
@@ -266,4 +304,4 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
         if spec.get("kind") == "levels" and "offset" in spec and name in cols:
             cols[name] = cols[name] - float(spec["offset"])
 
-    return Dataset(y=np.asarray(y), columns=cols, train_mask=train_mask)
+    return Dataset(y=y, columns=cols, train_mask=train_mask)

@@ -19,14 +19,14 @@ from .bases import (
     IndicatorBasis,
     LinearBasis,
     lattice_adjacency,
-    prune_basis,
+    pruned_design,
     tensor_basis,
 )
 from .distributions import CovariateDistribution, PointCloud, UniformInterval, UniformLevels
 from .exceptions import DomainError, ValidationError
 from .gmrf import build_icar, build_iid, build_rw1
 from .priors import PriorSpec, _as_prior_map
-from .standardize import StandardizedEffect, split_pspline, standardize, zero_mean_constraint
+from .standardize import StandardizedEffect, split_pspline, standardize
 from .tree import DecompTree, EffectLabel, build_default_tree
 
 EFFECT_KINDS = ("linear", "pspline", "iid", "rw1", "spatial2d")
@@ -187,16 +187,18 @@ def _build_spatial_effect(decl: EffectDecl) -> StandardizedEffect:
     pad_b = 1e-6 * (cloud[:, 1].max() - cloud[:, 1].min() + 1.0)
     spec_a = BSplineBasis1D(na, cloud[:, 0].min() - pad_a, cloud[:, 0].max() + pad_a)
     spec_b = BSplineBasis1D(nb, cloud[:, 1].min() - pad_b, cloud[:, 1].max() + pad_b)
-    pruned, retained = prune_basis(tensor_basis(spec_a, spec_b), cloud)
+    # the cloud is the quadrature grid, so pruning evaluates the grid design
+    pruned, retained, G = pruned_design(tensor_basis(spec_a, spec_b), cloud)
     W = lattice_adjacency(retained, (na, nb))
     precision = build_icar(W)
     # per-component quadrature zero-mean constraints pin every null direction
     # while keeping E_Z[f] = 0 exactly (their sum is the overall constraint)
     extra = None
     if precision.null_dim > 1:
-        d = zero_mean_constraint(pruned, decl.dist)
+        d = G.mean(axis=0)
         extra = [d * (np.abs(col) > 1e-12) for col in precision.nullspace.T]
-    return standardize(pruned, precision, decl.dist, decl.effect_id, extra_constraints=extra)
+    return standardize(pruned, precision, decl.dist, decl.effect_id, extra_constraints=extra,
+                       grid_design=G)
 
 
 def build_effects(decl: EffectDecl) -> list[StandardizedEffect]:

@@ -25,6 +25,7 @@ for validation of that simplification, not for inference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,7 +79,7 @@ class PriorSpec:
         proportions).
     params : family hyperparameters; 'pc' takes lam or (U, alpha); 'beta'
         takes a, b; 'dirichlet' takes q (scalar or vector); 'pc0' takes lam
-        or (U, alpha).
+        or (U, alpha). lam, a and b are real numbers, not lists or strings.
     """
 
     node: str
@@ -102,15 +103,16 @@ class PriorSpec:
         for key in ("lam", "q", "a", "b"):
             if key not in self.params:
                 continue
+            raw = self.params[key]
             try:
-                value = np.asarray(self.params[key], dtype=float)
+                value = np.asarray(raw, dtype=float)
             except (TypeError, ValueError):
                 value = np.array(np.nan)
-            if not np.all(np.isfinite(value) & (value > 0)):
-                raise ValidationError(
-                    f"prior {self.node!r}: {key} must be finite and positive, "
-                    f"got {self.params[key]!r}"
-                )
+            # q may be a vector; lam, a and b are one real number each
+            single = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
+            if not (np.all(np.isfinite(value) & (value > 0)) and (single or key == "q")):
+                want = "finite and positive" if key == "q" else "finite, positive and one number"
+                raise ValidationError(f"prior {self.node!r}: {key} must be {want}, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,13 @@ def reference_variance(basis, precision: PrecisionStructure, constraints, dist) 
     D(x)' Cov D(x) under the constrained coefficient covariance; with a
     zero-mean constraint in place this is the full Var_{X,u}[f(X) | 1].
     """
-    return _unit_variance(constrained_gaussian(precision, constraints), basis, dist)
-
-
-def _unit_variance(law: SubspaceGaussian, basis, dist) -> float:
-    """``reference_variance`` of an effect whose constrained law is built."""
     G = eval_basis(basis, dist.grid())
+    return _unit_variance(constrained_gaussian(precision, constraints), G)
+
+
+def _unit_variance(law: SubspaceGaussian, G: np.ndarray) -> float:
+    """``reference_variance`` of an effect whose constrained law is built,
+    from its basis evaluated on the quadrature grid."""
     half = np.linalg.solve(law.chol, law.basis.T @ G.T)  # r x Q
     c2 = float(np.mean(np.sum(half**2, axis=0)))
     if c2 <= 1e-14:
@@ -86,6 +87,7 @@ class StandardizedEffect:
     raw basis and the coefficients follow the constrained law scaled by the
     reference variance: u | sigma2 ~ N(0, (sigma2 / C^2) * cov), so
     Var_{X,u}[f(X) | sigma2] = sigma2 under the declared distribution.
+    ``grid_design`` is the basis evaluated on the quadrature grid, read-only.
     """
 
     effect_id: str
@@ -95,6 +97,7 @@ class StandardizedEffect:
     scale_constant: float
     dist: CovariateDistribution
     law: SubspaceGaussian = field(repr=False)
+    grid_design: np.ndarray = field(repr=False)
 
     @property
     def n_coef(self) -> int:
@@ -109,7 +112,9 @@ class StandardizedEffect:
         return eval_basis(self.basis, x)
 
     def quadrature_design(self) -> np.ndarray:
-        return self.design(self.dist.grid())
+        """The basis on the quadrature grid of ``dist``: the read-only design
+        that ``standardize`` evaluated once and stored."""
+        return self.grid_design
 
     def whitening_transform(self) -> np.ndarray:
         """T with u = sqrt(sigma2) T z, z ~ N(0, I); includes the 1/C scaling."""
@@ -130,14 +135,20 @@ def standardize(
     dist: CovariateDistribution,
     effect_id: str = "",
     extra_constraints: list[np.ndarray] | None = None,
+    grid_design: np.ndarray | None = None,
 ) -> StandardizedEffect:
     """Attach zero-mean (and any extra) constraints and the reference scaling.
 
     The zero-mean column is dropped when it is already implied by the extra
     constraints or when the basis is centered (d = 0, e.g. a linear effect
-    on a centered covariate).
+    on a centered covariate). The basis is evaluated on the quadrature grid
+    of ``dist`` once, unless the caller passes that evaluation as
+    ``grid_design``; the zero-mean constraint and the reference variance
+    both read it, and the effect stores it read-only.
     """
-    d = zero_mean_constraint(basis, dist)
+    G = eval_basis(basis, dist.grid()) if grid_design is None else grid_design
+    G.flags.writeable = False
+    d = G.mean(axis=0)
     extras = list(extra_constraints or [])
     A_extra = _stack_constraints(extras)
     need_d = np.linalg.norm(d) > 1e-12
@@ -152,9 +163,10 @@ def standardize(
         basis=basis,
         precision=precision,
         constraints=A,
-        scale_constant=float(np.sqrt(_unit_variance(law, basis, dist))),
+        scale_constant=float(np.sqrt(_unit_variance(law, G))),
         dist=dist,
         law=law,
+        grid_design=G,
     )
 
 
@@ -180,9 +192,8 @@ def split_pspline(
     lin_basis = LinearBasis(center=dist.mean(), scale=dist.sd())
     linear = standardize(lin_basis, build_iid(1), dist, effect_id=f"{effect_id}_lin")
 
-    grid = dist.grid()
-    x_std = eval_basis(lin_basis, grid)[:, 0]
-    G = eval_basis(basis, grid)
+    x_std = linear.quadrature_design()[:, 0]
+    G = eval_basis(basis, dist.grid())
     trend = (x_std[:, None] * G).mean(axis=0)
     nonlinear = standardize(
         basis,
@@ -190,5 +201,6 @@ def split_pspline(
         dist,
         effect_id=f"{effect_id}_nonlin",
         extra_constraints=[trend],
+        grid_design=G,
     )
     return linear, nonlinear

@@ -286,6 +286,36 @@ class TestIngest:
         with pytest.raises(ValidationError, match="vessel"):
             ingest("bad.csv", cfg, tmp_path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,0.2,2", "line 3: 3 fields, but the header has 4"),
+        ("1,0.2,2,2001,7", "line 3: 5 fields, but the header has 4"),
+    ], ids=["short", "long"])
+    def test_row_of_another_width_names_line_and_field_counts(self, tmp_path, row, message):
+        (tmp_path / "bad.csv").write_text(f"present,sst,vessel,year\n0,0.5,1,2000\n{row}\n")
+        cfg = RunConfig.from_dict(base_config(data_path="bad.csv"))
+        with pytest.raises(ValidationError, match=message):
+            ingest("bad.csv", cfg, tmp_path)
+
+    def test_errors_name_the_physical_line_after_blank_lines(self, tmp_path):
+        text = "present,sst,vessel,year\n0,0.5,1,2000\n\n\n{}\n"
+        (tmp_path / "ok.csv").write_text(text.format("1,0.2,2,2001"))
+        cfg = RunConfig.from_dict(base_config(data_path="ok.csv"))
+        data = ingest("ok.csv", cfg, tmp_path)
+        np.testing.assert_array_equal(data.y, [0.0, 1.0])
+        np.testing.assert_array_equal(data.columns["sst"], [0.5, 0.2])
+        (tmp_path / "bad.csv").write_text(text.format("2,0.2,2,2001"))
+        cfg = RunConfig.from_dict(base_config(data_path="bad.csv"))
+        with pytest.raises(ValidationError, match=r"^line 5: response present='2'"):
+            ingest("bad.csv", cfg, tmp_path)
+
+    def test_first_faulty_line_is_named(self, tmp_path):
+        # each row is checked in file order, whatever the kind of fault
+        rows = ["0,0.5,1,2000", "1,0.2,1,inf", "7,0.2,1,2001", "1,oops,1,2001"]
+        (tmp_path / "bad.csv").write_text("present,sst,vessel,year\n" + "\n".join(rows))
+        cfg = RunConfig.from_dict(base_config(data_path="bad.csv"))
+        with pytest.raises(ValidationError, match=r"^line 3: year='inf' is not a finite"):
+            ingest("bad.csv", cfg, tmp_path)
+
 
 class TestCliFlow:
     def test_fit_predict_metrics_partition(self, workdir):
@@ -505,6 +535,16 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
         assert f"line 7: {column}={value!r} is not a finite number" in record["message"]
+
+    def test_short_row_gives_validation_record(self, workdir, capsys):
+        path = workdir / "data.csv"
+        lines = path.read_text().splitlines()
+        lines[6] = lines[6].rsplit(",", 1)[0]  # file line 7 loses its year
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": "line 7: 3 fields, but the header has 4"}
 
     @pytest.mark.parametrize("command, train_max_year, message", [
         ("fit", 1990, "no training rows"),

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from hdsdm import bases
 from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
 from hdsdm.exceptions import DomainError, ValidationError
 from hdsdm.mcmc import Draws, McmcSettings, fit, predict
 from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
+from hdsdm.partition import phi
 from hdsdm.priors import PriorSpec
 
 
@@ -299,3 +301,71 @@ class TestAssemble:
             EffectDecl("a", "pspline", "x", UniformLevels(3))
         with pytest.raises(ValidationError):
             EffectDecl("a", "spatial2d", ("z1", "z2"), UniformInterval(0, 1))
+
+
+def pspline_spatial_model():
+    effects = [
+        EffectDecl("x1", "pspline", "x1", UniformInterval(0.0, 1.0), side="abiotic",
+                   n_basis=8),
+        EffectDecl("spatial", "spatial2d", ("z1", "z2"), PointCloud(small_cloud()),
+                   side="biotic", n_basis_2d=(5, 5)),
+    ]
+    priors = {
+        "total_variance": PriorSpec("total_variance", "jeffreys"),
+        "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "uniform"),
+        "x1_flex": PriorSpec("x1_flex", "pc0", {"lam": 0.1}),
+    }
+    return ModelSpec(effects=effects, priors=priors)
+
+
+class TestBuildOnce:
+    """Assembly evaluates each basis once per point set and keeps the
+    quadrature designs, whatever the data."""
+
+    def test_each_factor_evaluated_once_per_point_set(self, monkeypatch):
+        calls = []
+        original = bases._eval_bspline1d
+
+        def counted(spec, x):
+            calls.append((spec, x.tobytes()))
+            return original(spec, x)
+
+        monkeypatch.setattr(bases, "_eval_bspline1d", counted)
+        model = pspline_spatial_model()
+        data = survey_data(n=60)
+        asm = assemble(model, data)
+        # the pspline on its grid and on the rows; both tensor factors on the
+        # cloud and on the rows
+        assert len(calls) == 6
+        assert len(set(calls)) == 6
+        rng = np.random.default_rng(2)
+        draws = Draws(mu=np.zeros((1, 5)), coefficients={
+            l: rng.normal(size=(1, 5, asm.effects[l].n_coef)) for l in asm.leaf_ids})
+        del calls[:]
+        phi(draws, asm)
+        assert calls == []
+
+    @pytest.mark.parametrize("make_model", [survey_model, linear_model])
+    def test_effects_do_not_depend_on_the_data(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(4)
+        data = survey_data(n=80) if make_model is survey_model else Dataset.from_arrays(
+            y=rng.integers(0, 2, 80), a=rng.uniform(0, 1, 80),
+            vessel=rng.integers(1, 3, 80).astype(float))
+        with_data = assemble(model, data).effects
+        without = assemble(model, None).effects
+        for leaf, eff in with_data.items():
+            other = without[leaf]
+            assert eff.scale_constant == other.scale_constant
+            for get in ("whitening_transform", "quadrature_design"):
+                a, b = getattr(eff, get)(), getattr(other, get)()
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (leaf, get)
+
+    @pytest.mark.parametrize("make_model", [survey_model, linear_model])
+    def test_quadrature_design_is_read_only(self, make_model):
+        for leaf, eff in assemble(make_model(), None).effects.items():
+            G = eff.quadrature_design()
+            assert G is eff.quadrature_design()
+            assert not G.flags.writeable, leaf
+            with pytest.raises(ValueError):
+                G[0, 0] = 1.0

@@ -551,13 +551,25 @@ class TestPriorValidation:
             ("beta", {"a": np.nan, "b": 2.0}, "a"),
             ("pc0", {"lam": np.inf}, "lam"),
             ("beta", {"a": "two", "b": 2.0}, "a"),
+            # lam, a and b are one number each; only q may be a vector
+            ("pc", {"lam": [0.7]}, "lam"),
+            ("pc0", {"lam": np.array([0.1])}, "lam"),
+            ("beta", {"a": [2.0, 3.0], "b": 2.0}, "a"),
+            ("beta", {"a": 2.0, "b": "3"}, "b"),
+            ("pc", {"lam": True}, "lam"),
         ],
         ids=["pc_lam_nan", "pc_lam_inf", "pc_U_nan", "dirichlet_q_nan",
-             "dirichlet_q_vector_nan", "beta_a_nan", "pc0_lam_inf", "beta_a_text"],
+             "dirichlet_q_vector_nan", "beta_a_nan", "pc0_lam_inf", "beta_a_text",
+             "pc_lam_list", "pc0_lam_array", "beta_a_list", "beta_b_text", "pc_lam_bool"],
     )
     def test_non_finite_parameters_rejected(self, family, params, key):
         with pytest.raises(ValidationError, match=rf"'node7'.*{key} must be finite"):
             PriorSpec("node7", family, params)
+
+    def test_numpy_scalars_and_a_q_vector_accepted(self):
+        PriorSpec("node7", "pc", {"lam": np.float64(0.7)})
+        PriorSpec("node7", "beta", {"a": np.int64(2), "b": 3})
+        PriorSpec("node7", "dirichlet", {"q": [0.5, 2.0]})
 
     @pytest.mark.parametrize(
         "spec",
