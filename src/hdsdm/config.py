@@ -95,18 +95,32 @@ def _reject_unknown(where: str, entry: dict, known: set[str]) -> None:
 
 
 def read_point_cloud(path) -> np.ndarray:
-    """Two-column delimited file of planar points; a header row is allowed."""
+    """Two-column delimited file of planar points, one finite (x, y) per row.
+
+    Blank lines are skipped, and so is a first line that does not parse as
+    numbers (a header). Any other row that is not two finite numbers is a
+    ValidationError naming the file and its physical line.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if i == 1:
+                point = [float(v) for v in row]
+            except ValueError:
+                if line == 1:
                     continue  # header
-                raise ValidationError(f"{path}: unparseable point on line {i}: {row}")
+                raise ValidationError(
+                    f"{path}: line {line}: cannot parse {row} as numbers"
+                ) from None
+            if len(point) != 2:
+                raise ValidationError(f"{path}: line {line}: {len(row)} fields, but a point has 2")
+            if not all(map(math.isfinite, point)):  # float() accepts "nan" and "inf"
+                raise ValidationError(f"{path}: line {line}: {row} is not a finite point")
+            rows.append(point)
     if not rows:
         raise ValidationError(f"{path}: no points found")
     return np.asarray(rows)

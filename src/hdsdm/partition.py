@@ -23,7 +23,7 @@ from .standardize import StandardizedEffect
 
 __all__ = ["PartitionResult", "finite_pop_variance", "phi", "sensitivity_sweep"]
 
-PHI_CHUNK = 256  # draws per block of quadrature matmuls; bounds phi's temporaries
+PHI_CHUNK = 64  # draws per block of quadrature matmuls; bounds phi's temporaries
 
 
 def finite_pop_variance(effect: StandardizedEffect, coefficients) -> float:

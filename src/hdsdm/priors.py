@@ -36,7 +36,14 @@ from scipy.stats import beta as beta_dist
 
 from .exceptions import CalibrationError, NumericalError, ValidationError
 from .gmrf import RANK_TOL
-from .tree import DecompTree, HDParams, from_unconstrained, log_jacobian, to_unconstrained
+from .tree import (
+    DecompTree,
+    HDParams,
+    from_unconstrained,
+    log_jacobian,
+    n_coordinates,
+    to_unconstrained,
+)
 
 JEFFREYS_LOG_BOUNDS = (-30.0, 30.0)
 
@@ -552,18 +559,23 @@ def log_prior_unconstrained(tree: DecompTree, priors, theta: np.ndarray) -> floa
 
 
 class HDEvaluator:
-    """Precompiled joint evaluation of the HD prior and the leaf scales.
+    """Compiled joint evaluation of the HD prior and the leaf scales.
 
     ``evaluate(theta)`` returns the log prior density of the unconstrained
     coordinates, Jacobian included, and the log sigma of each leaf in
     ``tree.leaves`` order as a list of floats; outside the support, or where
-    the density underflows, it returns (-inf, None). It is one flat pass on
-    Python floats that calls no numpy. Each split writes the log variance of
-    each child once into a flat list: its own entry plus the child's log
-    proportion (a log-sigmoid for a binary split, a float log-sum-exp for a
-    multi-branch one). So a leaf's entry is log V plus the sum of the log
+    the density underflows, it returns (-inf, None).
+
+    The constructor writes one straight-line Python function for the tree
+    and compiles it; ``source`` holds its text. It works on Python floats
+    and calls no numpy. Each coordinate and each log variance is a local
+    variable: a split adds its child's log proportion (a log-sigmoid for a
+    binary split, a float log-sum-exp for a multi-branch one) to its own log
+    variance, so a leaf's log variance is log V plus the sum of the log
     proportions on its root-to-leaf path, and its log sigma is half of it.
-    The entry indices and each node's constants are fixed here.
+    Each node's constants (the Dirichlet exponents with the log-ratio
+    Jacobian folded in, or lam, and the log normalizer) are closure values
+    of the function, so they keep every bit.
 
     Where every proportion is at least ``tree.PROPORTION_FLOOR``, the values
     agree with ``log_prior_unconstrained`` and ``to_variances`` up to
@@ -574,83 +586,82 @@ class HDEvaluator:
 
     def __init__(self, tree: DecompTree, priors):
         laws = _as_prior_map(tree, priors)
-        kind, self.v_lam = laws["total_variance"]  # v_lam is None under jeffreys
-        # pc: log(lam) - log(2); jeffreys: the log normalizer
-        if kind == "pc":
-            self.v_const = math.log(self.v_lam) - math.log(2.0)
-        else:
-            self.v_const = -math.log(JEFFREYS_LOG_BOUNDS[1] - JEFFREYS_LOG_BOUNDS[0])
+        consts: dict[str, float] = {}  # closure name -> value
 
-        # per split, in pre-order: (theta position, entry of its own log
-        # variance, n_children, omega_index, kind, a, const), with a the
-        # exponents (designated child first for a binary split) of the
-        # Dirichlet-style density with the log-ratio Jacobian folded in, or
-        # lam for pc0. Entry 0 of the flat list is log V, and each split's
-        # children follow those of the splits before it.
-        self.split_meta = []
-        entry = {tree.leaves: 0}  # leaves below a node -> entry of its log variance
-        pos = n_entries = 1
+        def k(value: float) -> str:
+            name = f"k{len(consts)}"
+            consts[name] = value
+            return name
+
+        xs = ["t"] + [f"x{i}" for i in range(1, n_coordinates(tree))]
+        body = [f"{', '.join(xs)}, = th"]
+        kind, lam = laws["total_variance"]
+        if kind == "jeffreys":
+            lo, hi = JEFFREYS_LOG_BOUNDS
+            body += [f"if not {k(lo)} <= t <= {k(hi)}:",
+                     "    return -inf, None",
+                     f"lp = {k(-math.log(hi - lo))}"]
+        else:
+            # V = exp(t) must be a positive finite float, as in the reference
+            body += ["try:",
+                     "    if exp(t) == 0.0:  # below the least float",
+                     "        return -inf, None",
+                     "except OverflowError:  # above the largest",
+                     "    return -inf, None",
+                     f"lp = {k(math.log(lam) - math.log(2.0))} - {k(lam)} * exp(0.5 * t)"
+                     " + 0.5 * t"]
+
+        var = {tree.leaves: "t"}  # leaves below a node -> its log variance
+        pos = 1
         for s in tree.splits:
             kind, param = laws[s.name]
-            own = entry[sum(s.child_leaves, ())]
-            for ci, leaves in enumerate(s.child_leaves):
-                entry[leaves] = n_entries + ci
-            n_entries += s.n_children
-            if kind == "pc0":
-                const = float(np.log(param) - np.log(2.0) - np.log(-np.expm1(-param)))
-                self.split_meta.append((pos, own, 2, s.omega_index, "pc0", param, const))
+            base = var[sum(s.child_leaves, ())]
+            if s.is_binary:
+                x, w, u = xs[pos], f"w{pos}", f"u{pos}"
+                # log w and log(1 - w) of the designated proportion w = 1/(1 + exp(-x))
+                body += [f"{w} = -log1p(exp(-{x})) if {x} > 0 else {x} - log1p(exp({x}))",
+                         f"{u} = {w} - {x}"]
+                logs = (w, u) if s.omega_index == 0 else (u, w)
+                if kind == "pc0":
+                    const = float(np.log(param) - np.log(2.0) - np.log(-np.expm1(-param)))
+                    body.append(f"lp += {k(const)} - {k(param)} * exp(0.5 * {w}) + 0.5 * {w}"
+                                f" + {u}")
+                else:  # exponents of the designated child first
+                    conc = param[[s.omega_index, 1 - s.omega_index]]
+                    const = float(gammaln(conc.sum()) - gammaln(conc).sum())
+                    a, b = conc.tolist()
+                    body.append(f"lp += {k(const)} + {k(a)} * {w} + {k(b)} * {u}")
+                pos += 1
             else:
-                conc = param[[s.omega_index, 1 - s.omega_index]] if s.is_binary else param
-                const = float(gammaln(conc.sum()) - gammaln(conc).sum())
-                self.split_meta.append((pos, own, s.n_children, s.omega_index, "dirichlet",
-                                        tuple(conc.tolist()), const))
-            pos += 1 if s.is_binary else s.n_children - 1
-        self.leaf_entries = [entry[(leaf,)] for leaf in tree.leaves]
+                raw = xs[pos : pos + s.n_children - 1] + ["0.0"]
+                top, log_sum = f"m{pos}", f"s{pos}"
+                logs = tuple(f"r{pos}_{i}" for i in range(s.n_children))
+                exps = ", ".join(f"exp({r} - {top})" for r in raw)
+                body += [f"{top} = max({', '.join(raw)})",
+                         f"{log_sum} = {top} + log(sum([{exps}]))"]
+                body += [f"{r_log} = {r} - {log_sum}" for r_log, r in zip(logs, raw)]
+                const = float(gammaln(param.sum()) - gammaln(param).sum())
+                terms = ", ".join(f"{k(a)} * {r_log}" for a, r_log in zip(param.tolist(), logs))
+                body.append(f"lp += {k(const)} + sum([{terms}])")
+                pos += s.n_children - 1
+            for leaves, log_p in zip(s.child_leaves, logs):
+                var[leaves] = f"v{len(var)}"
+                body.append(f"{var[leaves]} = {base} + {log_p}")
+        body.append(f"return lp, [{', '.join(f'0.5 * {var[(leaf,)]}' for leaf in tree.leaves)}]")
+
+        self.source = (f"def build(exp, log, log1p, inf, {', '.join(consts)}):\n"
+                       "    def evaluate(th):\n"
+                       + "".join(f"        {line}\n" for line in body)
+                       + "    return evaluate\n")
+        namespace: dict = {}
+        exec(compile(self.source, "<HDEvaluator>", "exec"), namespace)
+        self._compiled = namespace["build"](math.exp, math.log, math.log1p, math.inf,
+                                            *consts.values())
 
     def evaluate(self, theta: np.ndarray | list[float]) -> tuple[float, list[float] | None]:
         """(log prior incl. Jacobian, log sigma per leaf in tree.leaves order)
         at ``theta``, an array or a list of floats."""
-        th = theta if isinstance(theta, list) else theta.tolist()
-        t = th[0]
-        if self.v_lam is None:
-            lo, hi = JEFFREYS_LOG_BOUNDS
-            if not lo <= t <= hi:
-                return -math.inf, None
-            logp = self.v_const
-        else:
-            # V = exp(t) must be a positive finite float, as in the reference
-            try:
-                if math.exp(t) == 0.0:  # below the least float
-                    return -math.inf, None
-            except OverflowError:  # above the largest
-                return -math.inf, None
-            logp = self.v_const - self.v_lam * math.exp(0.5 * t) + 0.5 * t
-
-        logs = [t]
-        for pos, own, n, omega_index, kind, a, const in self.split_meta:
-            base = logs[own]
-            if n == 2:
-                x = th[pos]
-                # log w and log(1 - w) of the designated proportion w = 1/(1 + exp(-x))
-                log_w = -math.log1p(math.exp(-x)) if x > 0 else x - math.log1p(math.exp(x))
-                log_v = log_w - x
-                if omega_index == 0:
-                    logs += (base + log_w, base + log_v)
-                else:
-                    logs += (base + log_v, base + log_w)
-                if kind == "dirichlet":
-                    logp += const + a[0] * log_w + a[1] * log_v
-                else:  # pc0
-                    logp += const - a * math.exp(0.5 * log_w) + 0.5 * log_w + log_v
-            else:
-                raw = th[pos : pos + n - 1]
-                raw.append(0.0)
-                top = max(raw)
-                log_sum = top + math.log(sum([math.exp(r - top) for r in raw]))
-                lp = [r - log_sum for r in raw]
-                logs += [base + r for r in lp]
-                logp += const + sum([ai * r for ai, r in zip(a, lp)])
-        return logp, [0.5 * logs[i] for i in self.leaf_entries]
+        return self._compiled(theta if isinstance(theta, list) else theta.tolist())
 
 
 def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:

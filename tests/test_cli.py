@@ -250,6 +250,19 @@ class TestConfig:
         p.write_text("z1,z2\n\n0.0,0.5\n\n\n1.0,0.25\n\n")
         np.testing.assert_array_equal(read_point_cloud(p), [[0.0, 0.5], [1.0, 0.25]])
 
+    @pytest.mark.parametrize("text, line, fault", [
+        ("z1,z2\n0.0,0.5\n0.0,0.0,7\n", 3, "3 fields, but a point has 2"),
+        ("0.0,0.5\n\n1.0\n", 3, "1 fields, but a point has 2"),
+        ("z1,z2\n1.0,nan\n", 2, r"\['1.0', 'nan'\] is not a finite point"),
+        ("0.5,inf\n", 1, r"\['0.5', 'inf'\] is not a finite point"),
+        ("z1,z2\n0.0,0.5\nx,0.5\n", 3, r"cannot parse \['x', '0.5'\] as numbers"),
+    ], ids=["long", "short", "nan", "inf", "text"])
+    def test_point_cloud_reader_rejects_bad_rows(self, tmp_path, text, line, fault):
+        p = tmp_path / "cloud.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: line {line}: {fault}$"):
+            read_point_cloud(p)
+
 
 class TestIngest:
     def test_counts_and_split(self, workdir):
@@ -545,6 +558,17 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError",
                           "message": "line 7: 3 fields, but the header has 4"}
+
+    def test_bad_cloud_row_gives_validation_record(self, workdir, capsys):
+        (workdir / "cloud.csv").write_text("z1,z2\n0.0,0.0\n\n0.0,0.0,7\n1.0,1.0\n")
+        raw = base_config()
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"{workdir / 'cloud.csv'}: line 4: 3 fields, "
+                                     "but a point has 2"}
 
     @pytest.mark.parametrize("command, train_max_year, message", [
         ("fit", 1990, "no training rows"),

@@ -724,6 +724,58 @@ class TestEvaluatorProperty:
         assert lp < -2000.0 < -100.0 < log_prior_unconstrained(tree, priors, theta)
 
 
+class TestCompiledEvaluator:
+    """HDEvaluator compiles one straight-line function per tree, and the
+    chains call it through the method on the class."""
+
+    def test_a_list_and_an_array_give_the_same_values(self):
+        from test_tree import survey_tree
+
+        tree = survey_tree()
+        for priors in (TestLogPrior().survey_priors(tree), TestLogPrior().pc_beta_priors(tree)):
+            ev = HDEvaluator(tree, priors)
+            rng = np.random.default_rng(4)
+            for _ in range(20):
+                theta = rng.normal(scale=3.0, size=n_coordinates(tree))
+                assert ev.evaluate(theta) == ev.evaluate(theta.tolist())
+
+    @pytest.mark.parametrize("spec", [
+        PriorSpec("total_variance", "jeffreys"),
+        PriorSpec("total_variance", "pc", {"lam": 0.7}),
+    ], ids=["jeffreys", "pc"])
+    def test_one_leaf_without_splits(self, spec):
+        tree = build_default_tree([EffectLabel("e0", "abiotic")])
+        assert tree.splits == ()
+        ev = HDEvaluator(tree, [spec])
+        assert "return lp, [0.5 * t]" in ev.source
+        for t0 in (-3.0, 0.0, 0.4, 12.5):
+            lp, lsig = ev.evaluate(np.array([t0]))
+            assert lsig == [0.5 * t0]
+            assert lp == pytest.approx(log_prior_unconstrained(tree, [spec], np.array([t0])),
+                                       rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [True, False], ids=["rows", "no_rows"])
+    def test_a_chain_calls_the_method_twice_per_iteration(self, monkeypatch, rows):
+        # the benchmark traces HDEvaluator.evaluate on the class: a chain that
+        # called the compiled function around the method would go uncounted
+        from test_mcmc import toy_data, toy_model
+
+        calls = []
+        method = HDEvaluator.evaluate
+
+        def counting(self, theta):
+            calls.append(None)
+            return method(self, theta)
+
+        monkeypatch.setattr(HDEvaluator, "evaluate", counting)
+        settings = McmcSettings(chains=1, iterations=150, burn_in=50, seed=3)
+        if rows:
+            fit(toy_model(), toy_data(n=40), settings)
+        else:
+            fit(toy_model(), None, settings, likelihood_weight=0.0)
+        assert len(calls) == 2 * settings.iterations + 1
+
+
 class TestStartAndMarginalsProperty:
     """prior_median_theta and marginal_cdfs on random trees and prior
     families, against the law of each node as its PriorSpec states it."""

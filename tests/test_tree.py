@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 
 from hdsdm.exceptions import ValidationError
 from hdsdm.tree import (
@@ -14,9 +17,13 @@ from hdsdm.tree import (
     from_variances,
     log_jacobian,
     n_coordinates,
+    natural_columns,
+    natural_values,
     to_unconstrained,
     to_variances,
 )
+
+from test_priors import trees_and_priors
 
 
 def survey_labels():
@@ -274,6 +281,35 @@ class TestUnconstrainedCoordinates:
             _, fd_logdet = np.linalg.slogdet(J)
             rel = abs(log_jacobian(tree, theta) - fd_logdet) / max(abs(fd_logdet), 1.0)
             assert rel < 1e-5
+
+
+class TestBijectionProperty:
+    """The maps between unconstrained coordinates, (V, omega) and leaf
+    variances on random trees, where every proportion is above the floor."""
+
+    @hyp_settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(model=trees_and_priors(), data=st.data())
+    def test_the_maps_round_trip(self, model, data):
+        tree, _ = model
+        d = n_coordinates(tree)
+        # |coordinate| <= 12 keeps every proportion above 6e-12 > PROPORTION_FLOOR
+        coords = st.lists(st.floats(-12.0, 12.0), min_size=d, max_size=d)
+        theta = np.array(data.draw(st.lists(coords, min_size=1, max_size=4)))
+        rows = natural_values(tree, theta)
+        for th, row in zip(theta, rows):
+            p = from_unconstrained(tree, th)
+            np.testing.assert_allclose(to_unconstrained(tree, p), th, rtol=0.0, atol=1e-9)
+            # each natural column is the proportion of its prior-check key
+            want = [p.total]
+            for _, key in natural_columns(tree)[1:]:
+                split, _, child = key.partition(":")
+                want.append(p.proportions[split][tree.split(split).child_names.index(child)])
+            np.testing.assert_array_equal(row, want)
+            back = from_variances(tree, to_variances(tree, p))
+            assert back.total == pytest.approx(p.total, rel=1e-12)
+            for s in tree.splits:
+                np.testing.assert_allclose(back.proportions[s.name], p.proportions[s.name],
+                                           rtol=1e-12)
 
 
 class TestTreeValidation:
