@@ -57,19 +57,10 @@ class RunConfig:
                 "config model intercept must be true: every model has an intercept"
             )
         for eff in self.model["effects"]:
-            column = "covariates" if eff.get("kind") == "spatial2d" else "covariate"
-            for key in ("id", "kind", column):
-                if key not in eff:
-                    raise ValidationError(f"effect entry missing {key!r}: {eff}")
-            _reject_unknown(f"effect {eff['id']!r}", eff, EFFECT_KEYS | {column})
-            support_key = eff.get("support", eff.get("covariate"))
-            if eff["kind"] != "spatial2d" and support_key not in self.supports:
+            support, _ = _entry(eff)
+            if support not in self.supports:
                 raise ValidationError(
-                    f"effect {eff['id']!r}: no support declared for {support_key!r}"
-                )
-            if eff["kind"] == "spatial2d" and eff.get("support", "spatial") not in self.supports:
-                raise ValidationError(
-                    f"effect {eff['id']!r}: no point-cloud support declared"
+                    f"effect {eff['id']!r}: no support declared for {support!r}"
                 )
 
     def to_dict(self) -> dict:
@@ -137,16 +128,40 @@ def _build_dist(name: str, spec: dict, base_dir: Path):
     raise ValidationError(f"support {name!r}: unknown kind {kind!r}")
 
 
-def _n_basis(eff: dict, default: int | tuple[int, int]) -> int | tuple[int, int]:
-    """The effect's ``n_basis``: a positive integer, or a pair of them for a
-    ``spatial2d`` effect."""
-    nb = eff.get("n_basis", default)
-    pair = eff["kind"] == "spatial2d"
-    items = nb if pair and isinstance(nb, (list, tuple)) and len(nb) == 2 else [nb]
-    if len(items) == (2 if pair else 1) and all(type(x) is int and x > 0 for x in items):
-        return tuple(items) if pair else nb
-    want = "a pair of positive integers" if pair else "a positive integer"
-    raise ValidationError(f"effect {eff['id']!r}: n_basis must be {want}, got {nb!r}")
+def _entry(eff: dict) -> tuple[str, dict]:
+    """The support name and the ``EffectDecl`` keywords of one effect entry.
+
+    A ``spatial2d`` entry lists its two columns under ``covariates`` and
+    reads the support ``spatial`` by default; any other kind lists its
+    column under ``covariate``, which also names its default support. Only
+    ``pspline`` takes ``n_basis`` (a positive integer) and ``spatial2d``
+    (a pair of them, ``EffectDecl.n_basis_2d``). A missing required key, an
+    unknown key and a bad or misplaced ``n_basis`` are ValidationErrors.
+    ``side``, ``role``, ``group`` and the basis size are passed on only
+    when the entry sets them, so that ``EffectDecl`` owns their defaults.
+    """
+    pair = eff.get("kind") == "spatial2d"
+    column = "covariates" if pair else "covariate"
+    for key in ("id", "kind", column):
+        if key not in eff:
+            raise ValidationError(f"effect entry missing {key!r}: {eff}")
+    where = f"effect {eff['id']!r}"
+    _reject_unknown(where, eff, EFFECT_KEYS | {column})
+    covariate = tuple(eff[column]) if pair else eff[column]
+    decl = {"effect_id": eff["id"], "kind": eff["kind"], "covariate": covariate}
+    for key in ("side", "role", "group"):
+        if key in eff:
+            decl[key] = eff[key]
+    if "n_basis" in eff:
+        nb = eff["n_basis"]
+        if eff["kind"] not in ("pspline", "spatial2d"):
+            raise ValidationError(f"{where}: kind {eff['kind']!r} takes no 'n_basis'")
+        items = nb if pair and isinstance(nb, (list, tuple)) and len(nb) == 2 else [nb]
+        if len(items) != (2 if pair else 1) or not all(type(x) is int and x > 0 for x in items):
+            want = "a pair of positive integers" if pair else "a positive integer"
+            raise ValidationError(f"{where}: n_basis must be {want}, got {nb!r}")
+        decl["n_basis_2d" if pair else "n_basis"] = tuple(items) if pair else nb
+    return eff.get("support", "spatial" if pair else covariate), decl
 
 
 def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
@@ -161,36 +176,8 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
 
     effects = []
     for eff in cfg.model["effects"]:
-        kind = eff["kind"]
-        if kind == "spatial2d":
-            cov = tuple(eff["covariates"])
-            dist = dists[eff.get("support", "spatial")]
-            effects.append(
-                EffectDecl(
-                    effect_id=eff["id"],
-                    kind=kind,
-                    covariate=cov,
-                    dist=dist,
-                    side=eff.get("side", "biotic"),
-                    role=eff.get("role", "main"),
-                    group=eff.get("group", "spatial"),
-                    n_basis_2d=_n_basis(eff, (8, 8)),
-                )
-            )
-        else:
-            cov = eff["covariate"]
-            effects.append(
-                EffectDecl(
-                    effect_id=eff["id"],
-                    kind=kind,
-                    covariate=cov,
-                    dist=dists[eff.get("support", cov)],
-                    side=eff.get("side", "abiotic"),
-                    role=eff.get("role", "main"),
-                    group=eff.get("group"),
-                    n_basis=_n_basis(eff, 20),
-                )
-            )
+        support, decl = _entry(eff)
+        effects.append(EffectDecl(dist=dists[support], **decl))
 
     labels = [lab for e in effects for lab in e.labels()]
     declared = dict(cfg.model["priors"])
@@ -280,10 +267,8 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     response = cfg.data["response"]
     needed = set()
     for eff in cfg.model["effects"]:
-        if eff["kind"] == "spatial2d":
-            needed.update(eff["covariates"])
-        else:
-            needed.add(eff["covariate"])
+        cov = _entry(eff)[1]["covariate"]
+        needed.update(cov if isinstance(cov, tuple) else [cov])
     year_col = cfg.data.get("year")
     if year_col:
         needed.add(year_col)

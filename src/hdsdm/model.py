@@ -18,6 +18,7 @@ from .bases import (
     BSplineBasis1D,
     IndicatorBasis,
     LinearBasis,
+    _check_support,
     lattice_adjacency,
     pruned_design,
     tensor_basis,
@@ -46,13 +47,19 @@ class EffectDecl:
       rw1       - first-order random walk over ordered levels
       spatial2d - tensor B-spline surface over a point cloud, pruned to the
                   occupied cells, with an ICAR penalty on the cell lattice
+
+    ``side`` and ``group`` default by kind: a ``spatial2d`` effect is biotic
+    in the group ``spatial``, any other kind is abiotic in a group named
+    after its id. ``n_basis`` sizes a ``pspline`` basis and ``n_basis_2d``
+    the tensor grid of a ``spatial2d`` effect; other kinds have no basis
+    size.
     """
 
     effect_id: str
     kind: str
     covariate: str | tuple[str, str]
     dist: CovariateDistribution
-    side: str = "abiotic"
+    side: str | None = None
     role: str = "main"
     group: str | None = None
     n_basis: int = 20
@@ -67,8 +74,11 @@ class EffectDecl:
             raise ValidationError("pspline effects need an interval distribution")
         if self.kind in ("iid", "rw1") and not isinstance(self.dist, UniformLevels):
             raise ValidationError(f"{self.kind} effects need a discrete level distribution")
+        spatial = self.kind == "spatial2d"
+        if self.side is None:
+            object.__setattr__(self, "side", "biotic" if spatial else "abiotic")
         if self.group is None:
-            object.__setattr__(self, "group", self.effect_id)
+            object.__setattr__(self, "group", "spatial" if spatial else self.effect_id)
 
     @property
     def leaf_ids(self) -> tuple[str, ...]:
@@ -166,17 +176,12 @@ def _covariate_values(decl: EffectDecl, columns: dict[str, np.ndarray]) -> np.nd
     x = columns[decl.covariate]
     if isinstance(decl.dist, UniformInterval):
         # bases with unbounded evaluation (linear) still only carry meaning
-        # on the declared support the effect was standardized against
-        slack = 1e-10 * (decl.dist.upper - decl.dist.lower)
-        inside = (x >= decl.dist.lower - slack) & (x <= decl.dist.upper + slack)
-        bad = np.flatnonzero(~inside)  # nan is never inside
-        if bad.size:
-            raise DomainError(
-                f"effect {decl.effect_id!r}: {bad.size} value(s) outside declared "
-                f"support [{decl.dist.lower}, {decl.dist.upper}]; first offending "
-                f"indices: {bad[:10].tolist()}",
-                indices=bad.tolist(),
-            )
+        # on the declared support the effect was standardized against; the
+        # values are checked, not clipped
+        try:
+            _check_support(x, decl.dist.lower, decl.dist.upper)
+        except DomainError as err:
+            raise DomainError(f"effect {decl.effect_id!r}: {err}", indices=err.indices) from None
     return x
 
 
@@ -215,9 +220,7 @@ def build_effects(decl: EffectDecl) -> list[StandardizedEffect]:
     if decl.kind == "rw1":
         k = decl.dist.n_levels
         return [standardize(IndicatorBasis(k), build_rw1(k), decl.dist, decl.effect_id)]
-    if decl.kind == "spatial2d":
-        return [_build_spatial_effect(decl)]
-    raise ValidationError(f"unknown effect kind {decl.kind!r}")
+    return [_build_spatial_effect(decl)]  # spatial2d: EffectDecl rejects other kinds
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .mcmc import Draws, FitResult, McmcSettings, PosteriorSample, as_draws, fit
 from .model import AssembledModel, Dataset, ModelSpec
 from .priors import PriorSpec
 from .standardize import StandardizedEffect
+from .tree import _grouped
 
 __all__ = ["PartitionResult", "finite_pop_variance", "phi", "sensitivity_sweep"]
 
@@ -48,15 +49,8 @@ class PartitionResult:
 
 
 def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[str]]]:
-    order: list[str] = []
-    members: dict[str, list[str]] = {}
-    for leaf in assembled.leaf_ids:
-        g = assembled.decl_by_leaf[leaf].group
-        if g not in members:
-            order.append(g)
-            members[g] = []
-        members[g].append(leaf)
-    return [(g, members[g]) for g in order]
+    """The leaves grouped by the ``group`` of their declaration."""
+    return _grouped(assembled.leaf_ids, lambda leaf: assembled.decl_by_leaf[leaf].group)
 
 
 def phi(

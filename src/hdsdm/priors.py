@@ -209,7 +209,7 @@ def pc0_sample(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
     return pc0_quantile(rng.uniform(size=n), lam)
 
 
-def pc0_calibrate(U: float, alpha: float, tol: float = 1e-10) -> float:
+def pc0_calibrate(U: float, alpha: float) -> float:
     """Rate lam solving P(omega < U) = alpha for the simplified prior.
 
     Feasibility requires alpha > sqrt(U): as lam -> 0 the CDF at U tends to
@@ -236,23 +236,13 @@ def pc0_calibrate(U: float, alpha: float, tol: float = 1e-10) -> float:
     def residual(lam: float) -> float:
         return float(pc0_cdf(U, lam) - alpha)
 
-    lo = 1e-12
+    # the residual rises with lam from sqrt(U) - alpha < 0 as lam -> 0
     hi = 1.0
     while residual(hi) < 0:
         hi *= 2.0
         if hi > 1e9:
             raise CalibrationError(f"no rate below 1e9 reaches P(omega<{U}) = {alpha}")
-    # bisection on the probability residual
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= tol:
-            return mid
-        if r < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError("bisection failed to reach tolerance")
+    return float(brentq(residual, 1e-12, hi, xtol=1e-12))
 
 
 def dirichlet_q_calibrate(P: int) -> float:
@@ -429,18 +419,19 @@ def pc0_exact_logpdf_numeric(
     lam: float,
     Sigma0: np.ndarray,
     Sigma1: np.ndarray,
-    omega0: float = 1e-6,
 ) -> np.ndarray:
     """Exact-construction shrinkage density via the numeric distance.
 
     Places Exponential(lam) on the normalized distance
-    dbar(w) = d(w; omega0) sqrt(omega0 / R(1)) (truncated at dbar(1)) and
+    dbar(w) = d(w; omega0) sqrt(omega0 / R(1)) (truncated at dbar(1)), from
+    the base-model proportion omega0 = 1e-6, and
     changes variables with a central finite difference of half-width 1e-5
     for dbar'. Validation tool only: the simplified closed form is what
     inference uses.
     """
     lam = _check_lam(lam)
     omega = np.atleast_1d(_check_omega_interior(omega))
+    omega0 = 1e-6
     r1 = _rank(Sigma1)
     scale = np.sqrt(omega0 / r1)
 

@@ -140,18 +140,21 @@ def standardize(
     """Attach zero-mean (and any extra) constraints and the reference scaling.
 
     The zero-mean column is dropped when it is already implied by the extra
-    constraints or when the basis is centered (d = 0, e.g. a linear effect
-    on a centered covariate). The basis is evaluated on the quadrature grid
-    of ``dist`` once, unless the caller passes that evaluation as
-    ``grid_design``; the zero-mean constraint and the reference variance
-    both read it, and the effect stores it read-only.
+    constraints or when the basis is centered (|d| at most 1e-10 of the
+    largest design entry, e.g. a linear effect on a centered covariate).
+    The basis is evaluated on the quadrature grid of ``dist`` once, unless
+    the caller passes that evaluation as ``grid_design``; the zero-mean
+    constraint and the reference variance both read it, and the effect
+    stores it read-only.
     """
     G = eval_basis(basis, dist.grid()) if grid_design is None else grid_design
     G.flags.writeable = False
     d = G.mean(axis=0)
     extras = list(extra_constraints or [])
     A_extra = _stack_constraints(extras)
-    need_d = np.linalg.norm(d) > 1e-12
+    # relative to the design: a linear column on a support far from zero has
+    # means of rounding size, which must not constrain its coefficient away
+    need_d = np.linalg.norm(d) > 1e-10 * np.abs(G).max()
     if need_d and A_extra is not None:
         # already implied if d lies in the span of the extra columns
         resid = d - A_extra @ np.linalg.lstsq(A_extra, d, rcond=None)[0]

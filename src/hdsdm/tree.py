@@ -197,53 +197,45 @@ def _flex_subtree(group: str, members: list[EffectLabel], suffix: str = "") -> T
     return TreeNode(name=name, children=(_leaf(members[0]), rest), omega_index=1)
 
 
-def _grouped(effects: list[EffectLabel]) -> list[tuple[str, list[EffectLabel]]]:
-    order: list[str] = []
-    groups: dict[str, list[EffectLabel]] = {}
-    for e in effects:
-        if e.group not in groups:
-            order.append(e.group)
-            groups[e.group] = []
-        groups[e.group].append(e)
-    return [(g, groups[g]) for g in order]
+def _grouped(items, group_of) -> list[tuple[str, list]]:
+    """``items`` grouped by ``group_of(item)``: the groups in the order they
+    are first met, each with its members in their given order."""
+    groups: dict[str, list] = {}
+    for item in items:
+        groups.setdefault(group_of(item), []).append(item)
+    return list(groups.items())
 
 
-def _mains_subtree(side: str, mains: list[EffectLabel]) -> TreeNode:
-    groups = _grouped(mains)
-    nodes = [_flex_subtree(g, members) for g, members in groups]
+def _group_split(name: str, effects: list[EffectLabel]) -> TreeNode:
+    """The split ``name`` with one branch per group of ``effects`` and its
+    first group as omega child, or the one group's own subtree. Biotic
+    mains grouped exactly as ``spatial`` and ``temporal`` split at
+    ``spatial_vs_temporal`` instead, with space as omega child."""
+    groups = _grouped(effects, lambda e: e.group)
+    nodes = tuple(_flex_subtree(g, members) for g, members in groups)
     if len(nodes) == 1:
         return nodes[0]
     names = [g for g, _ in groups]
-    if side == "biotic" and set(names) == {"spatial", "temporal"}:
-        return TreeNode(
-            name="spatial_vs_temporal",
-            children=tuple(nodes),
-            omega_index=names.index("spatial"),
-        )
-    name = "covariates" if side == "abiotic" else "biotic_components"
-    return TreeNode(name=name, children=tuple(nodes), omega_index=0)
-
-
-def _interactions_subtree(side: str, inters: list[EffectLabel]) -> TreeNode:
-    groups = _grouped(inters)
-    nodes = [_flex_subtree(g, members) for g, members in groups]
-    if len(nodes) == 1:
-        return nodes[0]
-    return TreeNode(name=f"{side}_interactions", children=tuple(nodes), omega_index=0)
+    if name == "biotic_components" and set(names) == {"spatial", "temporal"}:
+        return TreeNode(name="spatial_vs_temporal", children=nodes,
+                        omega_index=names.index("spatial"))
+    return TreeNode(name=name, children=nodes, omega_index=0)
 
 
 def _side_subtree(side: str, effects: list[EffectLabel]) -> TreeNode:
     mains = [e for e in effects if e.role == "main"]
     inters = [e for e in effects if e.role == "interaction"]
-    if mains and inters:
-        return TreeNode(
-            name=f"{side}_mains_vs_interactions",
-            children=(_mains_subtree(side, mains), _interactions_subtree(side, inters)),
-            omega_index=1,  # interactions are the more flexible branch
-        )
-    if mains:
-        return _mains_subtree(side, mains)
-    return _interactions_subtree(side, inters)
+    mains_name = "covariates" if side == "abiotic" else "biotic_components"
+    subtrees = [_group_split(name, members)
+                for name, members in ((mains_name, mains), (f"{side}_interactions", inters))
+                if members]
+    if len(subtrees) == 1:
+        return subtrees[0]
+    return TreeNode(
+        name=f"{side}_mains_vs_interactions",
+        children=tuple(subtrees),
+        omega_index=1,  # interactions are the more flexible branch
+    )
 
 
 def build_default_tree(effects: list[EffectLabel]) -> DecompTree:

@@ -226,6 +226,16 @@ class TestConfig:
                            match=r"effect 'space': n_basis must be a pair of positive integers"):
             build_model(RunConfig.from_dict(raw), tmp_path)
 
+    @pytest.mark.parametrize("kind", ["linear", "iid", "rw1"])
+    def test_n_basis_on_a_kind_without_a_basis_size_rejected(self, kind):
+        # it would otherwise be ignored, as a misspelt key would build the default
+        raw = base_config()
+        raw["model"]["effects"].append(
+            {"id": "x", "kind": kind, "covariate": "vessel", "n_basis": 8})
+        with pytest.raises(ValidationError,
+                           match=rf"^effect 'x': kind '{kind}' takes no 'n_basis'$"):
+            RunConfig.from_dict(raw)
+
     def test_n_basis_defaults_and_pairs(self, tmp_path):
         (tmp_path / "cloud.csv").write_text("0.0,0.0\n1.0,1.0\n")
         raw = base_config()

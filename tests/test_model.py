@@ -302,6 +302,15 @@ class TestAssemble:
         with pytest.raises(ValidationError):
             EffectDecl("a", "spatial2d", ("z1", "z2"), UniformInterval(0, 1))
 
+    def test_side_and_group_default_by_kind(self):
+        space = EffectDecl("space", "spatial2d", ("z1", "z2"), PointCloud(small_cloud()))
+        assert (space.side, space.group) == ("biotic", "spatial")
+        curve = EffectDecl("x1", "pspline", "x1", UniformInterval(0, 1))
+        assert (curve.side, curve.group) == ("abiotic", "x1")
+        given = EffectDecl("space", "spatial2d", ("z1", "z2"), PointCloud(small_cloud()),
+                           side="abiotic", group="region")
+        assert (given.side, given.group) == ("abiotic", "region")
+
 
 def pspline_spatial_model():
     effects = [

@@ -95,7 +95,7 @@ class TestCalibration:
         # 0.238 is the 3-decimal rounding of the exact median at rate 0.1
         assert pc0_calibrate(0.238, 0.5) == pytest.approx(0.1, abs=5e-3)
         exact_median = float(pc0_quantile(0.5, 0.1))
-        assert pc0_calibrate(exact_median, 0.5, tol=1e-12) == pytest.approx(0.1, abs=1e-6)
+        assert pc0_calibrate(exact_median, 0.5) == pytest.approx(0.1, abs=1e-6)
 
     def test_infeasible_below_bound(self):
         with pytest.raises(CalibrationError) as err:
@@ -120,7 +120,7 @@ class TestCalibration:
     def test_round_trip_with_quantile(self):
         lam = 0.8
         U = float(pc0_quantile(0.37, lam))
-        assert pc0_calibrate(U, 0.37, tol=1e-12) == pytest.approx(lam, abs=1e-8)
+        assert pc0_calibrate(U, 0.37) == pytest.approx(lam, abs=1e-8)
 
     def test_priorspec_calibrates_from_tail_statement(self):
         spec = PriorSpec("some_flex", "pc0", {"U": 0.2, "alpha": 0.5})
@@ -281,7 +281,7 @@ class TestKldDistance:
         Sigma0, Sigma1 = linear_vs_nonlinear_instance(k1=5, n=50)
         lam = 0.7
         grid = np.linspace(0.05, 0.95, 7)
-        exact = pc0_exact_logpdf_numeric(grid, lam, Sigma0, Sigma1, omega0=1e-6)
+        exact = pc0_exact_logpdf_numeric(grid, lam, Sigma0, Sigma1)
         simplified = pc0_simplified_logpdf(grid, lam)
         np.testing.assert_allclose(exact, simplified, atol=0.02)
 

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 
 from hdsdm.bases import BSplineBasis1D, IndicatorBasis, LinearBasis, eval_basis
 from hdsdm.bases import lattice_adjacency, prune_basis, tensor_basis
 from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
 from hdsdm.exceptions import DegenerateEffectError, ValidationError
 from hdsdm.gmrf import build_icar, build_iid, build_rw1, build_rw2
+from hdsdm.model import EffectDecl, build_effects
 from hdsdm.standardize import (
     reference_variance,
     split_pspline,
@@ -143,6 +147,16 @@ def make_spatial_effect(n_funcs):
     return standardize(pruned, build_icar(W), PointCloud(cloud), "spatial")
 
 
+class TestCenteredBasis:
+    def test_linear_effect_far_from_zero_keeps_its_coefficient(self):
+        # on [32, 32.01] the grid mean of the standardized covariate is about
+        # 1e-12 from rounding alone; a zero-mean constraint would pin u = 0
+        decl = EffectDecl("x", "linear", "x", UniformInterval(32.0, 32.01))
+        (effect,) = build_effects(decl)
+        assert effect.constraints is None
+        assert effect.free_dim == 1
+
+
 class TestSplitPspline:
     def setup_method(self):
         self.dist = UniformInterval(-1.0, 2.0)
@@ -190,3 +204,29 @@ class TestSplitPspline:
     def test_rejects_wrong_basis(self):
         with pytest.raises(ValidationError):
             split_pspline(LinearBasis(), self.dist, "x")
+
+
+class TestContractProperty:
+    """The standardization contract of the library's effects on random
+    interval supports and basis sizes: zero quadrature mean, a unit
+    variance contribution at unit scale, and orthogonal P-spline parts."""
+
+    @hyp_settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_supports_and_sizes(self, data):
+        kind = data.draw(st.sampled_from(["pspline", "iid", "rw1"]))
+        if kind == "pspline":
+            lower = data.draw(st.floats(-1e3, 1e3))
+            upper = lower + data.draw(st.floats(1e-2, 1e3))
+            decl = EffectDecl("x", kind, "x", UniformInterval(lower, upper),
+                              n_basis=data.draw(st.integers(4, 30)))
+        else:
+            decl = EffectDecl("x", kind, "x", UniformLevels(data.draw(st.integers(2, 30))))
+        effects = build_effects(decl)
+        H = [e.quadrature_design() @ e.whitening_transform() for e in effects]
+        for h in H:
+            np.testing.assert_allclose(h.mean(axis=0), 0.0, rtol=0, atol=1e-10)
+            assert np.mean(np.sum(h * h, axis=1)) == pytest.approx(1.0, rel=0, abs=1e-10)
+        if kind == "pspline":
+            lin, nonlin = H
+            np.testing.assert_allclose(lin.T @ nonlin / lin.shape[0], 0.0, rtol=0, atol=1e-10)
