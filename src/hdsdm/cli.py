@@ -22,25 +22,13 @@ from scipy.stats import kstest
 
 from . import __version__
 from .config import RunConfig, build_model, build_settings, ingest
+from .csvio import read_rows, to_floats, write_table
 from .exceptions import ValidationError
 from .mcmc import Draws, FitResult, fit, hyper_param_names, metrics, predict
 from .model import assemble
 from .partition import phi, sensitivity_sweep
 from .priors import marginal_cdfs
 from .tree import natural_columns
-
-FLOAT_FMT = "%.17g"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(
-                [FLOAT_FMT % v if isinstance(v, float) else v for v in row]
-            )
-
 
 def _write_manifest(outdir: Path, cfg: RunConfig, args, extra=None) -> None:
     manifest = {
@@ -68,23 +56,29 @@ def _peak_rss_mb(who: int) -> float:
     return resource.getrusage(who).ru_maxrss / (1024.0 ** (2 if sys.platform == "darwin" else 1))
 
 
-def _write_draws(path: Path, header: list[str], index: np.ndarray, *values: np.ndarray) -> None:
-    """Integer index columns, then values at full precision, laid out as `_write_csv` would."""
-    fmt = ["%d"] * index.shape[1] + [FLOAT_FMT] * (len(header) - index.shape[1])
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([index, *values]), fmt=fmt, delimiter=",",
-                   newline="\r\n", header=",".join(header), comments="")
-
-
 def _read_draws(path: Path, header: list[str]) -> np.ndarray:
-    """The rows of a file written by `_write_draws`, once its header is the expected one."""
+    """The rows of a table written by `fit`, `predict` or `partition`, once its
+    header is the expected one. ``np.loadtxt`` reads it; a file that it cannot
+    read, or with a value that is not finite, goes to ``csvio.to_floats``,
+    which names the first line that is not one finite number per column."""
     with open(path, newline="") as fh:
-        found = next(csv.reader(fh), [])
+        reader = csv.reader(fh)
+        found, first = next(reader, []), next(reader, [])
     for i, (got, want) in enumerate(itertools.zip_longest(found, header)):
         if got != want:
             raise ValidationError(f"{path.name} does not match this config: column "
                                   f"{i + 1} is {got!r}, expected {want!r}")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if first:  # np.loadtxt warns on a file without rows
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if np.isfinite(table).all():
+                return table
+        except ValueError:
+            pass
+    rows, lines = read_rows(path)
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: no rows below the header")
+    return np.column_stack(to_floats(path, rows[1:], lines[1:], header, range(len(header))))
 
 
 def _coefficient_columns(assembled) -> list[str]:
@@ -94,15 +88,15 @@ def _coefficient_columns(assembled) -> list[str]:
 def _save_fit(outdir: Path, result: FitResult) -> None:
     chains, n_keep, n_hyper = result.hyper_draws.shape
     n = chains * n_keep
-    _write_draws(outdir / "samples.csv", ["chain", "draw"] + result.hyper_names,
-                 np.indices((chains, n_keep)).reshape(2, n).T,
-                 result.hyper_draws.reshape(n, n_hyper))
+    write_table(outdir / "samples.csv", ["chain", "draw"] + result.hyper_names,
+                np.indices((chains, n_keep)).reshape(2, n).T,
+                result.hyper_draws.reshape(n, n_hyper))
     coef = result.flat_coefficients()
-    _write_draws(outdir / "coefficients.csv", ["sample"] + _coefficient_columns(result.assembled),
-                 np.arange(n)[:, None], *(coef[l] for l in result.assembled.leaf_ids))
+    write_table(outdir / "coefficients.csv", ["sample"] + _coefficient_columns(result.assembled),
+                np.arange(n), *(coef[l] for l in result.assembled.leaf_ids))
     for name, header, table in (("rhat.csv", ["param", "split_rhat"], result.rhat),
                                 ("acceptance.csv", ["kernel", "rate"], result.acceptance)):
-        _write_csv(outdir / name, header, [[k, float(v)] for k, v in table.items()])
+        write_table(outdir / name, header, list(table), [float(v) for v in table.values()])
     if result.assembled.tree is not None:
         (outdir / "tree.json").write_text(
             json.dumps(result.assembled.tree.to_dict(), indent=2)
@@ -110,14 +104,23 @@ def _save_fit(outdir: Path, result: FitResult) -> None:
 
 
 def _load_samples(outdir: Path, assembled) -> Draws:
-    """The retained draws written by `fit`, checked against the configured model."""
-    names = hyper_param_names(assembled)
-    hyper = _read_draws(outdir / "samples.csv", ["chain", "draw"] + names)
-    coef = _read_draws(outdir / "coefficients.csv", ["sample"] + _coefficient_columns(assembled))
+    """The retained draws written by `fit`, checked against the configured model:
+    the ``chain`` and ``draw`` columns of ``samples.csv`` run over every draw of
+    every chain in order, and the ``sample`` column of ``coefficients.csv``
+    counts its rows from 0."""
+    samples, coefficients = outdir / "samples.csv", outdir / "coefficients.csv"
+    hyper = _read_draws(samples, ["chain", "draw"] + hyper_param_names(assembled))
+    coef = _read_draws(coefficients, ["sample"] + _coefficient_columns(assembled))
+    chains = max(int(np.count_nonzero(hyper[:, 1] == 0)), 1)
+    if not np.array_equal(hyper[:, :2], np.indices((chains, len(hyper) // chains))
+                          .reshape(2, -1).T):
+        raise ValidationError(f"{samples}: the chain and draw columns are not "
+                              f"{chains} chains of equally many draws, in order")
+    if not np.array_equal(coef[:, 0], np.arange(len(coef))):
+        raise ValidationError(f"{coefficients}: the sample column does not count the rows from 0")
     if len(hyper) != len(coef):
         raise ValidationError(f"samples.csv has {len(hyper)} rows and coefficients.csv "
                               f"{len(coef)}; they come from different fits")
-    chains = int(hyper[:, 0].max()) + 1 if len(hyper) else 1
     mu = hyper[:, -1]  # the last of hyper_param_names
     ends = np.cumsum([1] + [assembled.effects[l].n_coef for l in assembled.leaf_ids])
     return Draws(mu=mu.reshape(chains, -1), coefficients={
@@ -156,8 +159,8 @@ def _cmd_predict(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     if not test_mask.any():
         raise ValidationError("no test rows under the configured split")
     p_hat = predict(samples, data, assembled=assembled, mask=test_mask)
-    _write_draws(outdir / "predictions.csv", ["row", "y", "p_hat"],
-                 np.column_stack([np.flatnonzero(test_mask), data.y[test_mask]]), p_hat[:, None])
+    write_table(outdir / "predictions.csv", ["row", "y", "p_hat"],
+                np.flatnonzero(test_mask), data.y[test_mask].astype(int), p_hat)
     _write_manifest(outdir, cfg, args, {"n_test": int(test_mask.sum())})
     print(f"predict: wrote {p_hat.size} test predictions to {outdir / 'predictions.csv'}")
 
@@ -165,11 +168,7 @@ def _cmd_predict(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
 def _cmd_metrics(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     rows = _read_draws(outdir / "predictions.csv", ["row", "y", "p_hat"])
     out = metrics(rows[:, 2], rows[:, 1])
-    _write_csv(
-        outdir / "metrics.csv",
-        list(out.keys()),
-        [[float(v) for v in out.values()]],
-    )
+    write_table(outdir / "metrics.csv", list(out), *([float(v)] for v in out.values()))
     print("metrics: " + ", ".join(f"{k}={v:.4f}" for k, v in out.items()))
 
 
@@ -178,13 +177,10 @@ def _cmd_partition(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None:
     assembled = assemble(model, None)
     samples = _load_samples(outdir, assembled)
     res = phi(samples, assembled)
-    _write_csv(
-        outdir / "phi_mean.csv",
-        ["group", "phi_mean", "s2_mean"],
-        [[g, m, s] for g, m, s in res.summary_rows()],
-    )
-    _write_draws(outdir / "phi_samples.csv", ["sample"] + res.group_names,
-                 np.arange(len(res.phi))[:, None], res.phi)
+    write_table(outdir / "phi_mean.csv", ["group", "phi_mean", "s2_mean"],
+                *zip(*res.summary_rows()))
+    write_table(outdir / "phi_samples.csv", ["sample"] + res.group_names,
+                np.arange(len(res.phi)), res.phi)
     skipped = f" ({res.n_skipped} zero-variance samples skipped)" if res.n_skipped else ""
     print(
         "partition: "
@@ -200,15 +196,11 @@ def _cmd_sensitivity(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None
     entries = sensitivity_sweep(model, data, args.q, settings, split_name=args.split)
     for entry in entries:
         tag = ("%g" % entry.q).replace(".", "p")
-        _write_csv(
-            outdir / f"phi_mean_q{tag}.csv",
-            ["group", "phi_mean", "s2_mean"],
-            [[g, m, s] for g, m, s in entry.partition.summary_rows()],
-        )
-        trend_rows = []
-        for group, (grid, curve) in entry.trends.items():
-            trend_rows += [[group, float(x), float(t)] for x, t in zip(grid, curve)]
-        _write_csv(outdir / f"trends_q{tag}.csv", ["group", "x", "trend"], trend_rows)
+        write_table(outdir / f"phi_mean_q{tag}.csv", ["group", "phi_mean", "s2_mean"],
+                    *zip(*entry.partition.summary_rows()))
+        trend_rows = [(group, float(x), float(t)) for group, (grid, curve) in entry.trends.items()
+                      for x, t in zip(grid, curve)]
+        write_table(outdir / f"trends_q{tag}.csv", ["group", "x", "trend"], *zip(*trend_rows))
     _write_manifest(outdir, cfg, args, {"q_values": list(args.q)})
     print(f"sensitivity: wrote {len(entries)} sweeps (q={args.q}) to {outdir}")
 
@@ -235,11 +227,8 @@ def _cmd_prior_check(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None
             f"prior-check: {key}: median={np.median(draws):.4f} "
             f"KS={res.statistic:.4f} p={res.pvalue:.4f}"
         )
-    _write_csv(
-        outdir / "prior_check.csv",
-        ["param", "n", "ks_stat", "pvalue", "sample_median"],
-        rows,
-    )
+    write_table(outdir / "prior_check.csv", ["param", "n", "ks_stat", "pvalue", "sample_median"],
+                *zip(*rows))
     _write_manifest(outdir, cfg, args, {"prior_only": True})
 
 

@@ -4,21 +4,20 @@ The config is a single JSON document (machine round-trippable, no comments)
 with five sections: ``data`` (file path and column names), ``supports``
 (declared covariate supports; these define the standardization
 distributions, not the data), ``model`` (effects and priors), ``mcmc``
-(sampler settings) and ``split`` (train/test year threshold). An unknown
-section, or an unknown key in ``model``, an effect entry or ``mcmc``, is a
-ValidationError. See the README for the full schema.
+(sampler settings) and ``split`` (train/test year threshold). A missing
+required key, or an unknown key in any section, support, effect entry or
+prior entry, is a ValidationError. See the README for the full schema.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_rows, to_floats
 from .distributions import PointCloud, UniformInterval, UniformLevels
 from .exceptions import ValidationError
 from .mcmc import McmcSettings
@@ -32,6 +31,9 @@ __all__ = ["RunConfig", "ingest", "build_model", "build_settings", "read_point_c
 # be true, since every model has one
 MODEL_KEYS = {"intercept", "effects", "priors"}
 EFFECT_KEYS = {"id", "kind", "support", "n_basis", "side", "role", "group"}
+# the required and the optional keys of each support kind, besides "kind"
+SUPPORT_KEYS = {"interval": (("lower", "upper"), ()), "levels": (("n",), ("offset",)),
+                "point_cloud": (("path",), ())}
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,24 @@ class RunConfig:
     output: str = "out"
 
     def __post_init__(self):
-        for key in ("path", "response"):
-            if key not in self.data:
-                raise ValidationError(f"config data section is missing {key!r}")
-        if "effects" not in self.model:
-            raise ValidationError("config model section is missing 'effects'")
-        if "priors" not in self.model:
-            raise ValidationError("config model section is missing 'priors'")
-        _reject_unknown("config model section", self.model, MODEL_KEYS)
+        _check_keys("config data section", self.data, ("path", "response"), ("year",))
+        _check_keys("config split section", self.split, (), ("train_max_year",))
+        _check_keys("config model section", self.model, ("effects", "priors"), MODEL_KEYS)
         if self.model.get("intercept", True) is not True:
             raise ValidationError(
                 "config model intercept must be true: every model has an intercept"
             )
+        _check_keys("config supports section", self.supports, ())
+        for name, spec in self.supports.items():
+            _check_keys(f"support {name!r}", spec, ("kind",))
+            if spec["kind"] not in SUPPORT_KEYS:
+                raise ValidationError(f"support {name!r}: unknown kind {spec['kind']!r}")
+            required, optional = SUPPORT_KEYS[spec["kind"]]
+            _check_keys(f"support {name!r}", spec, ("kind", *required), optional)
+        _check_keys("config model priors", self.model["priors"], ())
+        for node, entry in self.model["priors"].items():
+            # PriorSpec checks the parameters of each family
+            _check_keys(f"prior {node!r}", entry, ("family",))
         for eff in self.model["effects"]:
             support, _ = _entry(eff)
             if support not in self.supports:
@@ -68,7 +76,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _reject_unknown("config", d, {f.name for f in fields(cls)})
+        _check_keys("config", d, ("data", "supports", "model"), {f.name for f in fields(cls)})
         return cls(**d)
 
     def save(self, path) -> None:
@@ -79,8 +87,16 @@ class RunConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _reject_unknown(where: str, entry: dict, known: set[str]) -> None:
-    unknown = set(entry) - known
+def _check_keys(where: str, entry: dict, required, optional=None) -> None:
+    """Raise a ValidationError if ``entry`` is not a dict, for the first key of
+    ``required`` that it lacks, then, unless ``optional`` is None (any key
+    goes), for its keys in neither ``required`` nor ``optional``."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {entry!r}")
+    for key in required:
+        if key not in entry:
+            raise ValidationError(f"{where} is missing {key!r}")
+    unknown = set(entry) - set(required) - set(optional) if optional is not None else ()
     if unknown:
         raise ValidationError(f"{where} has unknown keys: {sorted(unknown)}")
 
@@ -88,44 +104,28 @@ def _reject_unknown(where: str, entry: dict, known: set[str]) -> None:
 def read_point_cloud(path) -> np.ndarray:
     """Two-column delimited file of planar points, one finite (x, y) per row.
 
-    Blank lines are skipped, and so is a first line that does not parse as
+    Blank lines are skipped, and so is a first row that does not parse as
     numbers (a header). Any other row that is not two finite numbers is a
     ValidationError naming the file and its physical line.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            try:
-                point = [float(v) for v in row]
-            except ValueError:
-                if line == 1:
-                    continue  # header
-                raise ValidationError(
-                    f"{path}: line {line}: cannot parse {row} as numbers"
-                ) from None
-            if len(point) != 2:
-                raise ValidationError(f"{path}: line {line}: {len(row)} fields, but a point has 2")
-            if not all(map(math.isfinite, point)):  # float() accepts "nan" and "inf"
-                raise ValidationError(f"{path}: line {line}: {row} is not a finite point")
-            rows.append(point)
+    rows, lines = read_rows(path)
+    if rows:
+        try:
+            list(map(float, rows[0]))
+        except ValueError:  # a header
+            del rows[0], lines[0]
     if not rows:
         raise ValidationError(f"{path}: no points found")
-    return np.asarray(rows)
+    return np.column_stack(to_floats(path, rows, lines, ("x", "y"), (0, 1), width_of="a point"))
 
 
-def _build_dist(name: str, spec: dict, base_dir: Path):
-    kind = spec.get("kind")
+def _build_dist(spec: dict, base_dir: Path):
+    kind = spec["kind"]
     if kind == "interval":
         return UniformInterval(float(spec["lower"]), float(spec["upper"]))
     if kind == "levels":
         return UniformLevels(int(spec["n"]))
-    if kind == "point_cloud":
-        return PointCloud(read_point_cloud(base_dir / spec["path"]))
-    raise ValidationError(f"support {name!r}: unknown kind {kind!r}")
+    return PointCloud(read_point_cloud(base_dir / spec["path"]))
 
 
 def _entry(eff: dict) -> tuple[str, dict]:
@@ -140,13 +140,11 @@ def _entry(eff: dict) -> tuple[str, dict]:
     ``side``, ``role``, ``group`` and the basis size are passed on only
     when the entry sets them, so that ``EffectDecl`` owns their defaults.
     """
+    _check_keys("effect entry", eff, ())
     pair = eff.get("kind") == "spatial2d"
     column = "covariates" if pair else "covariate"
-    for key in ("id", "kind", column):
-        if key not in eff:
-            raise ValidationError(f"effect entry missing {key!r}: {eff}")
-    where = f"effect {eff['id']!r}"
-    _reject_unknown(where, eff, EFFECT_KEYS | {column})
+    where = f"effect {eff['id']!r}" if "id" in eff else f"effect entry {eff}"
+    _check_keys(where, eff, ("id", "kind", column), EFFECT_KEYS)
     covariate = tuple(eff[column]) if pair else eff[column]
     decl = {"effect_id": eff["id"], "kind": eff["kind"], "covariate": covariate}
     for key in ("side", "role", "group"):
@@ -172,7 +170,7 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
     priors fit the tree.
     """
     base_dir = Path(base_dir)
-    dists = {name: _build_dist(name, s, base_dir) for name, s in cfg.supports.items()}
+    dists = {name: _build_dist(s, base_dir) for name, s in cfg.supports.items()}
 
     effects = []
     for eff in cfg.model["effects"]:
@@ -195,70 +193,20 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
 
 
 def build_settings(cfg: RunConfig, seed_override: int | None = None) -> McmcSettings:
+    _check_keys("config mcmc section", cfg.mcmc, (), {f.name for f in fields(McmcSettings)})
     m = dict(cfg.mcmc)
     if seed_override is not None:
         m["seed"] = int(seed_override)
-    _reject_unknown("config mcmc section", m, {f.name for f in fields(McmcSettings)})
     return McmcSettings(**m)
-
-
-def _parse_float(value: str, column: str, line: int) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise ValidationError(
-            f"line {line}: cannot parse {column}={value!r} as a number"
-        ) from None
-    if not math.isfinite(number):  # float() accepts "nan" and "inf"
-        raise ValidationError(f"line {line}: {column}={value!r} is not a finite number")
-    return number
-
-
-def _check_row(row: list[str], line: int, header: list[str], response: str,
-               needed: list[str]) -> None:
-    """Raise the ValidationError of the first fault of one data row: its field
-    count, then its response, then each needed column in header order."""
-    if len(row) != len(header):
-        raise ValidationError(
-            f"line {line}: {len(row)} fields, but the header has {len(header)}"
-        )
-    at = dict(zip(header, row))
-    if at[response] not in ("0", "1"):
-        raise ValidationError(
-            f"line {line}: response {response}={at[response]!r} is not binary 0/1"
-        )
-    for c in needed:
-        _parse_float(at[c], c, line)
-
-
-def _parse_columns(rows: list[list[str]], header: list[str], response: str,
-                   needed: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
-    """The response and the needed columns as float arrays, or None when any
-    row fails a check of ``_check_row``."""
-    if set(map(len, rows)) != {len(header)}:
-        return None
-    # a repeated column name reads its last column, as csv.DictReader does
-    table = dict(zip(header, zip(*rows)))
-    if not set(table[response]) <= {"0", "1"}:
-        return None
-    try:
-        # numpy parses each string with Python's float, as _parse_float does
-        cols = {c: np.array(table[c], dtype=float) for c in needed}
-    except ValueError:
-        return None
-    if not all(np.isfinite(v).all() for v in cols.values()):
-        return None
-    return np.array(table[response], dtype=float), cols
 
 
 def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     """Parse the delimited data file, validate, and tag train/test rows.
 
     Every data row has one field per header column, and the response is
-    binary 0/1; a parse or validation failure names the physical line of
-    the file (blank lines are skipped but counted). The file is read in one
-    pass and converted column by column; rows are examined one at a time
-    only to name the first faulty line. Level-coded supports may declare an
+    binary 0/1; a parse or validation failure names the file and the
+    physical line (blank lines are skipped but counted), as
+    ``csvio.to_floats`` does. Level-coded supports may declare an
     integer ``offset`` subtracted from the raw column (e.g. ``year`` 2000..
     2019 with offset 1999 becomes levels 1..20); the train/test split always
     tests the raw year against ``split.train_max_year``.
@@ -273,25 +221,19 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     if year_col:
         needed.add(year_col)
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = ({response} | needed) - set(header)
-        if missing:
-            raise ValidationError(f"{path}: missing columns {sorted(missing)}")
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if not rows:
+    rows, lines = read_rows(path)
+    header = rows[0] if rows else []
+    missing = ({response} | needed) - set(header)
+    if missing:
+        raise ValidationError(f"{path}: missing columns {sorted(missing)}")
+    if len(rows) < 2:
         raise ValidationError(f"{path}: no data rows")
-    needed = [c for c in header if c in needed]
-    parsed = _parse_columns(rows, header, response, needed)
-    if parsed is None:
-        for row, line in zip(rows, lines):
-            _check_row(row, line, header, response, needed)
-    y, cols = parsed
+    # a repeated column name reads its last column, as csv.DictReader does
+    index = {c: i for i, c in enumerate(header)}
+    take = sorted(index[c] for c in needed)
+    y, *values = to_floats(path, rows[1:], lines[1:], header, [index[response], *take],
+                           response=index[response])
+    cols = {header[i]: v for i, v in zip(take, values)}
 
     threshold = cfg.split.get("train_max_year")
     if year_col and threshold is not None:

@@ -858,12 +858,18 @@ def fit(
     ``result.timings`` are summed over chains, so with several workers they
     can exceed the wall time of the fit.
 
+    ``data`` are the rows to assemble ``model`` with; an ``AssembledModel``
+    holds its own, so with one ``data`` must be None.
+
     ``likelihood_weight`` is 1, or 0 for a prior check: at 0 the chains see
     no rows (``result.assembled`` has none), and, as without training rows,
     the intercept and the coefficients are drawn exactly from their priors
     (see the module notes).
     """
     _check_likelihood_weight(likelihood_weight)
+    if isinstance(model, AssembledModel) and data is not None:
+        raise ValidationError("fit takes data with a ModelSpec only: an assembled model "
+                              "holds the rows it was assembled with, so pass None")
     assembled = model if isinstance(model, AssembledModel) else assemble(model, data)
     if not likelihood_weight:
         designs = {l: g[:0] for l, g in assembled.designs.items()}

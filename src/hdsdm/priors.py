@@ -462,11 +462,14 @@ def _as_prior_map(tree: DecompTree, priors) -> dict[str, tuple[str, object]]:
     fit it: ('jeffreys', None) or ('pc', lam) on 'total_variance', and
     ('dirichlet', q in child order) or ('pc0', lam) on each split. The one
     reader of ``PriorSpec.family`` and ``params``. Raises ValidationError for
-    a node without a prior, a prior on a node the tree lacks, a total-variance
-    family other than jeffreys/pc, jeffreys/pc on a split, beta/pc0 on a
-    split that is not binary, and a Dirichlet q whose length is not the
-    split's child count."""
+    a prior keyed by a node other than its own ``node``, a node without a
+    prior, a prior on a node the tree lacks, a total-variance family other
+    than jeffreys/pc, jeffreys/pc on a split, beta/pc0 on a split that is not
+    binary, and a Dirichlet q whose length is not the split's child count."""
     pm = priors if isinstance(priors, dict) else {p.node: p for p in priors}
+    for key, spec in pm.items():
+        if spec.node != key:
+            raise ValidationError(f"the prior keyed {key!r} is for node {spec.node!r}")
     nodes = {"total_variance", *(s.name for s in tree.splits)}
     missing = nodes - set(pm)
     if missing:

@@ -252,6 +252,20 @@ def build_default_tree(effects: list[EffectLabel]) -> DecompTree:
     ids = [e.effect_id for e in effects]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate effect ids")
+    # a group of several effects gets its splits <group>_flex, <group>_flex2, ...
+    # in each branch (side and role) that it has several effects in
+    flexed = {}
+    for (side, role), members in _grouped(effects, lambda e: (e.side, e.role)):
+        for group, ms in _grouped(members, lambda e: e.group):
+            if len(ms) > 1:
+                flexed.setdefault(group, []).append(
+                    f"{side} {role}s {[e.effect_id for e in ms]}")
+    for group, branches in flexed.items():
+        if len(branches) > 1:
+            raise ValidationError(
+                f"group {group!r} has several effects in more than one branch of the "
+                f"tree ({'; '.join(branches)}), and each branch would name its split "
+                f"{group + '_flex'!r}: give the effects of each branch a group of its own")
     abiotic = [e for e in effects if e.side == "abiotic"]
     biotic = [e for e in effects if e.side == "biotic"]
     sides = [( "abiotic", abiotic), ("biotic", biotic)]

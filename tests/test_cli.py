@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdsdm import csvio
 from hdsdm.cli import _load_samples, main
 from hdsdm.config import (
     EFFECT_KEYS,
@@ -21,6 +22,7 @@ from hdsdm.config import (
 )
 from hdsdm.exceptions import ValidationError
 from hdsdm.mcmc import KERNELS, McmcSettings, fit
+from hdsdm.model import assemble
 
 
 def write_dataset(path: Path, n=240, seed=0):
@@ -138,7 +140,7 @@ class TestConfig:
     def test_effect_without_its_column_rejected(self):
         raw = base_config()
         raw["model"]["effects"][1]["support"] = raw["model"]["effects"][1].pop("covariate")
-        with pytest.raises(ValidationError, match="effect entry missing 'covariate'"):
+        with pytest.raises(ValidationError, match="effect 'vessel' is missing 'covariate'"):
             RunConfig.from_dict(raw)
 
     def test_key_sets_are_the_keys_build_model_reads(self, tmp_path):
@@ -263,15 +265,32 @@ class TestConfig:
     @pytest.mark.parametrize("text, line, fault", [
         ("z1,z2\n0.0,0.5\n0.0,0.0,7\n", 3, "3 fields, but a point has 2"),
         ("0.0,0.5\n\n1.0\n", 3, "1 fields, but a point has 2"),
-        ("z1,z2\n1.0,nan\n", 2, r"\['1.0', 'nan'\] is not a finite point"),
-        ("0.5,inf\n", 1, r"\['0.5', 'inf'\] is not a finite point"),
-        ("z1,z2\n0.0,0.5\nx,0.5\n", 3, r"cannot parse \['x', '0.5'\] as numbers"),
+        ("z1,z2\n1.0,nan\n", 2, "y='nan' is not a finite number"),
+        ("0.5,inf\n", 1, "y='inf' is not a finite number"),
+        ("z1,z2\n0.0,0.5\nx,0.5\n", 3, "cannot parse x='x' as a number"),
     ], ids=["long", "short", "nan", "inf", "text"])
     def test_point_cloud_reader_rejects_bad_rows(self, tmp_path, text, line, fault):
         p = tmp_path / "cloud.csv"
         p.write_text(text)
         with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: line {line}: {fault}$"):
             read_point_cloud(p)
+
+
+class TestTables:
+    def test_writer_writes_what_csv_writes(self, tmp_path):
+        header = ["plain", "a,b", 'q"x', "two\nlines", "cr\r"]
+        columns = [["x", "y,z"], np.array([3, -4]), [0.1, 1e300], [np.nan, -np.inf],
+                   ['"', ""]]
+        csvio.write_table(tmp_path / "t.csv", header, *columns)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([[c[i] if isinstance(c[i], str) else
+                          "%d" % c[i] if isinstance(c[i], np.integer) else "%.17g" % c[i]
+                          for c in columns] for i in range(2)])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        with open(tmp_path / "t.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == header
 
 
 class TestIngest:
@@ -328,7 +347,8 @@ class TestIngest:
         np.testing.assert_array_equal(data.columns["sst"], [0.5, 0.2])
         (tmp_path / "bad.csv").write_text(text.format("2,0.2,2,2001"))
         cfg = RunConfig.from_dict(base_config(data_path="bad.csv"))
-        with pytest.raises(ValidationError, match=r"^line 5: response present='2'"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(tmp_path / 'bad.csv'))}: "
+                                                  r"line 5: response present='2'"):
             ingest("bad.csv", cfg, tmp_path)
 
     def test_first_faulty_line_is_named(self, tmp_path):
@@ -336,7 +356,8 @@ class TestIngest:
         rows = ["0,0.5,1,2000", "1,0.2,1,inf", "7,0.2,1,2001", "1,oops,1,2001"]
         (tmp_path / "bad.csv").write_text("present,sst,vessel,year\n" + "\n".join(rows))
         cfg = RunConfig.from_dict(base_config(data_path="bad.csv"))
-        with pytest.raises(ValidationError, match=r"^line 3: year='inf' is not a finite"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(tmp_path / 'bad.csv'))}: "
+                                                  r"line 3: year='inf' is not a finite"):
             ingest("bad.csv", cfg, tmp_path)
 
 
@@ -388,6 +409,25 @@ class TestCliFlow:
         for name in ("samples.csv", "coefficients.csv"):
             raw = (out / name).read_bytes()
             assert raw.count(b"\n") == raw.count(b"\r\n") == len(read_rows(out / name)) + 1
+
+    def test_sound_rows_np_loadtxt_cannot_read_are_converted(self, workdir):
+        # quoted cells make np.loadtxt fail and a blank first row makes it warn;
+        # the converter reads the same values
+        cfg_path = workdir / "config.json"
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        assembled = assemble(build_model(RunConfig.load(cfg_path), workdir), None)
+        out = workdir / "out"
+        written = _load_samples(out, assembled)
+        for name in ("samples.csv", "coefficients.csv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            with open(out / name, "w", newline="") as fh:
+                fh.write(",".join(rows[0]) + "\r\n\r\n")
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows[1:])
+        read = _load_samples(out, assembled)
+        np.testing.assert_array_equal(read.mu, written.mu)
+        for leaf, draws in written.coefficients.items():
+            np.testing.assert_array_equal(read.coefficients[leaf], draws)
 
     @pytest.mark.parametrize("command", ["predict", "partition"])
     def test_stale_fit_files_rejected(self, workdir, capsys, command):
@@ -471,6 +511,67 @@ class TestCliFlow:
         assert record["error"] == "ValidationError"
         assert "coefficients.csv" in record["message"]
 
+    @pytest.mark.parametrize("damage", ["last_row", "cut_row", "header_only"])
+    def test_truncated_draw_file_gives_validation_record(self, workdir, capsys, damage):
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        out = workdir / "out"
+        if damage == "last_row":  # both files one draw short
+            for name in ("samples.csv", "coefficients.csv"):
+                lines = (out / name).read_bytes().splitlines(keepends=True)
+                (out / name).write_bytes(b"".join(lines[:-1]))
+            message = (f"{out / 'samples.csv'}: the chain and draw columns are not "
+                       "2 chains of equally many draws, in order")
+        elif damage == "header_only":
+            lines = (out / "samples.csv").read_bytes().splitlines(keepends=True)
+            (out / "samples.csv").write_bytes(lines[0])
+            message = f"{out / 'samples.csv'}: no rows below the header"
+        else:  # the last row ends within a cell
+            raw = (out / "coefficients.csv").read_bytes()
+            (out / "coefficients.csv").write_bytes(raw[:raw.rindex(b",")])
+            fields = len(read_rows(out / "coefficients.csv")[0])
+            message = (f"{out / 'coefficients.csv'}: line 201: {fields - 1} fields, "
+                       f"but the header has {fields}")
+        capsys.readouterr()
+        for command in ("predict", "partition"):
+            assert main([command, "--config", cfg_path]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record == {"error": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize("cell, fault", [("abc", "cannot parse {}='abc' as a number"),
+                                             ("nan", "{}='nan' is not a finite number")])
+    def test_non_number_in_draw_file_gives_validation_record(self, workdir, capsys, cell,
+                                                             fault):
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        path = workdir / "out" / "coefficients.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[4][3] = cell  # file line 5
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg_path]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"{path}: line 5: " + fault.format(rows[0][3])}
+
+    def test_names_with_a_comma_or_a_quote_round_trip(self, workdir):
+        raw = base_config()
+        raw["model"]["effects"][1]["id"] = "ves,sel"
+        raw["model"]["effects"][0]["group"] = 'g"x'
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        cfg_path = str(workdir / "config.json")
+        for command in ("fit", "predict", "metrics", "partition"):
+            assert main([command, "--config", cfg_path]) == 0
+        out = workdir / "out"
+        assert 'omega_g"x_flex' in read_rows(out / "samples.csv")[0]
+        assert "ves,sel[0]" in read_rows(out / "coefficients.csv")[0]
+        assert [r["group"] for r in read_rows(out / "phi_mean.csv")] == \
+            ['g"x', "ves,sel", "temporal"]
+        assert set(read_rows(out / "phi_samples.csv")[0]) == {"sample", 'g"x', "ves,sel",
+                                                              "temporal"}
+
     def test_prior_check_on_intercept_only_model_gives_validation_record(self, workdir,
                                                                          capsys):
         raw = base_config()
@@ -521,6 +622,42 @@ class TestCliFlow:
         assert float(row["sample_median"]) == pytest.approx(0.238, abs=0.01)
         assert float(row["pvalue"]) > 0.01
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["supports"]["sst"].pop("upper"), "support 'sst' is missing 'upper'"),
+        (lambda raw: raw["supports"]["vessel"].pop("n"), "support 'vessel' is missing 'n'"),
+        (lambda raw: raw["supports"].update(cloud={"kind": "point_cloud", "file": "c.csv"}),
+         "support 'cloud' is missing 'path'"),
+        (lambda raw: raw["supports"]["sst"].update(offset=1),
+         "support 'sst' has unknown keys: ['offset']"),
+        (lambda raw: raw["model"]["priors"]["covariates"].pop("family"),
+         "prior 'covariates' is missing 'family'"),
+        (lambda raw: raw.update(split={"train_max_yr": 2008}),
+         "config split section has unknown keys: ['train_max_yr']"),
+        (lambda raw: raw["data"].update(yaer="year"),
+         "config data section has unknown keys: ['yaer']"),
+        (lambda raw: raw["supports"].update(sst=[0.0, 1.0]),
+         "support 'sst' must be a JSON object, got [0.0, 1.0]"),
+        (lambda raw: raw["supports"]["sst"].pop("kind"), "support 'sst' is missing 'kind'"),
+        (lambda raw: raw.update(supports=[]), "config supports section must be a JSON object, "
+                                              "got []"),
+        (lambda raw: raw["model"]["effects"].append("sst"),
+         "effect entry must be a JSON object, got 'sst'"),
+        (lambda raw: raw.update(mcmc=[1, 2]), "config mcmc section must be a JSON object, "
+                                              "got [1, 2]"),
+    ], ids=["interval_without_upper", "levels_without_n", "cloud_without_path",
+            "offset_on_interval", "prior_without_family", "split_typo", "data_typo",
+            "support_not_an_object", "support_without_kind", "supports_not_an_object",
+            "effect_not_an_object", "mcmc_not_an_object"])
+    def test_config_key_faults_give_validation_record(self, workdir, capsys, edit, message):
+        # each would otherwise be a bare KeyError, or be ignored: a misspelt
+        # split trains on every row
+        raw = base_config()
+        edit(raw)
+        (workdir / "config.json").write_text(json.dumps(raw))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError", "message": message}
+
     def test_error_record_on_bad_config(self, workdir, capsys):
         bad = workdir / "broken.json"
         bad.write_text(json.dumps({"data": {"path": "x"}}))
@@ -567,7 +704,7 @@ class TestCliFlow:
         assert main(["fit", "--config", str(workdir / "config.json")]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError",
-                          "message": "line 7: 3 fields, but the header has 4"}
+                          "message": f"{path}: line 7: 3 fields, but the header has 4"}
 
     def test_bad_cloud_row_gives_validation_record(self, workdir, capsys):
         (workdir / "cloud.csv").write_text("z1,z2\n0.0,0.0\n\n0.0,0.0,7\n1.0,1.0\n")

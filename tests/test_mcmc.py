@@ -724,6 +724,12 @@ class TestExactDraws:
         with pytest.raises(ValidationError, match="likelihood_weight"):
             fit(toy_model(), toy_data(n=20), self.settings, likelihood_weight=weight)
 
+    def test_assembled_model_with_data_rejected(self):
+        # the data would be ignored: an assembled model without rows would run
+        # a prior-only fit
+        with pytest.raises(ValidationError, match="assembled model"):
+            fit(assemble(toy_model(), None), toy_data(n=20), self.settings)
+
 
 class TestParallelChains:
     """Chains forked into worker processes give the draws of a serial fit."""

@@ -594,6 +594,14 @@ class TestPriorValidation:
         with pytest.raises(ValidationError, match="unknown prior family"):
             PriorSpec("x1_flex", "pc0_exact", {"lam": 0.1})
 
+    def test_prior_keyed_by_another_node_rejected(self):
+        # its law would be read under the key and its errors name the wrong node
+        priors = three_covariate_priors(
+            abiotic_vs_biotic=PriorSpec("not_a_node", "beta", {"a": 2.0, "b": 3.0}))
+        with pytest.raises(ValidationError, match="^the prior keyed 'abiotic_vs_biotic' "
+                                                  "is for node 'not_a_node'$"):
+            ModelSpec(effects=three_covariate_effects(), priors=priors)
+
 
 @st.composite
 def trees_and_priors(draw):

@@ -1,5 +1,7 @@
 """Tree construction and the (V, omega) <-> sigma2 bijection."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -149,6 +151,23 @@ class TestBuildDefaultTree:
             build_default_tree([])
         with pytest.raises(ValidationError):
             build_default_tree([EffectLabel("a", side="abiotic")] * 2)
+
+    @pytest.mark.parametrize("side, role, branch", [
+        ("biotic", "main", "biotic mains"),
+        ("abiotic", "interaction", "abiotic interactions"),
+    ])
+    def test_group_in_two_branches_named(self, side, role, branch):
+        # each branch would get a split named g_flex
+        labels = [EffectLabel("a", side="abiotic", group="g"),
+                  EffectLabel("b", side="abiotic", group="g"),
+                  EffectLabel("c", side=side, role=role, group="g"),
+                  EffectLabel("d", side=side, role=role, group="g")]
+        with pytest.raises(ValidationError, match=re.escape(
+                f"group 'g' has several effects in more than one branch of the tree "
+                f"(abiotic mains ['a', 'b']; {branch} ['c', 'd'])")):
+            build_default_tree(labels)
+        # one effect of the group in a branch makes no flexibility split there
+        assert "g_flex" in {s.name for s in build_default_tree(labels[:3]).splits}
 
 
 class TestVarianceMaps:
