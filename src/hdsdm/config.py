@@ -6,12 +6,15 @@ with five sections: ``data`` (file path and column names), ``supports``
 distributions, not the data), ``model`` (effects and priors), ``mcmc``
 (sampler settings) and ``split`` (train/test year threshold). A missing
 required key, or an unknown key in any section, support, effect entry or
-prior entry, is a ValidationError. See the README for the full schema.
+prior entry, is a ValidationError, and so is a support value of the wrong
+type. See the README for the full schema.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -34,6 +37,12 @@ EFFECT_KEYS = {"id", "kind", "support", "n_basis", "side", "role", "group"}
 # the required and the optional keys of each support kind, besides "kind"
 SUPPORT_KEYS = {"interval": (("lower", "upper"), ()), "levels": (("n",), ("offset",)),
                 "point_cloud": (("path",), ())}
+# what the value of each support key must be: (test, description)
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+_NUMBER = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+           "a finite number")
+SUPPORT_VALUES = {"lower": _NUMBER, "upper": _NUMBER, "n": _INTEGER, "offset": _INTEGER,
+                  "path": (lambda v: isinstance(v, str), "a string")}
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,12 @@ class RunConfig:
                 raise ValidationError(f"support {name!r}: unknown kind {spec['kind']!r}")
             required, optional = SUPPORT_KEYS[spec["kind"]]
             _check_keys(f"support {name!r}", spec, ("kind", *required), optional)
+            for key in (*required, *optional):
+                valid, want = SUPPORT_VALUES[key]
+                if key in spec and not valid(spec[key]):
+                    raise ValidationError(
+                        f"support {name!r}: {key!r} must be {want}, got {spec[key]!r}"
+                    )
         _check_keys("config model priors", self.model["priors"], ())
         for node, entry in self.model["priors"].items():
             # PriorSpec checks the parameters of each family

@@ -25,7 +25,7 @@ checked against the incremental one.
 A chain without training rows (a likelihood weight of 0 hides them, as in a
 prior check) runs in a loop of its own, where the full conditionals of (c)
 and (d) are the priors N(0, ``MU_PRIOR_SD``^2) and N(0, I) of the whitened
-xi. (a) and (b) stay Metropolis steps on theta, a list of floats, with the
+xi. (a) and (b) stay Metropolis steps on theta, on Python floats, with the
 same proposal law, acceptance rule and adaptation: they are what a prior
 check validates. Their proposal normals (times the proposal factor) and
 uniforms are drawn once per ``ADAPTATION_WINDOW`` iterations, where that
@@ -36,6 +36,19 @@ sigma and |xi|^2. After the loop each kept xi is sqrt(|xi|^2) g / |g| with g
 product per leaf, and the intercepts one vector of normals. Such a chain
 evaluates no likelihood, reports acceptance 1 for (c) and (d), and draws a
 random stream unlike that of earlier versions; chains with rows do not.
+
+Each window of that loop is one call of a straight-line Python function
+that the chain generates for its tree and compiles (``_prior_window``), as
+``HDEvaluator`` does for the prior: theta, log sigma and |xi|^2 are local
+variables, one per coordinate or leaf, and the Metropolis probability, the
+ratio of (b) and the Robbins-Monro update are written out in the float
+operations of ``_alpha``, the ratio and ``_Accept.update``, in their
+order, so the draws are those of a loop over iterations bit for bit. It
+calls ``HDEvaluator.evaluate`` twice per iteration and reads the clock
+three times, for ``FitResult.timings``; between windows the proposal
+factor is re-estimated, as ``_adapt`` does. The ratio of (b) has one
+definition, ``_centered_ratio_lines``, which the chains with rows run
+compiled as ``_centered_ratio``.
 
 Bookkeeping stays out of the way of the likelihood. Each chain multiplies
 the rows of its designs by the sign 1 - 2y once, so the proposal images, ``V``
@@ -97,7 +110,7 @@ import numpy as np
 from .exceptions import DiagnosticError, ValidationError
 from .gmrf import CoefficientBlock
 from .model import MU_PRIOR_SD, AssembledModel, Dataset, ModelSpec, assemble
-from .priors import HDEvaluator, log_prior_unconstrained, prior_median_theta
+from .priors import HDEvaluator, compile_function, log_prior_unconstrained, prior_median_theta
 from .tree import (
     HDParams,
     from_unconstrained,
@@ -322,26 +335,135 @@ def _check_divergent(acc: dict[str, "_Accept"]) -> dict[str, float]:
     return rates
 
 
-def _centered_log_ratio(
-    lsig: list[float], lsig_new: list[float], qnorm: list[float], dims: list[int]
-) -> float:
-    """Log acceptance ratio of the centered move (b), less its prior terms.
+def _centered_ratio_lines(dims: list[int], lsig: list[str], lsig_new: list[str],
+                          qnorm: list[str]) -> list[str]:
+    """Source lines that set ``r`` to the log acceptance ratio of the
+    centered move (b), less its prior terms, given the names of each leaf's
+    current and proposed log sigma and of its |xi|^2 (and ``exp``, ``inf``).
 
     The effects sigma * xi stay fixed while each leaf's log sigma moves from
     ``lsig`` to ``lsig_new``; with D = lsig_new - lsig, xi becomes
     exp(-D) xi, and for a leaf with ``dims`` free coefficients and
     ``qnorm`` = |xi|^2 the coefficient density changes by
-    -dims D - q/2 (exp(-2D) - 1). Where exp(-2D) overflows, or q = 0 meets
-    an infinite term, the ratio is -inf: the move is rejected.
+    -dims D - q/2 (exp(-2D) - 1); the leaves' terms are subtracted from 0.0
+    in leaf order. Where exp(-2D) overflows, or q = 0 meets an infinite
+    term, the ratio is -inf: the move is rejected.
     """
-    out = 0.0
-    try:
-        for n, a, b, q in zip(dims, lsig, lsig_new, qnorm):
-            delta = b - a
-            out -= n * delta + 0.5 * q * (math.exp(-2.0 * delta) - 1.0)
-    except OverflowError:
-        return -math.inf
-    return -math.inf if math.isnan(out) else out
+    deltas = [f"e{k}" for k in range(len(dims))]
+    terms = "".join(f" - ({n} * {e} + 0.5 * {q} * (exp(-2.0 * {e}) - 1.0))"
+                    for n, e, q in zip(dims, deltas, qnorm))
+    return ["try:",
+            *(f"    {e} = {b} - {a}" for e, a, b in zip(deltas, lsig, lsig_new)),
+            f"    r = 0.0{terms}",
+            "except OverflowError:",
+            "    r = -inf",
+            "if r != r:",
+            "    r = -inf"]
+
+
+def _centered_ratio(dims: list[int]):
+    """The log acceptance ratio of move (b), less its prior terms
+    (``_centered_ratio_lines``), as a compiled function of (lsig, lsig_new,
+    qnorm), lists of one float per leaf."""
+    args = ("lsig", "lsig_new", "qnorm")
+    names = [[f"{p}{k}" for k in range(len(dims))] for p in "abq"]
+    unpack = [f"{', '.join(v)}, = {arg}" for v, arg in zip(names, args)] if dims else []
+    body = unpack + _centered_ratio_lines(dims, *names) + ["return r"]
+    return compile_function("centered_ratio", ", ".join(args), body, exp=math.exp, inf=math.inf)
+
+
+def _prior_window(d: int, dims: list[int], burn_in: int, thinning: int):
+    """One adaptation window of ``_run_prior_chain`` as a compiled function.
+
+    ``window(evaluate, start, steps, uniforms, norms, state, stamp, history,
+    kept)`` runs iterations start, start + 1, ... of moves (a) and (b), one
+    per row of ``steps`` (the 2d proposal normals of (a) then (b), times the
+    proposal factor), ``uniforms`` (the two acceptance uniforms) and
+    ``norms`` (|xi|^2 per leaf after (d)). ``state`` holds the chain between
+    windows: the log proposal scales of (a) and (b), their acceptance
+    probabilities summed from iteration ``burn_in`` on, the next kept
+    iteration, the log prior, theta, log sigma and |xi|^2 per leaf. The
+    function appends theta of each burn-in iteration to ``history`` and
+    (theta, log sigma, |xi|^2) of each kept iteration to ``kept``, and
+    returns the new state, the seconds of (a), (b) and the bookkeeping, and
+    the last clock reading; ``stamp`` is the reading it starts from.
+
+    Inside, theta, log sigma and |xi|^2 are local variables, one per
+    coordinate or leaf, and the Metropolis probabilities, the centered
+    ratio (``_centered_ratio_lines``) and the Robbins-Monro updates of
+    ``_Accept`` are written out, with the float operations of those helpers
+    in their order. ``evaluate`` is called twice per iteration. The
+    acceptance sums start at ``burn_in``, where the records restart.
+    """
+    theta = [f"t{i}" for i in range(d)]
+    za, zb = ([f"{p}{i}" for i in range(d)] for p in ("za", "zb"))
+    lsig, lsig_new, qnorm = ([f"{p}{k}" for k in range(len(dims))] for p in "ghq")
+    state = ["la", "lb", "sum_a", "sum_b", "keep_at", "lp"] + theta + lsig + qnorm
+
+    def names(xs):
+        return ", ".join(xs) + ","
+
+    def move(scale, z):  # propose theta + scale * z and evaluate the prior there
+        steps = ", ".join(f"{t} + {scale} * {x}" for t, x in zip(theta, z))
+        return [f"    theta_new = [{steps}]", "    lp_new, lsig_new = evaluate(theta_new)"]
+
+    alpha = "1.0 if r >= 0.0 else exp(r) if r > -745.0 else 0.0"  # _alpha(r)
+    body = [
+        f"{names(state)} = state",
+        "sa = exp(la)",
+        "sb = exp(lb)",
+        "time_a = time_b = time_s = 0.0",
+        "c1 = stamp",
+        f"for it, ({names(za + zb)}), (ua, ub), qn in zip("
+        "range(start, start + len(steps)), steps, uniforms, norms):",
+        # (a): without a likelihood, the ratio is that of the prior
+        *move("sa", za),
+        "    r = lp_new - lp",
+        f"    alpha_a = {alpha}",
+        "    if ua < alpha_a:",
+        f"        {names(theta)} = theta_new",
+        f"        {names(lsig)} = lsig_new",
+        "        lp = lp_new",
+        "    c0 = clock()",
+        "    time_a += c0 - c1",
+        # (b): reads |xi|^2 of the last (d); (d) draws xi afresh, so nothing
+        # is rescaled on acceptance
+        *move("sb", zb),
+        "    alpha_b = 0.0",
+        "    if -inf < lp_new < inf:",
+        f"        {names(lsig_new)} = lsig_new",
+        *(f"        {line}" for line in _centered_ratio_lines(dims, lsig, lsig_new, qnorm)),
+        "        r = r + lp_new - lp",
+        f"        alpha_b = {alpha}",
+        "    if ub < alpha_b:",
+        f"        {names(theta)} = theta_new",
+        f"        {names(lsig)} = {names(lsig_new)}",
+        "        lp = lp_new",
+        "    c1 = clock()",
+        "    time_b += c1 - c0",
+        f"    {names(qnorm)} = qn",  # (d)
+        "    if it < burn_in:",
+        "        gamma = min(0.1, 5.0 / (1.0 + it) ** 0.6)",
+        "        la += gamma * (alpha_a - target)",
+        "        sa = exp(la)",
+        "        lb += gamma * (alpha_b - target)",
+        "        sb = exp(lb)",
+        f"        history.append(({names(theta)}))",
+        "    else:",
+        "        sum_a += alpha_a",
+        "        sum_b += alpha_b",
+        "        if it == keep_at:",
+        f"            kept.append(({names(theta + lsig + qnorm)}))",
+        "            keep_at += thinning",
+        "    c0 = clock()",
+        "    time_s += c0 - c1",
+        "    c1 = c0",
+        f"return [{', '.join(state)}], time_a, time_b, time_s, c1",
+    ]
+    params = "evaluate, start, steps, uniforms, norms, state, stamp, history, kept"
+    return compile_function("window", params, body, exp=math.exp, inf=math.inf,
+                            clock=time.perf_counter, burn_in=burn_in, thinning=thinning,
+                            target=TARGET_ACCEPT_HYPER)
 
 
 def _check_eta(
@@ -422,6 +544,7 @@ def _run_chain(
     # intercept at the empirical logit
     evaluator, theta, lp_theta, lsig, acc = _hyper_start(assembled)
     d = theta.size
+    centered_ratio = _centered_ratio(dims)
     sig = np.exp(lsig)
     p0 = float(np.clip(y.mean(), 0.01, 0.99))
     mu = float(np.log(p0) - np.log1p(-p0))
@@ -511,7 +634,7 @@ def _run_chain(
             lp_new, lsig_new = evaluator.evaluate(theta_new)
             logr = -math.inf
             if math.isfinite(lp_new):
-                logr = _centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp_theta
+                logr = centered_ratio(lsig, lsig_new, qnorm) + lp_new - lp_theta
             alpha = _alpha(logr)
             if rng.random() < alpha:
                 # xi scales by sig / sig_new
@@ -581,74 +704,56 @@ def _run_prior_chain(
     transforms: list[np.ndarray], dims: list[int]
 ) -> tuple[dict[str, float], dict[str, float]]:
     """``_run_chain`` without training rows: Metropolis (a) and (b) on theta,
-    exact intercepts and effects for the kept draws (see the module notes)."""
-    settings = result.settings
+    one compiled ``_prior_window`` call per ``ADAPTATION_WINDOW`` iterations,
+    then exact intercepts and effects for the kept draws (see the module
+    notes). Between windows the proposal factor is re-estimated, and the
+    window's burn-in thetas and kept draws are written into arrays."""
+    settings, burn_in = result.settings, result.settings.burn_in
     evaluator, theta, lp_theta, lsig, acc = _hyper_start(result.assembled)
-    d, theta = theta.size, theta.tolist()
-    acc_a, acc_b = acc["hyper"], acc["hyper_centered"]
-    qnorm = [0.0] * len(leaves)  # |xi|^2 per leaf, of the initial xi = 0
+    d, n_leaves = theta.size, len(leaves)
     n_keep = result.mu.shape[1]
-    kept = np.empty((n_keep, 2, len(leaves)))  # log sigma and |xi|^2 of each kept draw
+    kept = np.empty((n_keep, d + 2 * n_leaves))  # theta, log sigma and |xi|^2 of each kept draw
     prop_chol = np.eye(d)
-    theta_history = np.empty((settings.burn_in, d))
+    theta_history = np.empty((burn_in, d))
+    window = _prior_window(d, dims, burn_in, settings.thinning) if d else None
+    # the initial xi = 0 has |xi|^2 = 0 in every leaf
+    state = [acc["hyper"].log_scale, acc["hyper_centered"].log_scale, 0.0, 0.0, burn_in,
+             lp_theta, *theta.tolist(), *lsig, *[0.0] * n_leaves]
+    n_kept = 0
 
     t_prop = t_hyper = t_centered = t_store = 0.0
     clock = time.perf_counter
+    stamp = clock()
     for start in range(0, settings.iterations, ADAPTATION_WINDOW) if d else ():
         t0 = clock()
+        t_store += t0 - stamp  # the bookkeeping after the previous window
         n = min(ADAPTATION_WINDOW, settings.iterations - start)
-        steps = (rng.standard_normal((n, 2, d)) @ prop_chol.T).tolist()
+        steps = (rng.standard_normal((n, 2, d)) @ prop_chol.T).reshape(n, 2 * d).tolist()
         uniforms = rng.random((n, 2)).tolist()
-        norms = rng.chisquare(dims, (n, len(leaves))).tolist()
+        norms = rng.chisquare(dims, (n, n_leaves)).tolist()
         t1 = clock()
         t_prop += t1 - t0
-        for it, (step_a, step_b), (u_a, u_b), q_new in zip(
-            range(start, start + n), steps, uniforms, norms
-        ):
-            adapting = it < settings.burn_in
-            # (a): without a likelihood, the ratio is that of the prior
-            s = acc_a.scale
-            theta_new = [t + s * z for t, z in zip(theta, step_a)]
-            lp_new, lsig_new = evaluator.evaluate(theta_new)
-            alpha = _alpha(lp_new - lp_theta)
-            if u_a < alpha:
-                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
-            acc_a.update(alpha, it, adapting)
-            t0 = clock()
-            t_hyper += t0 - t1
-
-            # (b): reads |xi|^2 of the last (d); (d) draws xi afresh, so
-            # nothing is rescaled on acceptance
-            s = acc_b.scale
-            theta_new = [t + s * z for t, z in zip(theta, step_b)]
-            lp_new, lsig_new = evaluator.evaluate(theta_new)
-            logr = -math.inf
-            if math.isfinite(lp_new):
-                logr = _centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp_theta
-            alpha = _alpha(logr)
-            if u_b < alpha:
-                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
-            acc_b.update(alpha, it, adapting)
-            t1 = clock()
-            t_centered += t1 - t0
-
-            qnorm = q_new  # (d), for the norms; a direction only where kept
-            if adapting:
-                theta_history[it] = theta
-                prop_chol = _adapt(theta_history, it, settings.burn_in, prop_chol, acc)
-            k, skip = divmod(it - settings.burn_in, settings.thinning)
-            if k >= 0 and skip == 0:
-                result.theta[c, k] = theta
-                kept[k] = lsig, qnorm
-            t0 = clock()
-            t_store += t0 - t1
-            t1 = t0
+        history, rows = [], []  # the window's burn-in thetas and kept draws
+        state, t_a, t_b, t_s, stamp = window(evaluator.evaluate, start, steps, uniforms, norms,
+                                             state, t1, history, rows)
+        t_hyper, t_centered, t_store = t_hyper + t_a, t_centered + t_b, t_store + t_s
+        if rows:
+            kept[n_kept : n_kept + len(rows)] = rows
+            n_kept += len(rows)
+        if history:
+            theta_history[start : start + len(history)] = history
+            prop_chol = _adapt(theta_history, start + len(history) - 1, burn_in, prop_chol, acc)
+    if d:  # the acceptance records since burn-in
+        for a, accepted in zip((acc["hyper"], acc["hyper_centered"]), state[2:4]):
+            a.n, a.accepted = settings.iterations - burn_in, accepted
+    result.theta[c] = kept[:, :d]
 
     t0 = clock()
+    t_store += t0 - stamp
     result.mu[c] = MU_PRIOR_SD * rng.standard_normal(n_keep)
     t_mu, t0 = clock() - t0, clock()
     # xi = sqrt(q) g / |g| is N(0, I) given |xi|^2 = q; the effects are sigma T xi
-    scales = np.exp(kept[:, 0]) * np.sqrt(kept[:, 1])
+    scales = np.exp(kept[:, d : d + n_leaves]) * np.sqrt(kept[:, d + n_leaves :])
     for k, l in enumerate(leaves):
         g = rng.standard_normal((n_keep, dims[k]))
         g *= (scales[:, k] / np.linalg.norm(g, axis=1))[:, None]

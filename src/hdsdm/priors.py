@@ -552,6 +552,21 @@ def log_prior_unconstrained(tree: DecompTree, priors, theta: np.ndarray) -> floa
     return lp + log_jacobian(tree, theta)
 
 
+def compile_function(name: str, params: str, body: list[str], **closure) -> Callable:
+    """The function ``def name(params): body``, compiled inside a builder
+    whose arguments are ``closure``, so that its body reads them as closure
+    values; its text is the function's ``source`` attribute."""
+    source = (f"def build({', '.join(closure)}):\n"
+              f"    def {name}({params}):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + f"    return {name}\n")
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    fn = namespace["build"](**closure)
+    fn.source = source
+    return fn
+
+
 class HDEvaluator:
     """Compiled joint evaluation of the HD prior and the leaf scales.
 
@@ -643,14 +658,9 @@ class HDEvaluator:
                 body.append(f"{var[leaves]} = {base} + {log_p}")
         body.append(f"return lp, [{', '.join(f'0.5 * {var[(leaf,)]}' for leaf in tree.leaves)}]")
 
-        self.source = (f"def build(exp, log, log1p, inf, {', '.join(consts)}):\n"
-                       "    def evaluate(th):\n"
-                       + "".join(f"        {line}\n" for line in body)
-                       + "    return evaluate\n")
-        namespace: dict = {}
-        exec(compile(self.source, "<HDEvaluator>", "exec"), namespace)
-        self._compiled = namespace["build"](math.exp, math.log, math.log1p, math.inf,
-                                            *consts.values())
+        self._compiled = compile_function("evaluate", "th", body, exp=math.exp, log=math.log,
+                                          log1p=math.log1p, inf=math.inf, **consts)
+        self.source = self._compiled.source
 
     def evaluate(self, theta: np.ndarray | list[float]) -> tuple[float, list[float] | None]:
         """(log prior incl. Jacobian, log sigma per leaf in tree.leaves order)

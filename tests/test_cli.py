@@ -658,6 +658,39 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError", "message": message}
 
+    @pytest.mark.parametrize("support, key, value, want", [
+        ("vessel", "n", 2.7, "an integer"),
+        ("vessel", "n", 2.0, "an integer"),
+        ("vessel", "n", "2", "an integer"),
+        ("vessel", "n", True, "an integer"),
+        ("year", "offset", 1999.5, "an integer"),
+        ("year", "offset", None, "an integer"),
+        ("sst", "lower", "0", "a finite number"),
+        ("sst", "upper", float("inf"), "a finite number"),
+        ("sst", "upper", float("nan"), "a finite number"),
+        ("sst", "lower", False, "a finite number"),
+        ("cloud", "path", 5, "a string"),
+    ], ids=["n_fraction", "n_float", "n_text", "n_bool", "offset_fraction", "offset_null",
+            "lower_text", "upper_inf", "upper_nan", "lower_bool", "path_number"])
+    def test_support_value_faults_give_validation_record(self, workdir, capsys, support, key,
+                                                         value, want):
+        # a fractional level count was truncated, and a 2.7-level vessel
+        # support built a 2-level model that prior-check ran without a word
+        raw = base_config()
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        raw["supports"][support][key] = value
+        (workdir / "config.json").write_text(json.dumps(raw))
+        assert main(["prior-check", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"support {support!r}: {key!r} must be {want}, got {value!r}"}
+
+    def test_support_values_of_numpy_types_accepted(self):
+        raw = base_config()
+        raw["supports"]["vessel"]["n"] = np.int64(2)
+        raw["supports"]["sst"]["upper"] = np.float64(1.0)
+        assert build_model(RunConfig.from_dict(raw), ".").effects[1].dist.n_levels == 2
+
     def test_error_record_on_bad_config(self, workdir, capsys):
         bad = workdir / "broken.json"
         bad.write_text(json.dumps({"data": {"path": "x"}}))

@@ -9,6 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from hdsdm.distributions import UniformInterval, UniformLevels
@@ -31,6 +34,7 @@ from hdsdm.mcmc import (
 from hdsdm.model import MU_PRIOR_SD, Dataset, EffectDecl, ModelSpec, assemble
 from hdsdm.partition import phi
 from hdsdm.priors import HDEvaluator, PriorSpec
+from test_priors import trees_and_priors
 from hdsdm.tree import (
     EffectLabel,
     build_default_tree,
@@ -320,7 +324,7 @@ class TestLogPosterior:
                 asm, ModelState(theta_new, 0.3, coefficients), likelihood_weight=0.0
             ) - log_posterior(asm, ModelState(theta, 0.3, coefficients), likelihood_weight=0.0)
             qnorm = [float(z @ z) for z in xi]
-            got = mcmc._centered_log_ratio(lsig, lsig_new, qnorm, dims) + lp_new - lp
+            got = mcmc._centered_ratio(dims)(lsig, lsig_new, qnorm) + lp_new - lp
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_overflowing_total_variance_gives_minus_inf_without_a_warning(self):
@@ -391,6 +395,7 @@ class TestBitIdentity:
         # rejected, and no exception escapes; where exp(-2D) underflows the
         # ratio is -dims D + q/2
         dims = [1, 1, 4, 16, 2, 9, 25]
+        ratio = mcmc._centered_ratio(dims)
         unit = [0.0] * 7  # log sigma of sigma = 1
         big = math.log(1e200)
         for k in range(7):
@@ -400,7 +405,7 @@ class TestBitIdentity:
                 for lsig, lsig_new in ((moved, unit), (unit, moved)):
                     delta = lsig_new[k] - lsig[k]
                     for q in (0.0, 1.0):
-                        got = mcmc._centered_log_ratio(lsig, lsig_new, [q] * 7, dims)
+                        got = ratio(lsig, lsig_new, [q] * 7)
                         if delta < 0:
                             assert got == -math.inf
                         else:
@@ -729,6 +734,190 @@ class TestExactDraws:
         # a prior-only fit
         with pytest.raises(ValidationError, match="assembled model"):
             fit(assemble(toy_model(), None), toy_data(n=20), self.settings)
+
+
+def reference_centered_log_ratio(lsig, lsig_new, qnorm, dims):
+    """The log ratio of move (b), less its prior terms, as a loop over the
+    leaves: the reference of the generated ratio."""
+    out = 0.0
+    try:
+        for n, a, b, q in zip(dims, lsig, lsig_new, qnorm):
+            delta = b - a
+            out -= n * delta + 0.5 * q * (math.exp(-2.0 * delta) - 1.0)
+    except OverflowError:
+        return -math.inf
+    return -math.inf if math.isnan(out) else out
+
+
+def reference_prior_chain(result, c, rng, leaves, transforms, dims):
+    """``mcmc._run_prior_chain`` as a loop over iterations, with theta a
+    list, the ``_Accept`` records, ``_alpha``, ``_adapt`` at every burn-in
+    iteration and the per-leaf centered ratio: the reference that the
+    compiled windows must match bit for bit."""
+    settings = result.settings
+    evaluator, theta, lp_theta, lsig, acc = mcmc._hyper_start(result.assembled)
+    d, theta = theta.size, theta.tolist()
+    acc_a, acc_b = acc["hyper"], acc["hyper_centered"]
+    qnorm = [0.0] * len(leaves)
+    n_keep = result.mu.shape[1]
+    kept = np.empty((n_keep, 2, len(leaves)))
+    prop_chol = np.eye(d)
+    theta_history = np.empty((settings.burn_in, d))
+
+    t_prop = t_hyper = t_centered = t_store = 0.0
+    clock = time.perf_counter
+    for start in range(0, settings.iterations, mcmc.ADAPTATION_WINDOW) if d else ():
+        t0 = clock()
+        n = min(mcmc.ADAPTATION_WINDOW, settings.iterations - start)
+        steps = (rng.standard_normal((n, 2, d)) @ prop_chol.T).tolist()
+        uniforms = rng.random((n, 2)).tolist()
+        norms = rng.chisquare(dims, (n, len(leaves))).tolist()
+        t1 = clock()
+        t_prop += t1 - t0
+        for it, (step_a, step_b), (u_a, u_b), q_new in zip(
+            range(start, start + n), steps, uniforms, norms
+        ):
+            adapting = it < settings.burn_in
+            s = acc_a.scale
+            theta_new = [t + s * z for t, z in zip(theta, step_a)]
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
+            alpha = mcmc._alpha(lp_new - lp_theta)
+            if u_a < alpha:
+                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
+            acc_a.update(alpha, it, adapting)
+            t0 = clock()
+            t_hyper += t0 - t1
+
+            s = acc_b.scale
+            theta_new = [t + s * z for t, z in zip(theta, step_b)]
+            lp_new, lsig_new = evaluator.evaluate(theta_new)
+            logr = -math.inf
+            if math.isfinite(lp_new):
+                logr = (reference_centered_log_ratio(lsig, lsig_new, qnorm, dims)
+                        + lp_new - lp_theta)
+            alpha = mcmc._alpha(logr)
+            if u_b < alpha:
+                theta, lsig, lp_theta = theta_new, lsig_new, lp_new
+            acc_b.update(alpha, it, adapting)
+            t1 = clock()
+            t_centered += t1 - t0
+
+            qnorm = q_new
+            if adapting:
+                theta_history[it] = theta
+                prop_chol = mcmc._adapt(theta_history, it, settings.burn_in, prop_chol, acc)
+            k, skip = divmod(it - settings.burn_in, settings.thinning)
+            if k >= 0 and skip == 0:
+                result.theta[c, k] = theta
+                kept[k] = lsig, qnorm
+            t0 = clock()
+            t_store += t0 - t1
+            t1 = t0
+
+    t0 = clock()
+    result.mu[c] = MU_PRIOR_SD * rng.standard_normal(n_keep)
+    t_mu, t0 = clock() - t0, clock()
+    scales = np.exp(kept[:, 0]) * np.sqrt(kept[:, 1])
+    for k, l in enumerate(leaves):
+        g = rng.standard_normal((n_keep, dims[k]))
+        g *= (scales[:, k] / np.linalg.norm(g, axis=1))[:, None]
+        np.matmul(g, transforms[k].T, out=result.coefficients[l][c])
+    t_coef = clock() - t0
+
+    rates = mcmc._check_divergent(acc)
+    rates["mu"] = 1.0
+    rates.update((f"coef[{l}]", 1.0) for l in leaves)
+    return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
+
+
+def prior_fit_outcome(model, settings):
+    """A likelihood-free fit, or the message of the DiagnosticError it raised."""
+    try:
+        return fit(model, None, settings, likelihood_weight=0.0)
+    except DiagnosticError as err:
+        return str(err)
+
+
+class TestPriorWindow:
+    """A chain without rows, run in compiled adaptation windows, gives the
+    theta, intercepts, coefficients and acceptance rates of the per-iteration
+    loop bit for bit, and the same timing keys."""
+
+    @staticmethod
+    def assert_matches_reference(model, settings):
+        got = prior_fit_outcome(model, settings)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcmc, "_run_prior_chain", reference_prior_chain)
+            want = prior_fit_outcome(model, settings)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for name in ("theta", "mu"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.coefficients.keys() == want.coefficients.keys()
+        for leaf, draws in want.coefficients.items():
+            assert got.coefficients[leaf].tobytes() == draws.tobytes()
+        assert got.acceptance == want.acceptance
+        assert got.timings.keys() == want.timings.keys()
+
+    # burn-in a multiple of the window, ending mid-window, at zero and inside
+    # the first window; thinning 1 and above
+    schedules = pytest.mark.parametrize("iterations, burn_in, thinning", [
+        (1200, 500, 1), (1234, 321, 1), (1000, 0, 1), (1037, 30, 7), (1500, 275, 25),
+    ])
+
+    @schedules
+    def test_criterion_08_tree(self, iterations, burn_in, thinning):
+        from test_acceptance import small_survey_model
+
+        settings = McmcSettings(chains=2, iterations=iterations, burn_in=burn_in,
+                                thinning=thinning, seed=12)
+        self.assert_matches_reference(small_survey_model(), settings)
+
+    @schedules
+    def test_survey_tree_with_pc_and_beta_priors(self, iterations, burn_in, thinning):
+        from test_model import survey_model
+        from test_priors import TestLogPrior
+
+        effects = survey_model().effects
+        priors = TestLogPrior().pc_beta_priors(survey_tree())
+        settings = McmcSettings(chains=1, iterations=iterations, burn_in=burn_in,
+                                thinning=thinning, seed=5)
+        self.assert_matches_reference(ModelSpec(effects=effects, priors=priors), settings)
+
+    @hyp_settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model=trees_and_priors(with_labels=True), data=st.data())
+    def test_random_trees(self, model, data):
+        _, priors, labels = model
+        effects = [
+            EffectDecl(lab.effect_id, "linear", f"x{i}", UniformInterval(-1.0, 1.0),
+                       side=lab.side, role=lab.role, group=lab.group)
+            for i, lab in enumerate(labels)
+        ]
+        burn_in = data.draw(st.integers(0, 260))
+        settings = McmcSettings(chains=1, iterations=burn_in + data.draw(st.integers(1, 240)),
+                                burn_in=burn_in, thinning=data.draw(st.integers(1, 6)),
+                                seed=data.draw(st.integers(0, 1000)))
+        self.assert_matches_reference(ModelSpec(effects=effects, priors=priors), settings)
+
+    def test_ratio_matches_the_loop(self):
+        # the generated ratio against the per-leaf loop, on random log sigma
+        # and at the extremes where exp overflows or meets an infinite term
+        rng = np.random.default_rng(31)
+        dims = [1, 5, 4, 16, 2, 9, 25]
+        ratio = mcmc._centered_ratio(dims)
+        values = [0.0, -math.inf, math.inf, math.log(1e200), -math.log(1e200)]
+        for _ in range(2000):
+            lsig = rng.normal(0.0, 2.0, 7)
+            lsig, lsig_new = lsig.tolist(), (lsig + rng.normal(0.0, 0.5, 7)).tolist()
+            qnorm = rng.chisquare(dims).tolist()
+            k = rng.integers(0, 7)
+            if rng.random() < 0.3:
+                lsig_new[k] = float(rng.choice(values))
+            if rng.random() < 0.3:
+                qnorm[k] = 0.0
+            want = reference_centered_log_ratio(lsig, lsig_new, qnorm, dims)
+            assert repr(ratio(lsig, lsig_new, qnorm)) == repr(want)
 
 
 class TestParallelChains:
