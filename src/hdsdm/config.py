@@ -24,9 +24,8 @@ from .csvio import read_rows, to_floats
 from .distributions import PointCloud, UniformInterval, UniformLevels
 from .exceptions import ValidationError
 from .mcmc import McmcSettings
-from .model import Dataset, EffectDecl, ModelSpec
+from .model import Dataset, EffectDecl, ModelSpec, default_tree, effect_kind
 from .priors import PriorSpec
-from .tree import build_default_tree
 
 __all__ = ["RunConfig", "ingest", "build_model", "build_settings", "read_point_cloud"]
 
@@ -134,13 +133,16 @@ def read_point_cloud(path) -> np.ndarray:
     return np.column_stack(to_floats(path, rows, lines, ("x", "y"), (0, 1), width_of="a point"))
 
 
-def _build_dist(spec: dict, base_dir: Path):
+def _build_dist(name: str, spec: dict, base_dir: Path):
     kind = spec["kind"]
-    if kind == "interval":
-        return UniformInterval(float(spec["lower"]), float(spec["upper"]))
-    if kind == "levels":
+    if kind == "point_cloud":
+        return PointCloud(read_point_cloud(base_dir / spec["path"]))
+    try:
+        if kind == "interval":
+            return UniformInterval(float(spec["lower"]), float(spec["upper"]))
         return UniformLevels(int(spec["n"]))
-    return PointCloud(read_point_cloud(base_dir / spec["path"]))
+    except ValidationError as err:
+        raise ValidationError(f"support {name!r}: {err}") from None
 
 
 def _entry(eff: dict) -> tuple[str, dict]:
@@ -148,9 +150,10 @@ def _entry(eff: dict) -> tuple[str, dict]:
 
     A ``spatial2d`` entry lists its two columns under ``covariates`` and
     reads the support ``spatial`` by default; any other kind lists its
-    column under ``covariate``, which also names its default support. Only
-    ``pspline`` takes ``n_basis`` (a positive integer) and ``spatial2d``
-    (a pair of them, ``EffectDecl.n_basis_2d``). A missing required key, an
+    column under ``covariate``, which also names its default support. The
+    kinds with a basis size in ``model.EFFECT_KINDS`` take ``n_basis``:
+    ``pspline`` a positive integer and ``spatial2d`` a pair of them
+    (``EffectDecl.n_basis_2d``). A missing required key, an
     unknown key and a bad or misplaced ``n_basis`` are ValidationErrors.
     ``side``, ``role``, ``group`` and the basis size are passed on only
     when the entry sets them, so that ``EffectDecl`` owns their defaults.
@@ -167,13 +170,14 @@ def _entry(eff: dict) -> tuple[str, dict]:
             decl[key] = eff[key]
     if "n_basis" in eff:
         nb = eff["n_basis"]
-        if eff["kind"] not in ("pspline", "spatial2d"):
+        size = effect_kind(eff["kind"]).basis_size
+        if size is None:
             raise ValidationError(f"{where}: kind {eff['kind']!r} takes no 'n_basis'")
         items = nb if pair and isinstance(nb, (list, tuple)) and len(nb) == 2 else [nb]
         if len(items) != (2 if pair else 1) or not all(type(x) is int and x > 0 for x in items):
             want = "a pair of positive integers" if pair else "a positive integer"
             raise ValidationError(f"{where}: n_basis must be {want}, got {nb!r}")
-        decl["n_basis_2d" if pair else "n_basis"] = tuple(items) if pair else nb
+        decl[size] = tuple(items) if pair else nb
     return eff.get("support", "spatial" if pair else covariate), decl
 
 
@@ -185,18 +189,17 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
     priors fit the tree.
     """
     base_dir = Path(base_dir)
-    dists = {name: _build_dist(s, base_dir) for name, s in cfg.supports.items()}
+    dists = {name: _build_dist(name, s, base_dir) for name, s in cfg.supports.items()}
 
     effects = []
     for eff in cfg.model["effects"]:
         support, decl = _entry(eff)
         effects.append(EffectDecl(dist=dists[support], **decl))
 
-    labels = [lab for e in effects for lab in e.labels()]
     declared = dict(cfg.model["priors"])
     flex_default = declared.pop("flex_splits", None)
-    if labels and flex_default is not None:
-        for s in build_default_tree(labels).splits:
+    if effects and flex_default is not None:
+        for s in default_tree(effects).splits:
             if "_flex" in s.name:
                 declared.setdefault(s.name, flex_default)
     priors = {
@@ -221,17 +224,27 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     Every data row has one field per header column, and the response is
     binary 0/1; a parse or validation failure names the file and the
     physical line (blank lines are skipped but counted), as
-    ``csvio.to_floats`` does. Level-coded supports may declare an
-    integer ``offset`` subtracted from the raw column (e.g. ``year`` 2000..
-    2019 with offset 1999 becomes levels 1..20); the train/test split always
-    tests the raw year against ``split.train_max_year``.
+    ``csvio.to_floats`` does. The integer ``offset`` of a ``levels`` support
+    is subtracted from each column an effect reads through it (e.g. ``year``
+    2000..2019 with offset 1999 becomes levels 1..20); a column read through
+    two supports of different offsets (a support without one has 0) is a
+    ValidationError. ``split.train_max_year`` always tests the raw year.
     """
     path = Path(base_dir) / path
     response = cfg.data["response"]
-    needed = set()
+    offsets = {}  # each column an effect reads: (support, offset)
     for eff in cfg.model["effects"]:
-        cov = _entry(eff)[1]["covariate"]
-        needed.update(cov if isinstance(cov, tuple) else [cov])
+        support, decl = _entry(eff)
+        read = (support, cfg.supports[support].get("offset", 0))
+        cov = decl["covariate"]
+        for column in cov if isinstance(cov, tuple) else [cov]:
+            first = offsets.setdefault(column, read)
+            if first[1] != read[1]:
+                raise ValidationError(
+                    f"column {column!r} is read through support {first[0]!r} (offset "
+                    f"{first[1]}) and support {read[0]!r} (offset {read[1]})"
+                )
+    needed = set(offsets)
     year_col = cfg.data.get("year")
     if year_col:
         needed.add(year_col)
@@ -256,8 +269,8 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     else:
         train_mask = np.ones(len(y), dtype=bool)
 
-    for name, spec in cfg.supports.items():
-        if spec.get("kind") == "levels" and "offset" in spec and name in cols:
-            cols[name] = cols[name] - float(spec["offset"])
+    for column, (_, offset) in offsets.items():
+        if offset:
+            cols[column] = cols[column] - float(offset)
 
     return Dataset(y=y, columns=cols, train_mask=train_mask)

@@ -7,9 +7,9 @@ eigendecomposition, and the one constrained Gaussian law, ``SubspaceGaussian``
 effect standardization. Where the constraints span the null space of Q,
 restriction equals kriging and the covariance is the pseudo-inverse of Q.
 
-Zero eigenvalues are classified with a scale-relative threshold
-``|lam| <= RANK_TOL * lam_max``, robust for the dense sizes used here
-(K up to a few hundred per effect).
+``psd_eigen`` classifies zero eigenvalues, for ``priors`` too, with the
+scale-relative threshold ``|lam| <= RANK_TOL * lam_max``, robust for the
+dense sizes used here (K up to a few hundred per effect).
 """
 
 from __future__ import annotations
@@ -62,28 +62,34 @@ class PrecisionStructure:
         return self.nullspace.shape[1]
 
 
+def psd_eigen(S: np.ndarray, what: str = "matrix"):
+    """The one eigen-classification of a symmetric PSD matrix: its symmetrized
+    form, eigenvalues (ascending), eigenvectors and nonzero mask (module
+    docstring). Not square: DimensionError; asymmetric beyond 1e-12 of its
+    largest entry, or an eigenvalue below -RANK_TOL * lam_max: ValidationError."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {S.shape}")
+    scale = np.abs(S).max()
+    if scale > 0 and np.abs(S - S.T).max() > 1e-12 * scale:
+        raise ValidationError(f"{what} is not symmetric to 1e-12 relative tolerance")
+    S = 0.5 * (S + S.T)
+    lam, vec = np.linalg.eigh(S)
+    tol = RANK_TOL * max(lam[-1], 0.0)
+    if lam[0] < -tol:
+        raise ValidationError(f"{what} has negative eigenvalue {lam[0]:.3e} beyond tolerance")
+    return S, lam, vec, np.abs(lam) > tol
+
+
+def _rank(S: np.ndarray) -> int:
+    """The number of eigenvalues of ``S`` that ``psd_eigen`` counts as nonzero."""
+    return int(np.count_nonzero(psd_eigen(S)[3]))
+
+
 def _from_matrix(Q: np.ndarray) -> PrecisionStructure:
     """Eigendecompose a symmetric PSD matrix and classify its rank."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise DimensionError(f"precision matrix must be square, got shape {Q.shape}")
-    scale = np.abs(Q).max()
-    if scale > 0 and np.abs(Q - Q.T).max() > 1e-12 * scale:
-        raise ValidationError("precision matrix is not symmetric to 1e-12 relative tolerance")
-    Qs = 0.5 * (Q + Q.T)
-    lam, vec = np.linalg.eigh(Qs)
-    lam_max = max(lam[-1], 0.0)
-    tol = RANK_TOL * lam_max
-    if lam[0] < -tol:
-        raise ValidationError(
-            f"precision matrix has negative eigenvalue {lam[0]:.3e} beyond tolerance"
-        )
-    zero = np.abs(lam) <= tol
-    return PrecisionStructure(
-        Q=Qs,
-        nullspace=vec[:, zero],
-        rank=int(np.count_nonzero(~zero)),
-    )
+    Qs, _, vec, nonzero = psd_eigen(Q, "precision matrix")
+    return PrecisionStructure(Q=Qs, nullspace=vec[:, ~nonzero], rank=int(np.count_nonzero(nonzero)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ so the same assembled effects evaluate consistently on new observations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +31,31 @@ from .priors import PriorSpec, _as_prior_map
 from .standardize import StandardizedEffect, split_pspline, standardize
 from .tree import DecompTree, EffectLabel, build_default_tree
 
-EFFECT_KINDS = ("linear", "pspline", "iid", "rw1", "spatial2d")
-
 __all__ = ["MU_PRIOR_SD", "EffectDecl", "ModelSpec", "Dataset", "AssembledModel", "assemble"]
+
+
+class EffectKind(NamedTuple):
+    support: type  # the covariate distribution an effect of the kind takes
+    basis_size: str | None  # the EffectDecl field that sizes its basis
+    side: str  # the default side
+    group: str | None  # the default group; None: the effect id
+
+
+EFFECT_KINDS = {
+    "linear": EffectKind(UniformInterval, None, "abiotic", None),
+    "pspline": EffectKind(UniformInterval, "n_basis", "abiotic", None),
+    "iid": EffectKind(UniformLevels, None, "abiotic", None),
+    "rw1": EffectKind(UniformLevels, None, "abiotic", None),
+    "spatial2d": EffectKind(PointCloud, "n_basis_2d", "biotic", "spatial"),
+}
+
+
+def effect_kind(name) -> EffectKind:
+    """The ``EFFECT_KINDS`` entry of ``name``, which must be a kind."""
+    try:
+        return EFFECT_KINDS[name]
+    except (KeyError, TypeError):  # TypeError: not hashable, so not a kind
+        raise ValidationError(f"unknown effect kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,11 +71,13 @@ class EffectDecl:
       spatial2d - tensor B-spline surface over a point cloud, pruned to the
                   occupied cells, with an ICAR penalty on the cell lattice
 
-    ``side`` and ``group`` default by kind: a ``spatial2d`` effect is biotic
-    in the group ``spatial``, any other kind is abiotic in a group named
-    after its id. ``n_basis`` sizes a ``pspline`` basis and ``n_basis_2d``
-    the tensor grid of a ``spatial2d`` effect; other kinds have no basis
-    size.
+    ``EFFECT_KINDS`` says what each kind takes and how it defaults: the
+    class of ``dist`` (an interval for ``linear`` and ``pspline``, levels
+    for ``iid`` and ``rw1``, a point cloud for ``spatial2d``; another class
+    is a ValidationError), the field that sizes its basis (``n_basis``,
+    ``n_basis_2d`` or none), and ``side`` and ``group``: a ``spatial2d``
+    effect is biotic in the group ``spatial``, any other kind is abiotic in
+    a group named after its id.
     """
 
     effect_id: str
@@ -66,19 +91,16 @@ class EffectDecl:
     n_basis_2d: tuple[int, int] = (8, 8)
 
     def __post_init__(self):
-        if self.kind not in EFFECT_KINDS:
-            raise ValidationError(f"unknown effect kind {self.kind!r}")
-        if self.kind == "spatial2d" and not isinstance(self.dist, PointCloud):
-            raise ValidationError("spatial2d effects need a point-cloud distribution")
-        if self.kind == "pspline" and not isinstance(self.dist, UniformInterval):
-            raise ValidationError("pspline effects need an interval distribution")
-        if self.kind in ("iid", "rw1") and not isinstance(self.dist, UniformLevels):
-            raise ValidationError(f"{self.kind} effects need a discrete level distribution")
-        spatial = self.kind == "spatial2d"
+        kind = effect_kind(self.kind)
+        if not isinstance(self.dist, kind.support):
+            raise ValidationError(
+                f"effect {self.effect_id!r}: kind {self.kind!r} takes a "
+                f"{kind.support.__name__} support, got {type(self.dist).__name__}"
+            )
         if self.side is None:
-            object.__setattr__(self, "side", "biotic" if spatial else "abiotic")
+            object.__setattr__(self, "side", kind.side)
         if self.group is None:
-            object.__setattr__(self, "group", "spatial" if spatial else self.effect_id)
+            object.__setattr__(self, "group", kind.group or self.effect_id)
 
     @property
     def leaf_ids(self) -> tuple[str, ...]:
@@ -97,29 +119,28 @@ class EffectDecl:
 MU_PRIOR_SD = 10.0
 
 
-@dataclass
+def default_tree(effects: list[EffectDecl]) -> DecompTree | None:
+    """The default tree of the effects' labels; None for no effects."""
+    labels = [lab for e in effects for lab in e.labels()]
+    return build_default_tree(labels) if labels else None
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """Bernoulli-logit model: an intercept with the prior N(0, MU_PRIOR_SD^2)
-    plus standardized additive effects."""
+    plus standardized additive effects. ``tree`` is the effects' default tree,
+    built once with the model, and the priors must fit it; an intercept-only
+    model has none, and its priors go unused."""
 
     effects: list[EffectDecl]
     priors: dict[str, PriorSpec]
+    tree: DecompTree | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [leaf for e in self.effects for leaf in e.leaf_ids]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("effect leaf ids are not unique")
-        self.build_tree()  # rejects priors that do not fit the tree
-
-    def build_tree(self) -> DecompTree | None:
-        """The default tree of the effects, once the priors fit it; None for
-        an intercept-only model, whose priors go unused."""
-        if not self.effects:
-            return None
-        labels = [lab for e in self.effects for lab in e.labels()]
-        tree = build_default_tree(labels)
-        _as_prior_map(tree, self.priors)
-        return tree
+        tree = default_tree(self.effects)
+        if tree is not None:
+            _as_prior_map(tree, self.priors)
+        object.__setattr__(self, "tree", tree)
 
 
 @dataclass
@@ -165,14 +186,12 @@ class Dataset:
 
 
 def _covariate_values(decl: EffectDecl, columns: dict[str, np.ndarray]) -> np.ndarray:
-    if decl.kind == "spatial2d":
-        c1, c2 = decl.covariate
-        for c in (c1, c2):
-            if c not in columns:
-                raise ValidationError(f"effect {decl.effect_id!r}: no column {c!r}")
-        return np.column_stack([columns[c1], columns[c2]])
-    if decl.covariate not in columns:
-        raise ValidationError(f"effect {decl.effect_id!r}: no column {decl.covariate!r}")
+    pair = decl.kind == "spatial2d"
+    for c in decl.covariate if pair else [decl.covariate]:
+        if c not in columns:
+            raise ValidationError(f"effect {decl.effect_id!r}: no column {c!r}")
+    if pair:
+        return np.column_stack([columns[c] for c in decl.covariate])
     x = columns[decl.covariate]
     if isinstance(decl.dist, UniformInterval):
         # bases with unbounded evaluation (linear) still only carry meaning
@@ -214,12 +233,10 @@ def build_effects(decl: EffectDecl) -> list[StandardizedEffect]:
     if decl.kind == "pspline":
         basis = BSplineBasis1D(decl.n_basis, decl.dist.lower, decl.dist.upper)
         return list(split_pspline(basis, decl.dist, decl.effect_id))
-    if decl.kind == "iid":
+    if decl.kind in ("iid", "rw1"):
         k = decl.dist.n_levels
-        return [standardize(IndicatorBasis(k), build_iid(k), decl.dist, decl.effect_id)]
-    if decl.kind == "rw1":
-        k = decl.dist.n_levels
-        return [standardize(IndicatorBasis(k), build_rw1(k), decl.dist, decl.effect_id)]
+        precision = build_iid(k) if decl.kind == "iid" else build_rw1(k)
+        return [standardize(IndicatorBasis(k), precision, decl.dist, decl.effect_id)]
     return [_build_spatial_effect(decl)]  # spatial2d: EffectDecl rejects other kinds
 
 
@@ -228,11 +245,14 @@ class AssembledModel:
     """Model bound to data: standardized effects + training design blocks."""
 
     model: ModelSpec
-    tree: DecompTree | None
     effects: dict[str, StandardizedEffect]
     designs: dict[str, np.ndarray]
     y_train: np.ndarray
     decl_by_leaf: dict[str, EffectDecl] = field(default_factory=dict)
+
+    @property
+    def tree(self) -> DecompTree | None:
+        return self.model.tree
 
     @property
     def leaf_ids(self) -> tuple[str, ...]:
@@ -271,7 +291,6 @@ def assemble(model: ModelSpec, data: Dataset | None) -> AssembledModel:
     """
     if data is not None and data.n_train == 0:
         raise ValidationError("the data have no training rows (empty train mask or split)")
-    tree = model.build_tree()
     effects: dict[str, StandardizedEffect] = {}
     designs: dict[str, np.ndarray] = {}
     decl_by_leaf: dict[str, EffectDecl] = {}
@@ -284,15 +303,9 @@ def assemble(model: ModelSpec, data: Dataset | None) -> AssembledModel:
                 designs[eff.effect_id] = np.zeros((0, eff.n_coef))
             else:
                 designs[eff.effect_id] = eff.design(_covariate_values(decl, train_cols))
-    expected = set(tree.leaves) if tree is not None else set()
-    if set(effects) != expected:
-        raise ValidationError(
-            f"tree leaves {sorted(expected)} do not match effects {sorted(effects)}"
-        )
     y_train = data.y[data.train_mask] if data is not None else np.zeros(0)
     return AssembledModel(
         model=model,
-        tree=tree,
         effects=effects,
         designs=designs,
         y_train=y_train,

@@ -6,6 +6,8 @@ so the partition is measured against exactly the distribution each effect
 was scaled under. Linear and non-linear components of one covariate are
 summed on the shared grid before taking the variance (they are orthogonal
 under that grid by construction, so this equals the sum of their variances).
+A group that spans covariates adds the variances of its covariates' trends:
+their supports are independent and each trend has mean zero.
 """
 
 from __future__ import annotations
@@ -48,9 +50,17 @@ class PartitionResult:
             yield name, float(self.phi_mean[j]), float(self.s2[:, j].mean())
 
 
-def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[str]]]:
-    """The leaves grouped by the ``group`` of their declaration."""
-    return _grouped(assembled.leaf_ids, lambda leaf: assembled.decl_by_leaf[leaf].group)
+def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[list[str]]]]:
+    """The leaves grouped by the ``group`` of their declaration, each group
+    split into the leaves that read one covariate on one quadrature grid
+    (through one support), whose trends add point by point."""
+    decl, effects = assembled.decl_by_leaf, assembled.effects
+
+    def support_of(leaf):
+        return decl[leaf].covariate, effects[leaf].dist.grid().tobytes()
+
+    return [(name, [subset for _, subset in _grouped(leaves, support_of)])
+            for name, leaves in _grouped(assembled.leaf_ids, lambda leaf: decl[leaf].group)]
 
 
 def phi(
@@ -58,6 +68,10 @@ def phi(
 ) -> PartitionResult:
     """Posterior variance shares phi per sample and their posterior mean, per
     effect group (the ``group`` of each effect declaration).
+
+    A group's realized variance adds, over the covariates it spans, the
+    variance on the quadrature grid of the summed trends of its effects that
+    read that covariate through one support (module docstring).
 
     Samples whose total realized variance is zero carry no defined share and
     are skipped (count reported in ``n_skipped``).
@@ -71,19 +85,12 @@ def phi(
     groups = _default_groups(assembled)
 
     quad = {leaf: assembled.effects[leaf].quadrature_design() for leaf in assembled.leaf_ids}
-    for name, leaves in groups:
-        sizes = {quad[l].shape[0] for l in leaves}
-        if len(sizes) != 1:
-            raise ValidationError(
-                f"group {name!r} mixes effects with different quadrature grids"
-            )
-
     s2 = np.empty((draws.n_samples, len(groups)))
     for start in range(0, draws.n_samples, PHI_CHUNK):
         rows = slice(start, start + PHI_CHUNK)
-        for j, (name, leaves) in enumerate(groups):
-            trends = sum(coefs[l][rows] @ quad[l].T for l in leaves)
-            s2[rows, j] = trends.var(axis=1)
+        for j, (_, subsets) in enumerate(groups):
+            s2[rows, j] = sum(sum(coefs[l][rows] @ quad[l].T for l in leaves).var(axis=1)
+                              for leaves in subsets)
     totals = s2.sum(axis=1)
     keep = totals > 0
     n_skipped = int((~keep).sum())
@@ -108,15 +115,16 @@ class SweepEntry:
 
 
 def posterior_mean_trends(result: FitResult) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Posterior-mean effect curves per 1D group, centered to zero quadrature
-    mean (the normalization used for the emitted plot data). The trends are
-    linear in the coefficients, so they are evaluated at the posterior mean."""
+    """Posterior-mean effect curves per 1D group of one covariate, centered to
+    zero quadrature mean (the normalization used for the emitted plot data).
+    The trends are linear in the coefficients, so they are evaluated at the
+    posterior mean. A group that spans covariates has no one curve."""
     assembled = result.assembled
     coef_mean = {l: c.mean(axis=0) for l, c in result.flat_coefficients().items()}
     out = {}
-    for name, leaves in _default_groups(assembled):
+    for name, (leaves, *others) in _default_groups(assembled):
         grid = assembled.effects[leaves[0]].dist.grid()
-        if np.asarray(grid).ndim != 1:
+        if others or np.asarray(grid).ndim != 1:
             continue
         trend = sum(assembled.effects[l].quadrature_design() @ coef_mean[l] for l in leaves)
         out[name] = (np.asarray(grid), trend - trend.mean())

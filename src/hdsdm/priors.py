@@ -35,7 +35,7 @@ from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
 from .exceptions import CalibrationError, NumericalError, ValidationError
-from .gmrf import RANK_TOL
+from .gmrf import _rank, psd_eigen
 from .tree import (
     DecompTree,
     HDParams,
@@ -298,24 +298,6 @@ class RankInfo:
     conclusive: bool
 
 
-def _psd_eig(S: np.ndarray):
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValidationError(f"matrix must be square, got {S.shape}")
-    if np.abs(S - S.T).max() > 1e-10 * max(np.abs(S).max(), 1.0):
-        raise ValidationError("matrix must be symmetric")
-    lam, vec = np.linalg.eigh(0.5 * (S + S.T))
-    tol = RANK_TOL * max(lam[-1], 0.0)
-    if lam[0] < -max(tol, 1e-12):
-        raise ValidationError(f"matrix has negative eigenvalue {lam[0]:.3e}")
-    nonzero = lam > tol
-    return lam, vec, int(np.count_nonzero(nonzero)), nonzero
-
-
-def _rank(S: np.ndarray) -> int:
-    return _psd_eig(S)[2]
-
-
 def sum_of_ranks_check(
     K0: int,
     N0: int,
@@ -337,26 +319,10 @@ def sum_of_ranks_check(
         if v < 1:
             raise ValidationError(f"{name} must be a positive integer, got {v}")
     upper = (min(N0, K0), min(N1, K1))
-    if upper[0] + upper[1] <= N:
-        return RankInfo(
-            r0=upper[0],
-            r1=upper[1],
-            n=N,
-            upper_bounds=upper,
-            condition_holds=True,
-            method="upper_bound",
-            conclusive=True,
-        )
-    if Sigma0 is None or Sigma1 is None:
-        return RankInfo(
-            r0=upper[0],
-            r1=upper[1],
-            n=N,
-            upper_bounds=upper,
-            condition_holds=False,
-            method="upper_bound",
-            conclusive=False,
-        )
+    holds = upper[0] + upper[1] <= N
+    if holds or Sigma0 is None or Sigma1 is None:
+        return RankInfo(r0=upper[0], r1=upper[1], n=N, upper_bounds=upper,
+                        condition_holds=holds, method="upper_bound", conclusive=holds)
     if Sigma0.shape != (N, N) or Sigma1.shape != (N, N):
         raise ValidationError(
             f"covariances must be {N}x{N}, got {Sigma0.shape} and {Sigma1.shape}"
@@ -396,8 +362,9 @@ def kld_distance(omega: float, omega0: float, Sigma0: np.ndarray, Sigma1: np.nda
     S_w = (1.0 - omega) * Sigma0 + omega * Sigma1
     S_b = (1.0 - omega0) * Sigma0 + omega0 * Sigma1
 
-    lam_w, _, rank_w, nz_w = _psd_eig(S_w)
-    lam_b, vec_b, rank_b, nz_b = _psd_eig(S_b)
+    _, lam_w, _, nz_w = psd_eigen(S_w, "covariance")
+    _, lam_b, vec_b, nz_b = psd_eigen(S_b, "covariance")
+    rank_w, rank_b = int(np.count_nonzero(nz_w)), int(np.count_nonzero(nz_b))
     if rank_w == 0 or rank_b == 0:
         raise ValidationError("zero covariance matrix in distance computation")
 

@@ -120,8 +120,9 @@ class DecompTree:
                     omega_index=node.omega_index if node.omega_index is not None else 0,
                 )
             )
-        if len(set(leaves)) != len(leaves):
-            raise ValidationError("leaf ids are not unique")
+        repeated = sorted({leaf for leaf in leaves if leaves.count(leaf) > 1})
+        if repeated:
+            raise ValidationError(f"leaf ids are not unique: {repeated}")
         names = [s.name for s in splits]
         if len(set(names)) != len(names):
             raise ValidationError("split names are not unique")
@@ -184,17 +185,15 @@ class HDParams:
 # ---------------------------------------------------------------------------
 
 
-def _leaf(effect: EffectLabel) -> TreeNode:
-    return TreeNode(name=effect.effect_id)
-
-
-def _flex_subtree(group: str, members: list[EffectLabel], suffix: str = "") -> TreeNode:
+def _flex_subtree(group: str, members: list[EffectLabel], depth: int = 1) -> TreeNode:
+    """A group's one leaf, or its splits <group>_flex, <group>_flex2, ..."""
+    leaf = TreeNode(name=members[0].effect_id)
     if len(members) == 1:
-        return _leaf(members[0])
-    name = f"{group}_flex{suffix}"
-    rest = _flex_subtree(group, members[1:], suffix="2" if suffix == "" else str(int(suffix or 1) + 1))
+        return leaf
+    name = f"{group}_flex{depth if depth > 1 else ''}"
     # the later-declared (more flexible) branch is the designated omega child
-    return TreeNode(name=name, children=(_leaf(members[0]), rest), omega_index=1)
+    return TreeNode(name=name, children=(leaf, _flex_subtree(group, members[1:], depth + 1)),
+                    omega_index=1)
 
 
 def _grouped(items, group_of) -> list[tuple[str, list]]:
@@ -249,9 +248,6 @@ def build_default_tree(effects: list[EffectLabel]) -> DecompTree:
     """
     if not effects:
         raise ValidationError("no effects declared")
-    ids = [e.effect_id for e in effects]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate effect ids")
     # a group of several effects gets its splits <group>_flex, <group>_flex2, ...
     # in each branch (side and role) that it has several effects in
     flexed = {}
@@ -266,15 +262,11 @@ def build_default_tree(effects: list[EffectLabel]) -> DecompTree:
                 f"group {group!r} has several effects in more than one branch of the "
                 f"tree ({'; '.join(branches)}), and each branch would name its split "
                 f"{group + '_flex'!r}: give the effects of each branch a group of its own")
-    abiotic = [e for e in effects if e.side == "abiotic"]
-    biotic = [e for e in effects if e.side == "biotic"]
-    sides = [( "abiotic", abiotic), ("biotic", biotic)]
+    sides = [(side, [e for e in effects if e.side == side]) for side in ("abiotic", "biotic")]
     subtrees = [_side_subtree(side, eff) for side, eff in sides if eff]
-    if len(subtrees) == 2:
-        root = TreeNode(name="abiotic_vs_biotic", children=tuple(subtrees), omega_index=0)
-    else:
-        root = subtrees[0]
-    return DecompTree(root)
+    if len(subtrees) == 1:
+        return DecompTree(subtrees[0])
+    return DecompTree(TreeNode(name="abiotic_vs_biotic", children=tuple(subtrees), omega_index=0))
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,7 @@ class TestConfig:
         model = build_model(cfg, workdir)
         assert "sst_flex" in model.priors
         assert model.priors["sst_flex"].family == "pc0"
-        tree = model.build_tree()
-        assert tree.n_leaves == 4
+        assert model.tree.n_leaves == 4
 
     def test_build_settings_override(self, workdir):
         cfg = RunConfig.load(workdir / "config.json")
@@ -684,6 +683,58 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError",
                           "message": f"support {support!r}: {key!r} must be {want}, got {value!r}"}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["supports"]["vessel"].update(n=0),
+         "support 'vessel': need >= 1 level, got 0"),
+        (lambda raw: raw["supports"]["sst"].update(lower=2.0),
+         "support 'sst': empty interval [2.0, 1.0]"),
+    ], ids=["no_levels", "empty_interval"])
+    def test_support_range_faults_name_the_support(self, workdir, capsys, edit, message):
+        raw = base_config()
+        edit(raw)
+        (workdir / "config.json").write_text(json.dumps(raw))
+        assert main(["prior-check", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize("support, got", [("vessel", "UniformLevels"),
+                                              ("cloud", "PointCloud")])
+    def test_linear_on_levels_or_a_cloud_gives_validation_record(self, workdir, capsys,
+                                                                 support, got):
+        # on a cloud assemble failed with an AttributeError, and on levels the
+        # values went unchecked against any support
+        (workdir / "cloud.csv").write_text("0.0,0.0\n1.0,1.0\n")
+        raw = base_config()
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        raw["model"]["effects"].append(
+            {"id": "x", "kind": "linear", "covariate": "sst", "support": support})
+        (workdir / "config.json").write_text(json.dumps(raw))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError", "message":
+                          f"effect 'x': kind 'linear' takes a UniformInterval support, got {got}"}
+
+    def test_offset_applies_through_a_support_of_another_name(self, workdir):
+        # the offset was applied to the column named like the support, so the
+        # raw years reached the rw1 effect: "177 value(s) are not levels in 1..12"
+        raw = base_config()
+        raw["supports"]["years"] = raw["supports"].pop("year")
+        raw["model"]["effects"][2]["support"] = "years"
+        (workdir / "config.json").write_text(json.dumps(raw))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 0
+        data = ingest("data.csv", RunConfig.from_dict(raw), workdir)
+        assert data.columns["year"].min() >= 1 and data.columns["year"].max() <= 12
+
+    def test_column_read_under_two_offsets_rejected(self, workdir):
+        raw = base_config()
+        raw["supports"]["span"] = {"kind": "interval", "lower": 2000.0, "upper": 2011.0}
+        raw["model"]["effects"].append(
+            {"id": "trend", "kind": "linear", "covariate": "year", "support": "span"})
+        with pytest.raises(ValidationError, match=r"^column 'year' is read through support "
+                                                  r"'year' \(offset 1999\) and support 'span' "
+                                                  r"\(offset 0\)$"):
+            ingest("data.csv", RunConfig.from_dict(raw), workdir)
 
     def test_support_values_of_numpy_types_accepted(self):
         raw = base_config()

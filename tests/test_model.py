@@ -217,9 +217,9 @@ class TestAssemble:
 
     def test_missing_prior_rejected(self):
         model = survey_model()
-        del model.priors["x3_flex"]
+        priors = {node: p for node, p in model.priors.items() if node != "x3_flex"}
         with pytest.raises(ValidationError):
-            model.build_tree()
+            ModelSpec(effects=model.effects, priors=priors)
 
     @pytest.mark.parametrize("node", ["bogus", "x6_flex"])
     def test_prior_on_unknown_node_rejected(self, node):
@@ -301,6 +301,22 @@ class TestAssemble:
             EffectDecl("a", "pspline", "x", UniformLevels(3))
         with pytest.raises(ValidationError):
             EffectDecl("a", "spatial2d", ("z1", "z2"), UniformInterval(0, 1))
+
+    @pytest.mark.parametrize("dist", [PointCloud(small_cloud()), UniformLevels(3)],
+                             ids=["cloud", "levels"])
+    def test_linear_takes_an_interval_only(self, dist):
+        # on a cloud assemble failed with an AttributeError, and on levels the
+        # values went unchecked against any support
+        name = type(dist).__name__
+        with pytest.raises(ValidationError, match=rf"^effect 'x': kind 'linear' takes a "
+                                                  rf"UniformInterval support, got {name}$"):
+            EffectDecl("x", "linear", "x", dist)
+
+    def test_repeated_leaf_id_named(self):
+        effects = [EffectDecl("x", "pspline", "x", UniformInterval(0, 1)),
+                   EffectDecl("x_lin", "linear", "y", UniformInterval(0, 1))]
+        with pytest.raises(ValidationError, match=r"^leaf ids are not unique: \['x_lin'\]$"):
+            ModelSpec(effects=effects, priors={})
 
     def test_side_and_group_default_by_kind(self):
         space = EffectDecl("space", "spatial2d", ("z1", "z2"), PointCloud(small_cloud()))

@@ -89,6 +89,26 @@ class TestPhi:
         assert res.phi[0, jl] == pytest.approx(0.5, rel=1e-10)
         assert res.phi[0, jv] == pytest.approx(0.5, rel=1e-10)
 
+    def test_group_spanning_covariates_adds_their_variances(self):
+        # the trends of two covariates were summed point i with point i, as
+        # if sst and depth took their i-th grid values together
+        effects = [
+            EffectDecl("sst", "linear", "sst", UniformInterval(3.0, 27.0), group="climate"),
+            EffectDecl("depth", "linear", "depth", UniformInterval(10.0, 500.0),
+                       group="climate"),
+        ]
+        priors = {"total_variance": PriorSpec("total_variance", "jeffreys"),
+                  "climate_flex": PriorSpec("climate_flex", "uniform")}
+        asm = assemble(ModelSpec(effects=effects, priors=priors), None)
+        res = phi([make_sample(asm, {"sst": [1.0], "depth": [1.0]})], asm)
+        expected = (finite_pop_variance(asm.effects["sst"], np.ones(1))
+                    + finite_pop_variance(asm.effects["depth"], np.ones(1)))
+        assert res.group_names == ["climate"]
+        assert res.s2[0, 0] == pytest.approx(expected, rel=1e-12)
+        result = fit(ModelSpec(effects=effects, priors=priors), None,
+                     McmcSettings(chains=1, iterations=60, burn_in=30, seed=1))
+        assert posterior_mean_trends(result) == {}  # no one curve for two covariates
+
     def test_three_hand_built_samples_mean(self):
         asm = assemble(three_effect_model(), None)
         samples = [
