@@ -150,11 +150,13 @@ def _entry(eff: dict) -> tuple[str, dict]:
 
     A ``spatial2d`` entry lists its two columns under ``covariates`` and
     reads the support ``spatial`` by default; any other kind lists its
-    column under ``covariate``, which also names its default support. The
-    kinds with a basis size in ``model.EFFECT_KINDS`` take ``n_basis``:
+    column under ``covariate``, a string, which also names its default
+    support; ``covariates`` is a list of two distinct strings. The kinds
+    with a basis size in ``model.EFFECT_KINDS`` take ``n_basis``:
     ``pspline`` a positive integer and ``spatial2d`` a pair of them
-    (``EffectDecl.n_basis_2d``). A missing required key, an
-    unknown key and a bad or misplaced ``n_basis`` are ValidationErrors.
+    (``EffectDecl.n_basis_2d``). A missing required key, an unknown key, a
+    bad column name list and a bad or misplaced ``n_basis`` are
+    ValidationErrors naming the effect and the key.
     ``side``, ``role``, ``group`` and the basis size are passed on only
     when the entry sets them, so that ``EffectDecl`` owns their defaults.
     """
@@ -163,8 +165,14 @@ def _entry(eff: dict) -> tuple[str, dict]:
     column = "covariates" if pair else "covariate"
     where = f"effect {eff['id']!r}" if "id" in eff else f"effect entry {eff}"
     _check_keys(where, eff, ("id", "kind", column), EFFECT_KEYS)
-    covariate = tuple(eff[column]) if pair else eff[column]
-    decl = {"effect_id": eff["id"], "kind": eff["kind"], "covariate": covariate}
+    covariate = eff[column]
+    names = covariate if pair and isinstance(covariate, (list, tuple)) else [covariate]
+    if not (all(isinstance(c, str) for c in names)
+            and len(set(names)) == len(names) == (2 if pair else 1)):
+        want = "a list of two distinct strings" if pair else "a string"
+        raise ValidationError(f"{where}: {column!r} must be {want}, got {covariate!r}")
+    decl = {"effect_id": eff["id"], "kind": eff["kind"],
+            "covariate": tuple(names) if pair else covariate}
     for key in ("side", "role", "group"):
         if key in eff:
             decl[key] = eff[key]

@@ -8,6 +8,18 @@ summed on the shared grid before taking the variance (they are orthogonal
 under that grid by construction, so this equals the sum of their variances).
 A group that spans covariates adds the variances of its covariates' trends:
 their supports are independent and each trend has mean zero.
+
+``phi`` does not evaluate the trends on the grid. For the leaves that read
+one support, stack their quadrature designs into G (Q points by m
+coefficients, the leaves' columns side by side) and factor the centered,
+scaled design as (G - column means) / sqrt(Q) = O R, with O's columns
+orthonormal and R triangular, min(Q, m) rows by m. The grid variance of the
+trend G u is |(G - column means) u|^2 / Q = |O R u|^2 = |R u|^2. So ``phi``
+computes R once per call for each such support, at O(Q m^2), and each
+draw's variance as the squared norm of sum_l R_l u_l over the leaves'
+column blocks R_l, at O(m min(Q, m)) per draw, in blocks of ``PHI_CHUNK``
+draws: its temporaries are PHI_CHUNK x min(Q, m). ``finite_pop_variance``
+keeps the per-draw definition on the grid, which the tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from .tree import _grouped
 
 __all__ = ["PartitionResult", "finite_pop_variance", "phi", "sensitivity_sweep"]
 
-PHI_CHUNK = 64  # draws per block of quadrature matmuls; bounds phi's temporaries
+PHI_CHUNK = 512  # draws per block of factor products; bounds phi's temporaries
 
 
 def finite_pop_variance(effect: StandardizedEffect, coefficients) -> float:
@@ -63,6 +75,16 @@ def _default_groups(assembled: AssembledModel) -> list[tuple[str, list[list[str]
             for name, leaves in _grouped(assembled.leaf_ids, lambda leaf: decl[leaf].group)]
 
 
+def _grid_factor(assembled: AssembledModel, leaves: list[str]) -> list[tuple[str, np.ndarray]]:
+    """Each leaf with its column block R_l of the triangular factor R of the
+    leaves' stacked, centered quadrature designs (module docstring): the
+    grid variance of their summed trends is |sum_l R_l u_l|^2."""
+    designs = [assembled.effects[l].quadrature_design() for l in leaves]
+    G = np.hstack(designs)
+    R = np.linalg.qr((G - G.mean(axis=0)) / np.sqrt(G.shape[0]), mode="r")
+    return list(zip(leaves, np.hsplit(R, np.cumsum([d.shape[1] for d in designs[:-1]]))))
+
+
 def phi(
     samples: Draws | Sequence[PosteriorSample], assembled: AssembledModel | None = None
 ) -> PartitionResult:
@@ -71,7 +93,9 @@ def phi(
 
     A group's realized variance adds, over the covariates it spans, the
     variance on the quadrature grid of the summed trends of its effects that
-    read that covariate through one support (module docstring).
+    read that covariate through one support, computed from that support's
+    triangular grid factor (module docstring). An intercept-only model has
+    nothing to partition and is a ValidationError.
 
     Samples whose total realized variance is zero carry no defined share and
     are skipped (count reported in ``n_skipped``).
@@ -80,17 +104,20 @@ def phi(
         assembled = samples.assembled
     if assembled is None:
         raise ValidationError("phi needs the assembled model for raw sample lists")
+    if not assembled.leaf_ids:
+        raise ValidationError("an intercept-only model has no effects to partition")
     draws = as_draws(samples)
     coefs = draws.flat_coefficients()
     groups = _default_groups(assembled)
 
-    quad = {leaf: assembled.effects[leaf].quadrature_design() for leaf in assembled.leaf_ids}
-    s2 = np.empty((draws.n_samples, len(groups)))
+    factors = [[_grid_factor(assembled, leaves) for leaves in subsets] for _, subsets in groups]
+    s2 = np.zeros((draws.n_samples, len(groups)))
     for start in range(0, draws.n_samples, PHI_CHUNK):
         rows = slice(start, start + PHI_CHUNK)
-        for j, (_, subsets) in enumerate(groups):
-            s2[rows, j] = sum(sum(coefs[l][rows] @ quad[l].T for l in leaves).var(axis=1)
-                              for leaves in subsets)
+        for j, subsets in enumerate(factors):
+            for blocks in subsets:
+                image = sum(coefs[l][rows] @ R_l.T for l, R_l in blocks)
+                s2[rows, j] += np.einsum("ij,ij->i", image, image)
     totals = s2.sum(axis=1)
     keep = totals > 0
     n_skipped = int((~keep).sum())

@@ -581,6 +581,20 @@ class TestCliFlow:
         assert record["error"] == "ValidationError"
         assert "no variance proportions" in record["message"]
 
+    def test_partition_of_intercept_only_model_gives_validation_record(self, workdir,
+                                                                       capsys):
+        # every sample was skipped, and partition reported "all samples have
+        # zero total realized variance"
+        raw = base_config()
+        raw["model"]["effects"] = []
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 0
+        capsys.readouterr()
+        assert main(["partition", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": "an intercept-only model has no effects to partition"}
+
     def test_prior_check_reports_ks(self, workdir, capsys):
         cfg_path = str(workdir / "config.json")
         assert main(["prior-check", "--config", cfg_path]) == 0
@@ -714,6 +728,28 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError", "message":
                           f"effect 'x': kind 'linear' takes a UniformInterval support, got {got}"}
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"id": "x", "kind": "pspline", "covariate": ["sst", "vessel"]},
+         "effect 'x': 'covariate' must be a string, got ['sst', 'vessel']"),
+        ({"id": "space", "kind": "spatial2d", "covariates": ["sst"], "support": "cloud"},
+         "effect 'space': 'covariates' must be a list of two distinct strings, got ['sst']"),
+        ({"id": "space", "kind": "spatial2d", "covariates": "ab", "support": "cloud"},
+         "effect 'space': 'covariates' must be a list of two distinct strings, got 'ab'"),
+    ], ids=["covariate_list", "covariates_one", "covariates_string"])
+    def test_column_names_of_the_wrong_type_give_validation_record(self, workdir, capsys,
+                                                                   entry, message):
+        # a list under covariate failed with a TypeError record, one column
+        # under covariates failed in assemble ("tensor basis expects (N, 2)
+        # input"), and the string "ab" was read as the columns a and b
+        (workdir / "cloud.csv").write_text("0.0,0.0\n1.0,1.0\n0.0,1.0\n")
+        raw = base_config()
+        raw["supports"]["cloud"] = {"kind": "point_cloud", "path": "cloud.csv"}
+        raw["model"]["effects"].append(entry)
+        (workdir / "config.json").write_text(json.dumps(raw))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError", "message": message}
 
     def test_offset_applies_through_a_support_of_another_name(self, workdir):
         # the offset was applied to the column named like the support, so the

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hdsdm.distributions import UniformInterval, UniformLevels
+from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
 from hdsdm.gmrf import CoefficientBlock, build_iid
 from hdsdm.bases import IndicatorBasis, LinearBasis
 from hdsdm.mcmc import McmcSettings, PosteriorSample, fit
@@ -128,6 +128,16 @@ class TestPhi:
         assert res.n_skipped == 1
         assert res.phi.shape[0] == 1
 
+    def test_intercept_only_model_rejected(self):
+        # with no effects every sample was skipped, and phi reported "all
+        # samples have zero total realized variance"
+        priors = {"total_variance": PriorSpec("total_variance", "jeffreys")}
+        result = fit(ModelSpec(effects=[], priors=priors), None,
+                     McmcSettings(chains=1, iterations=20, burn_in=10, seed=1))
+        with pytest.raises(ValidationError,
+                           match=r"^an intercept-only model has no effects to partition$"):
+            phi(result)
+
     def test_simplex_property_per_sample(self):
         rng = np.random.default_rng(0)
         asm = assemble(three_effect_model(), None)
@@ -191,6 +201,77 @@ class TestPhi:
             expected = np.mean(s2_draws[l])
             got = np.mean(realized[l])
             assert got == pytest.approx(expected, rel=0.10)
+
+
+def small_cloud_model(n_points=6):
+    # a spatial2d surface over fewer cloud points (the grid) than it has
+    # coefficients, and a linear effect beside it
+    cloud = np.random.default_rng(0).uniform(0.0, 1.0, (n_points, 2))
+    effects = [
+        EffectDecl("space", "spatial2d", ("z1", "z2"), PointCloud(cloud), n_basis_2d=(6, 6)),
+        EffectDecl("x", "linear", "x", UniformInterval(0.0, 1.0)),
+    ]
+    priors = {"total_variance": PriorSpec("total_variance", "jeffreys"),
+              "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "uniform")}
+    return assemble(ModelSpec(effects=effects, priors=priors), None)
+
+
+def per_leaf_variances(asm, samples, group_names):
+    """Each sample's realized variance per group, added over its leaves."""
+    return np.array([
+        [sum(finite_pop_variance(asm.effects[l], s.coefficients[l].values)
+             for l in asm.leaf_ids if asm.decl_by_leaf[l].group == g)
+         for g in group_names]
+        for s in samples
+    ])
+
+
+class TestGridFactor:
+    """phi computes each support's grid variance from a triangular factor of
+    its centered quadrature design; it must agree with the per-draw
+    variance of the trend on the grid."""
+
+    def test_grid_with_fewer_points_than_coefficients(self):
+        asm = small_cloud_model()
+        G = asm.effects["space"].quadrature_design()
+        assert G.shape[0] < G.shape[1]  # Q < m: the factor has Q rows
+        rng = np.random.default_rng(4)
+        samples = [
+            make_sample(asm, {l: asm.effects[l].sample_coefficients(rng.uniform(0.1, 2.0),
+                                                                    rng).values
+                              for l in asm.leaf_ids})
+            for _ in range(PHI_CHUNK + 9)
+        ]
+        res = phi(samples, asm)
+        np.testing.assert_allclose(res.s2, per_leaf_variances(asm, samples, res.group_names),
+                                   rtol=1e-12, atol=0)
+
+    def test_prior_scale_coefficients(self):
+        # prior draws of V reach e^25 and beyond, where only a relative
+        # tolerance says anything
+        asm = assemble(three_effect_model(), None)
+        rng = np.random.default_rng(5)
+        samples = [
+            make_sample(asm, {l: asm.effects[l].sample_coefficients(
+                np.exp(rng.uniform(20.0, 30.0)), rng).values for l in asm.leaf_ids})
+            for _ in range(40)
+        ]
+        res = phi(samples, asm)
+        expected = per_leaf_variances(asm, samples, res.group_names)
+        assert expected.min() > 1e6
+        np.testing.assert_allclose(res.s2, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.phi, expected / expected.sum(axis=1, keepdims=True),
+                                   rtol=1e-12, atol=0)
+
+    def test_all_zero_draw_skipped(self):
+        asm = small_cloud_model()
+        rng = np.random.default_rng(6)
+        nonzero = make_sample(asm, {l: asm.effects[l].sample_coefficients(1.0, rng).values
+                                    for l in asm.leaf_ids})
+        res = phi([make_sample(asm, {}), nonzero, make_sample(asm, {})], asm)
+        assert res.n_skipped == 2
+        np.testing.assert_allclose(res.s2, per_leaf_variances(asm, [nonzero], res.group_names),
+                                   rtol=1e-12, atol=0)
 
 
 class TestPriorOnlyContract:
