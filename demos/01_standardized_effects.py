@@ -57,7 +57,7 @@ print(f"  quadrature mean of one draw: {(temporal.quadrature_design() @ u).mean(
 # split gives two standardized, mutually orthogonal components.
 support = UniformInterval(-1.0, 2.0)
 basis = BSplineBasis1D(n_funcs=20, lower=-1.0, upper=2.0)
-linear, nonlinear = split_pspline(basis, support, "sst")
+linear, nonlinear = split_pspline(basis, support, "sst_lin", "sst_nonlin")
 print(f"\npspline split: C_lin = {linear.scale_constant:.4f}, "
       f"C_nonlin = {nonlinear.scale_constant:.4f}")
 print(f"  MC variance, linear part: {mc_variance(linear, 1.0):.4f}")

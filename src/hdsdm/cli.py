@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: fit, predict, metrics, partition, sensitivity, prior-check.
-All outputs are delimited text files with headers plus a JSON run manifest;
+All outputs are delimited text files with headers plus a JSON run manifest
+(``manifest.json`` for ``fit``, ``manifest_<command>.json`` for the others);
 failures exit nonzero with a one-line machine-readable error record on
 stderr.
 """
@@ -46,7 +47,8 @@ def _write_manifest(outdir: Path, cfg: RunConfig, args, extra=None) -> None:
         manifest["settings"]["seed"] = args.seed
     if extra:
         manifest.update(extra)
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    name = "manifest.json" if args.command == "fit" else f"manifest_{args.command}.json"
+    (outdir / name).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _peak_rss_mb(who: int) -> float:
@@ -193,9 +195,15 @@ def _cmd_sensitivity(cfg: RunConfig, args, outdir: Path, base_dir: Path) -> None
     data = ingest(cfg.data["path"], cfg, base_dir)
     model = build_model(cfg, base_dir)
     settings = build_settings(cfg, args.seed)
+    tags = {}  # the file tag of each q: its "%g" form, with p for the point
+    for q in args.q:
+        tag = ("%g" % q).replace(".", "p")
+        if tag in tags:
+            raise ValidationError(f"--q values {tags[tag]!r} and {q!r} would both write "
+                                  f"the files tagged q{tag}")
+        tags[tag] = q
     entries = sensitivity_sweep(model, data, args.q, settings, split_name=args.split)
-    for entry in entries:
-        tag = ("%g" % entry.q).replace(".", "p")
+    for tag, entry in zip(tags, entries):
         write_table(outdir / f"phi_mean_q{tag}.csv", ["group", "phi_mean", "s2_mean"],
                     *zip(*entry.partition.summary_rows()))
         trend_rows = [(group, float(x), float(t)) for group, (grid, curve) in entry.trends.items()

@@ -5,9 +5,9 @@ with five sections: ``data`` (file path and column names), ``supports``
 (declared covariate supports; these define the standardization
 distributions, not the data), ``model`` (effects and priors), ``mcmc``
 (sampler settings) and ``split`` (train/test year threshold). A missing
-required key, or an unknown key in any section, support, effect entry or
-prior entry, is a ValidationError, and so is a support value of the wrong
-type. See the README for the full schema.
+required key, an unknown key or a value of the wrong type (``VALUE_TYPES``)
+in any section, support, effect entry or prior entry is a ValidationError
+raised when the config is loaded. See the README for the full schema.
 """
 
 from __future__ import annotations
@@ -32,16 +32,29 @@ __all__ = ["RunConfig", "ingest", "build_model", "build_settings", "read_point_c
 # the keys a model section and an effect entry may have; "intercept" may only
 # be true, since every model has one
 MODEL_KEYS = {"intercept", "effects", "priors"}
-EFFECT_KEYS = {"id", "kind", "support", "n_basis", "side", "role", "group"}
+EFFECT_KEYS = {"id", "kind", "support", "n_basis", "side", "group"}
 # the required and the optional keys of each support kind, besides "kind"
 SUPPORT_KEYS = {"interval": (("lower", "upper"), ()), "levels": (("n",), ("offset",)),
                 "point_cloud": (("path",), ())}
-# what the value of each support key must be: (test, description)
-_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NAME = (lambda v: v is None or isinstance(v, str), "a string or null")  # null: the default
 _NUMBER = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
            "a finite number")
-SUPPORT_VALUES = {"lower": _NUMBER, "upper": _NUMBER, "n": _INTEGER, "offset": _INTEGER,
-                  "path": (lambda v: isinstance(v, str), "a string")}
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+# what the value of each config key must be, wherever the key appears: (test,
+# description); _check_keys applies it. _entry checks the kind-dependent
+# covariate, covariates and n_basis, PriorSpec each family's parameters and
+# McmcSettings the mcmc values
+VALUE_TYPES = {
+    "output": _STRING,
+    "path": _STRING, "response": _STRING, "year": _NAME,  # data; path also of a point cloud
+    "train_max_year": (lambda v: v is None or _NUMBER[0](v), "a finite number or null"),
+    "kind": _STRING, "lower": _NUMBER, "upper": _NUMBER, "n": _INTEGER, "offset": _INTEGER,
+    "effects": (lambda v: isinstance(v, (list, tuple)), "a list"),
+    "id": _STRING, "support": _STRING, "side": _NAME, "group": _NAME,
+    "family": _STRING,
+}
 
 
 @dataclass(frozen=True)
@@ -68,12 +81,6 @@ class RunConfig:
                 raise ValidationError(f"support {name!r}: unknown kind {spec['kind']!r}")
             required, optional = SUPPORT_KEYS[spec["kind"]]
             _check_keys(f"support {name!r}", spec, ("kind", *required), optional)
-            for key in (*required, *optional):
-                valid, want = SUPPORT_VALUES[key]
-                if key in spec and not valid(spec[key]):
-                    raise ValidationError(
-                        f"support {name!r}: {key!r} must be {want}, got {spec[key]!r}"
-                    )
         _check_keys("config model priors", self.model["priors"], ())
         for node, entry in self.model["priors"].items():
             # PriorSpec checks the parameters of each family
@@ -104,7 +111,9 @@ class RunConfig:
 def _check_keys(where: str, entry: dict, required, optional=None) -> None:
     """Raise a ValidationError if ``entry`` is not a dict, for the first key of
     ``required`` that it lacks, then, unless ``optional`` is None (any key
-    goes), for its keys in neither ``required`` nor ``optional``."""
+    goes), for its keys in neither ``required`` nor ``optional``, and last for
+    the first key of ``required`` or ``optional`` whose value ``VALUE_TYPES``
+    rejects."""
     if not isinstance(entry, dict):
         raise ValidationError(f"{where} must be a JSON object, got {entry!r}")
     for key in required:
@@ -113,6 +122,11 @@ def _check_keys(where: str, entry: dict, required, optional=None) -> None:
     unknown = set(entry) - set(required) - set(optional) if optional is not None else ()
     if unknown:
         raise ValidationError(f"{where} has unknown keys: {sorted(unknown)}")
+    for key in (*required, *(optional or ())):
+        if key in entry and key in VALUE_TYPES and not VALUE_TYPES[key][0](entry[key]):
+            raise ValidationError(
+                f"{where}: {key!r} must be {VALUE_TYPES[key][1]}, got {entry[key]!r}"
+            )
 
 
 def read_point_cloud(path) -> np.ndarray:
@@ -148,41 +162,43 @@ def _build_dist(name: str, spec: dict, base_dir: Path):
 def _entry(eff: dict) -> tuple[str, dict]:
     """The support name and the ``EffectDecl`` keywords of one effect entry.
 
-    A ``spatial2d`` entry lists its two columns under ``covariates`` and
-    reads the support ``spatial`` by default; any other kind lists its
-    column under ``covariate``, a string, which also names its default
-    support; ``covariates`` is a list of two distinct strings. The kinds
-    with a basis size in ``model.EFFECT_KINDS`` take ``n_basis``:
-    ``pspline`` a positive integer and ``spatial2d`` a pair of them
-    (``EffectDecl.n_basis_2d``). A missing required key, an unknown key, a
-    bad column name list and a bad or misplaced ``n_basis`` are
+    A kind that reads two columns in ``model.EFFECT_KINDS`` lists them under
+    ``covariates``, a list of two distinct strings, and reads the support
+    ``spatial`` by default; any other kind lists its column under
+    ``covariate``, a string, which also names its default support. The
+    kinds with a basis size take ``n_basis``: a positive integer, or a pair
+    of them for a two-column kind (``EffectDecl.n_basis_2d``). A missing
+    required key, an unknown key or kind, a value of the wrong type, a bad
+    column name list and a bad or misplaced ``n_basis`` are
     ValidationErrors naming the effect and the key.
-    ``side``, ``role``, ``group`` and the basis size are passed on only
-    when the entry sets them, so that ``EffectDecl`` owns their defaults.
+    ``side``, ``group`` and the basis size are passed on only when the
+    entry sets them, so that ``EffectDecl`` owns their defaults.
     """
     _check_keys("effect entry", eff, ())
-    pair = eff.get("kind") == "spatial2d"
+    where = f"effect {eff['id']!r}" if isinstance(eff.get("id"), str) else f"effect entry {eff}"
+    _check_keys(where, eff, ("id", "kind"))
+    kind = effect_kind(eff["kind"])
+    pair = kind.columns == 2
     column = "covariates" if pair else "covariate"
-    where = f"effect {eff['id']!r}" if "id" in eff else f"effect entry {eff}"
     _check_keys(where, eff, ("id", "kind", column), EFFECT_KEYS)
     covariate = eff[column]
     names = covariate if pair and isinstance(covariate, (list, tuple)) else [covariate]
     if not (all(isinstance(c, str) for c in names)
-            and len(set(names)) == len(names) == (2 if pair else 1)):
+            and len(set(names)) == len(names) == kind.columns):
         want = "a list of two distinct strings" if pair else "a string"
         raise ValidationError(f"{where}: {column!r} must be {want}, got {covariate!r}")
     decl = {"effect_id": eff["id"], "kind": eff["kind"],
             "covariate": tuple(names) if pair else covariate}
-    for key in ("side", "role", "group"):
+    for key in ("side", "group"):
         if key in eff:
             decl[key] = eff[key]
     if "n_basis" in eff:
         nb = eff["n_basis"]
-        size = effect_kind(eff["kind"]).basis_size
+        size = kind.basis_size
         if size is None:
             raise ValidationError(f"{where}: kind {eff['kind']!r} takes no 'n_basis'")
         items = nb if pair and isinstance(nb, (list, tuple)) and len(nb) == 2 else [nb]
-        if len(items) != (2 if pair else 1) or not all(type(x) is int and x > 0 for x in items):
+        if len(items) != kind.columns or not all(type(x) is int and x > 0 for x in items):
             want = "a pair of positive integers" if pair else "a positive integer"
             raise ValidationError(f"{where}: n_basis must be {want}, got {nb!r}")
         decl[size] = tuple(items) if pair else nb

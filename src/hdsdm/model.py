@@ -36,17 +36,19 @@ __all__ = ["MU_PRIOR_SD", "EffectDecl", "ModelSpec", "Dataset", "AssembledModel"
 
 class EffectKind(NamedTuple):
     support: type  # the covariate distribution an effect of the kind takes
+    columns: int  # the data columns it reads: one, or a pair
+    leaves: tuple[str, ...]  # the suffixes of its leaf ids, after the effect id
     basis_size: str | None  # the EffectDecl field that sizes its basis
     side: str  # the default side
     group: str | None  # the default group; None: the effect id
 
 
 EFFECT_KINDS = {
-    "linear": EffectKind(UniformInterval, None, "abiotic", None),
-    "pspline": EffectKind(UniformInterval, "n_basis", "abiotic", None),
-    "iid": EffectKind(UniformLevels, None, "abiotic", None),
-    "rw1": EffectKind(UniformLevels, None, "abiotic", None),
-    "spatial2d": EffectKind(PointCloud, "n_basis_2d", "biotic", "spatial"),
+    "linear": EffectKind(UniformInterval, 1, ("",), None, "abiotic", None),
+    "pspline": EffectKind(UniformInterval, 1, ("_lin", "_nonlin"), "n_basis", "abiotic", None),
+    "iid": EffectKind(UniformLevels, 1, ("",), None, "abiotic", None),
+    "rw1": EffectKind(UniformLevels, 1, ("",), None, "abiotic", None),
+    "spatial2d": EffectKind(PointCloud, 2, ("",), "n_basis_2d", "biotic", "spatial"),
 }
 
 
@@ -71,13 +73,11 @@ class EffectDecl:
       spatial2d - tensor B-spline surface over a point cloud, pruned to the
                   occupied cells, with an ICAR penalty on the cell lattice
 
-    ``EFFECT_KINDS`` says what each kind takes and how it defaults: the
-    class of ``dist`` (an interval for ``linear`` and ``pspline``, levels
-    for ``iid`` and ``rw1``, a point cloud for ``spatial2d``; another class
-    is a ValidationError), the field that sizes its basis (``n_basis``,
-    ``n_basis_2d`` or none), and ``side`` and ``group``: a ``spatial2d``
-    effect is biotic in the group ``spatial``, any other kind is abiotic in
-    a group named after its id.
+    ``EFFECT_KINDS`` says, for each kind, the class of ``dist`` it takes
+    (another class is a ValidationError), how many columns ``covariate``
+    names, the suffixes of its leaf ids, the field that sizes its basis, and
+    its default ``side`` and ``group`` (None: the effect id).
+    Every effect is a main effect of the tree.
     """
 
     effect_id: str
@@ -85,7 +85,6 @@ class EffectDecl:
     covariate: str | tuple[str, str]
     dist: CovariateDistribution
     side: str | None = None
-    role: str = "main"
     group: str | None = None
     n_basis: int = 20
     n_basis_2d: tuple[int, int] = (8, 8)
@@ -104,15 +103,10 @@ class EffectDecl:
 
     @property
     def leaf_ids(self) -> tuple[str, ...]:
-        if self.kind == "pspline":
-            return (f"{self.effect_id}_lin", f"{self.effect_id}_nonlin")
-        return (self.effect_id,)
+        return tuple(self.effect_id + suffix for suffix in EFFECT_KINDS[self.kind].leaves)
 
     def labels(self) -> list[EffectLabel]:
-        return [
-            EffectLabel(leaf, side=self.side, role=self.role, group=self.group)
-            for leaf in self.leaf_ids
-        ]
+        return [EffectLabel(leaf, side=self.side, group=self.group) for leaf in self.leaf_ids]
 
 
 # standard deviation of the N(0, MU_PRIOR_SD^2) prior on the intercept
@@ -186,7 +180,7 @@ class Dataset:
 
 
 def _covariate_values(decl: EffectDecl, columns: dict[str, np.ndarray]) -> np.ndarray:
-    pair = decl.kind == "spatial2d"
+    pair = EFFECT_KINDS[decl.kind].columns == 2
     for c in decl.covariate if pair else [decl.covariate]:
         if c not in columns:
             raise ValidationError(f"effect {decl.effect_id!r}: no column {c!r}")
@@ -232,7 +226,7 @@ def build_effects(decl: EffectDecl) -> list[StandardizedEffect]:
         return [standardize(basis, build_iid(1), decl.dist, decl.effect_id)]
     if decl.kind == "pspline":
         basis = BSplineBasis1D(decl.n_basis, decl.dist.lower, decl.dist.upper)
-        return list(split_pspline(basis, decl.dist, decl.effect_id))
+        return list(split_pspline(basis, decl.dist, *decl.leaf_ids))
     if decl.kind in ("iid", "rw1"):
         k = decl.dist.n_levels
         precision = build_iid(k) if decl.kind == "iid" else build_rw1(k)

@@ -174,7 +174,7 @@ def standardize(
 
 
 def split_pspline(
-    basis, dist: CovariateDistribution, effect_id: str = ""
+    basis, dist: CovariateDistribution, linear_id: str, nonlinear_id: str
 ) -> tuple[StandardizedEffect, StandardizedEffect]:
     """Split a 1D B-spline effect into standardized linear + non-linear parts.
 
@@ -193,7 +193,7 @@ def split_pspline(
         raise ValidationError("split_pspline requires an interval or discrete distribution")
 
     lin_basis = LinearBasis(center=dist.mean(), scale=dist.sd())
-    linear = standardize(lin_basis, build_iid(1), dist, effect_id=f"{effect_id}_lin")
+    linear = standardize(lin_basis, build_iid(1), dist, effect_id=linear_id)
 
     x_std = linear.quadrature_design()[:, 0]
     G = eval_basis(basis, dist.grid())
@@ -202,7 +202,7 @@ def split_pspline(
         basis,
         build_rw2(basis.n_funcs),
         dist,
-        effect_id=f"{effect_id}_nonlin",
+        effect_id=nonlinear_id,
         extra_constraints=[trend],
         grid_design=G,
     )

@@ -85,7 +85,7 @@ def contract_effects():
         IndicatorBasis(20), build_rw1(20), UniformLevels(20), "temporal"
     )
     _, nonlin = split_pspline(
-        BSplineBasis1D(n_funcs=20, lower=0.0, upper=1.0), interval, "ps"
+        BSplineBasis1D(n_funcs=20, lower=0.0, upper=1.0), interval, "ps_lin", "ps_nonlin"
     )
     return {
         "linear": linear,

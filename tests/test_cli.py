@@ -160,10 +160,10 @@ class TestConfig:
         raw["model"]["priors"]["spatial_vs_temporal"] = {"family": "uniform"}
         entries = [
             ({"id": "sst2", "kind": "pspline", "covariate": "sst", "support": "sst",
-              "n_basis": 9, "side": "abiotic", "role": "main", "group": None}, "covariate"),
+              "n_basis": 9, "side": "abiotic", "group": None}, "covariate"),
             ({"id": "space", "kind": "spatial2d", "covariates": ["lon", "lat"],
-              "support": "cloud", "n_basis": [3, 3], "side": "biotic", "role": "main",
-              "group": "spatial"}, "covariates"),
+              "support": "cloud", "n_basis": [3, 3], "side": "biotic", "group": "spatial"},
+             "covariates"),
         ]
         raw["model"]["effects"] += [entry for entry, _ in entries]
         cfg = RunConfig.from_dict(raw)
@@ -180,6 +180,14 @@ class TestConfig:
         read = set()
         build_model(whole, tmp_path)
         assert read | {"intercept"} == MODEL_KEYS
+
+    def test_role_is_an_unknown_effect_key(self):
+        # it filed a main effect under an interactions split
+        raw = base_config()
+        raw["model"]["effects"][0]["role"] = "interaction"
+        with pytest.raises(ValidationError,
+                           match=r"^effect 'sst' has unknown keys: \['role'\]$"):
+            RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize("key", ["mu_prior_sd", "effect"])
     def test_unknown_model_key_rejected(self, key):
@@ -489,6 +497,40 @@ class TestCliFlow:
         assert (out / "phi_mean_q0p5.csv").exists()
         assert (out / "trends_q1.csv").exists()
 
+    @pytest.mark.parametrize("q, named", [(["0.1", "0.1000001"], "0.1 and 0.1000001"),
+                                          (["1", "0.5", "1.0"], "1.0 and 1.0")],
+                             ids=["close", "equal"])
+    def test_sensitivity_q_values_of_one_file_tag_rejected(self, workdir, capsys, q, named):
+        # the later sweep overwrote the earlier one's tables
+        cfg_path = str(workdir / "config.json")
+        assert main(["sensitivity", "--config", cfg_path, "--q", *q]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        tag = "q0p1" if named.startswith("0.1") else "q1"
+        assert record == {"error": "ValidationError",
+                          "message": f"--q values {named} would both write the files "
+                                     f"tagged {tag}"}
+        assert not list((workdir / "out").glob("*_q*.csv"))
+
+    def test_later_commands_keep_the_fit_manifest(self, workdir):
+        # predict, sensitivity and prior-check each rewrote manifest.json, and
+        # the fit's timings, workers, memory and row counts were lost
+        cfg_path = str(workdir / "config.json")
+        out = workdir / "out"
+        assert main(["fit", "--config", cfg_path]) == 0
+        fit_manifest = (out / "manifest.json").read_text()
+        runs = {"predict": [], "sensitivity": ["--q", "1"], "prior-check": []}
+        for command, flags in runs.items():
+            assert main([command, "--config", cfg_path, *flags]) == 0
+        assert (out / "manifest.json").read_text() == fit_manifest
+        assert json.loads(fit_manifest)["command"] == "fit"
+        assert {"timings_s", "chain_workers", "peak_rss_mb", "n_train",
+                "n_total"} <= set(json.loads(fit_manifest))
+        for command, key in (("predict", "n_test"), ("sensitivity", "q_values"),
+                             ("prior-check", "prior_only")):
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            assert manifest["command"] == command
+            assert key in manifest
+
     def test_sensitivity_on_unknown_split_gives_validation_record(self, workdir, capsys):
         cfg_path = str(workdir / "config.json")
         code = main(["sensitivity", "--config", cfg_path, "--q", "1", "0.1", "--split", "bogus"])
@@ -697,6 +739,59 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError",
                           "message": f"support {support!r}: {key!r} must be {want}, got {value!r}"}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["supports"]["sst"].update(kind=["interval"]),
+         "support 'sst': 'kind' must be a string, got ['interval']"),
+        (lambda raw: raw.update(output=5), "config: 'output' must be a string, got 5"),
+        (lambda raw: raw["data"].update(path=5),
+         "config data section: 'path' must be a string, got 5"),
+        (lambda raw: raw["data"].update(year=["year"]),
+         "config data section: 'year' must be a string or null, got ['year']"),
+        (lambda raw: raw["split"].update(train_max_year=[2008]),
+         "config split section: 'train_max_year' must be a finite number or null, got [2008]"),
+        (lambda raw: raw["model"]["effects"][1].update(id=["v"]),
+         "effect entry {'id': ['v'], 'kind': 'iid', 'covariate': 'vessel', "
+         "'side': 'abiotic'}: 'id' must be a string, got ['v']"),
+        (lambda raw: raw["model"]["effects"][1].update(group=["g"]),
+         "effect 'vessel': 'group' must be a string or null, got ['g']"),
+        (lambda raw: raw["model"]["effects"][1].update(support=["vessel"]),
+         "effect 'vessel': 'support' must be a string, got ['vessel']"),
+        (lambda raw: raw["model"]["priors"]["covariates"].update(family=["dirichlet"]),
+         "prior 'covariates': 'family' must be a string, got ['dirichlet']"),
+        (lambda raw: raw["model"]["effects"][1].update(id=7),
+         "effect entry {'id': 7, 'kind': 'iid', 'covariate': 'vessel', "
+         "'side': 'abiotic'}: 'id' must be a string, got 7"),
+        (lambda raw: raw["split"].update(train_max_year="2008"),
+         "config split section: 'train_max_year' must be a finite number or null, got '2008'"),
+        (lambda raw: raw["model"].update(effects={"id": "x"}),
+         "config model section: 'effects' must be a list, got {'id': 'x'}"),
+    ], ids=["support_kind_list", "output_number", "data_path_number", "data_year_list",
+            "split_year_list", "effect_id_list", "effect_group_list", "effect_support_list",
+            "prior_family_list", "effect_id_number", "split_year_text", "effects_object"])
+    def test_config_value_type_faults_give_validation_record(self, workdir, capsys, edit,
+                                                             message):
+        # the first nine ended in a TypeError record; an id of 7 built the leaf
+        # 7, a text threshold compared as a number, and an effects object was
+        # read as its keys ("effect entry must be a JSON object, got 'id'")
+        raw = base_config()
+        edit(raw)
+        (workdir / "config.json").write_text(json.dumps(raw))
+        (workdir / "data.csv").unlink()  # the config is rejected before any file is read
+        with pytest.raises(ValidationError) as err:
+            RunConfig.load(workdir / "config.json")
+        assert str(err.value) == message
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError", "message": message}
+
+    def test_null_split_and_group_take_their_defaults(self, workdir):
+        raw = base_config()
+        raw["model"]["effects"][1]["group"] = None
+        raw["split"]["train_max_year"] = None
+        cfg = RunConfig.from_dict(raw)
+        assert build_model(cfg, workdir).effects[1].group == "vessel"
+        assert ingest("data.csv", cfg, workdir).train_mask.all()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["supports"]["vessel"].update(n=0),

@@ -886,12 +886,13 @@ class TestPriorWindow:
         self.assert_matches_reference(ModelSpec(effects=effects, priors=priors), settings)
 
     @hyp_settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(model=trees_and_priors(with_labels=True), data=st.data())
+    # every declared effect is a main effect
+    @given(model=trees_and_priors(with_labels=True, roles=("main",)), data=st.data())
     def test_random_trees(self, model, data):
         _, priors, labels = model
         effects = [
             EffectDecl(lab.effect_id, "linear", f"x{i}", UniformInterval(-1.0, 1.0),
-                       side=lab.side, role=lab.role, group=lab.group)
+                       side=lab.side, group=lab.group)
             for i, lab in enumerate(labels)
         ]
         burn_in = data.draw(st.integers(0, 260))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hdsdm import bases
+from hdsdm.config import _entry
 from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
 from hdsdm.exceptions import DomainError, ValidationError
 from hdsdm.mcmc import Draws, McmcSettings, fit, predict
-from hdsdm.model import Dataset, EffectDecl, ModelSpec, assemble
+from hdsdm.model import EFFECT_KINDS, Dataset, EffectDecl, ModelSpec, assemble, build_effects
 from hdsdm.partition import phi
 from hdsdm.priors import PriorSpec
 
@@ -394,3 +395,28 @@ class TestBuildOnce:
             assert not G.flags.writeable, leaf
             with pytest.raises(ValueError):
                 G[0, 0] = 1.0
+
+
+class TestKindTable:
+    """``EFFECT_KINDS`` is the one owner of what a kind reads and produces:
+    the leaf ids a declaration names are the ids of the effects built for it,
+    and a config entry names its columns under ``covariates`` exactly for
+    the kinds that read two."""
+
+    DISTS = {UniformInterval: UniformInterval(0.0, 1.0), UniformLevels: UniformLevels(3),
+             PointCloud: PointCloud(small_cloud())}
+
+    @pytest.mark.parametrize("kind", sorted(EFFECT_KINDS))
+    def test_leaf_ids_are_the_built_effect_ids(self, kind):
+        row = EFFECT_KINDS[kind]
+        covariate = ("a", "b") if row.columns == 2 else "a"
+        decl = EffectDecl("e", kind, covariate, self.DISTS[row.support],
+                          n_basis=6, n_basis_2d=(4, 4))
+        assert decl.leaf_ids == tuple(eff.effect_id for eff in build_effects(decl))
+        assert len(set(decl.leaf_ids)) == len(row.leaves)
+
+    @pytest.mark.parametrize("kind", sorted(EFFECT_KINDS))
+    def test_config_entry_asks_for_covariates_exactly_for_two_column_kinds(self, kind):
+        column = "covariates" if EFFECT_KINDS[kind].columns == 2 else "covariate"
+        with pytest.raises(ValidationError, match=f"^effect 'e' is missing '{column}'$"):
+            _entry({"id": "e", "kind": kind})

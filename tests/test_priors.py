@@ -608,14 +608,14 @@ class TestPriorValidation:
 
 
 @st.composite
-def trees_and_priors(draw, with_labels=False):
-    """A default tree of 1-7 effects with random sides, roles and groups, and
-    a random family with random parameters on each node; with the effects'
-    labels last when ``with_labels`` is set."""
+def trees_and_priors(draw, with_labels=False, roles=("main", "main", "interaction")):
+    """A default tree of 1-7 effects with random sides, roles (drawn from
+    ``roles``) and groups, and a random family with random parameters on each
+    node; with the effects' labels last when ``with_labels`` is set."""
     labels = []
     for i in range(draw(st.integers(1, 7))):
         side = draw(st.sampled_from(["abiotic", "biotic"]))
-        role = draw(st.sampled_from(["main", "main", "interaction"]))
+        role = draw(st.sampled_from(roles))
         group = draw(st.sampled_from([None, f"{side}_{role}_1", f"{side}_{role}_2"]))
         labels.append(EffectLabel(f"e{i}", side, role=role, group=group))
     tree = build_default_tree(labels)

@@ -161,7 +161,7 @@ class TestSplitPspline:
     def setup_method(self):
         self.dist = UniformInterval(-1.0, 2.0)
         self.basis = BSplineBasis1D(n_funcs=20, lower=-1.0, upper=2.0)
-        self.linear, self.nonlinear = split_pspline(self.basis, self.dist, "x1")
+        self.linear, self.nonlinear = split_pspline(self.basis, self.dist, "x1_lin", "x1_nonlin")
 
     def test_ids(self):
         assert self.linear.effect_id == "x1_lin"
@@ -203,7 +203,7 @@ class TestSplitPspline:
 
     def test_rejects_wrong_basis(self):
         with pytest.raises(ValidationError):
-            split_pspline(LinearBasis(), self.dist, "x")
+            split_pspline(LinearBasis(), self.dist, "x_lin", "x_nonlin")
 
 
 class TestContractProperty:
