@@ -72,37 +72,15 @@ intercept and the coefficient blocks (Roberts & Rosenthal 2001), and every
 ``ADAPTATION_WINDOW`` iterations the hyper proposal covariance is re-estimated
 from the chain history.
 
-The chains of one fit share no state, so ``fit`` runs them at the same time
-in W = min(chains, usable CPUs) workers: the calling process runs chains 0,
-W, 2W, ..., and a standard-library pool of W - 1 ``fork``ed processes runs
-the others as queued tasks. Each chain has its own random stream and writes
-disjoint rows of result arrays in anonymous shared memory, which the pool
-inherits through ``fork``, so no draw is copied between processes; a task
-sends back only its acceptance rates and kernel times. When a chain fails,
-the queued chains never start, but one already running in a worker finishes
-first. For the whole chain phase every loaded OpenBLAS is pinned to one
-thread (and restored afterwards): BLAS threads in each worker would compete
-for the same CPUs, and the proposal-image products give different bits at
-one and at two threads, so pinning also makes the draws independent of the
-machine. Where no OpenBLAS thread setter is found, the platform lacks
-``fork`` or CPU affinity, or another Python thread is running (a forked
-child would hold only the forking thread), all chains run one after another
-in the calling process, with the same draws.
+The chains share no state: ``fit`` runs them in parallel, with OpenBLAS on
+one thread, and each writes its own rows of shared arrays (``hdsdm.runtime``).
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import math
-import mmap
-import multiprocessing
-import os
-import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,6 +89,7 @@ from .exceptions import DiagnosticError, ValidationError
 from .gmrf import CoefficientBlock
 from .model import MU_PRIOR_SD, AssembledModel, Dataset, ModelSpec, assemble
 from .priors import HDEvaluator, compile_function, log_prior_unconstrained, prior_median_theta
+from .runtime import _one_blas_thread, _run_tasks, _shared, _workers
 from .tree import (
     HDParams,
     from_unconstrained,
@@ -767,119 +746,6 @@ def _run_prior_chain(
     return rates, dict(zip(KERNELS, (t_hyper, t_centered, t_mu, t_coef, t_prop, t_store)))
 
 
-# (getter, setter) of the OpenBLAS thread count, by the names the numpy and
-# scipy wheels and plain OpenBLAS builds export; the first pair a library
-# has is used. The ``..._64_`` and trailing-underscore names are the
-# Fortran forms, which take a pointer, and are not listed.
-_BLAS_THREAD_API = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _loaded_openblas() -> list[tuple]:
-    """The thread-count getter and setter of each OpenBLAS mapped into this
-    process; none where ``/proc/self/maps`` cannot be read."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return []
-    found = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_API:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread for the body and restore the
-    previous counts after it; yields whether any OpenBLAS was pinned."""
-    apis = _loaded_openblas()
-    before = [get() for get, _ in apis]
-    try:
-        for _, set_ in apis:
-            set_(1)
-        yield bool(apis)
-    finally:
-        for (_, set_), n in zip(apis, before):
-            set_(n)
-
-
-def _chain_workers(chains: int) -> int:
-    """Processes to run ``chains`` chains in: one per usable CPU, at most one
-    per chain; 1, the calling process alone, where ``fork`` or the CPU
-    affinity is unavailable or another Python thread is running."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return max(1, min(chains, len(os.sched_getaffinity(0))))
-
-
-def _shared(shape: tuple[int, ...]) -> np.ndarray:
-    """A zeroed float array in anonymous shared memory: what a forked worker
-    writes into it, the parent reads."""
-    nbytes = 8 * math.prod(shape)
-    if nbytes == 0:  # mmap cannot map zero bytes
-        return np.zeros(shape)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
-
-
-_forked = None  # (result, rngs), set only in a pool worker: inherited through fork, not pickled
-
-
-def _inherit(result: FitResult, rngs: list) -> None:
-    """Initializer of a pool worker: keep the fit's shared result arrays and
-    random streams as the fork left them."""
-    global _forked
-    _forked = (result, rngs)
-
-
-def _forked_chain(c: int) -> tuple[dict[str, float], dict[str, float]]:
-    result, rngs = _forked
-    return _run_chain(result, c, rngs[c])
-
-
-def _run_chains(
-    result: FitResult, rngs: list, workers: int
-) -> list[tuple[dict[str, float], dict[str, float]]]:
-    """(rates, timings) of every chain. This process runs chains 0, W, 2W, ...
-    (W = ``workers``); a pool of W - 1 forked processes runs the others as
-    queued tasks, writing their draws into the result's shared arrays. A
-    worker's exception is raised here. On any exception the queued chains
-    never start, but a chain already running in a worker runs to its end,
-    since the pool cannot stop it; every worker is reaped before this returns
-    or raises."""
-    n = len(rngs)
-    if workers == 1:
-        return [_run_chain(result, c, rngs[c]) for c in range(n)]
-    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(result, rngs)) as pool:
-        try:
-            forked = {c: pool.submit(_forked_chain, c) for c in range(n) if c % workers}
-            out = {c: _run_chain(result, c, rngs[c]) for c in range(0, n, workers)}
-            out.update((c, future.result()) for c, future in forked.items())
-        except BrokenProcessPool as err:
-            raise DiagnosticError("a chain worker exited without a result") from err
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return [out[c] for c in range(n)]
-
-
 def split_rhat(draws: np.ndarray) -> float:
     """Split-R-hat over chains for one scalar parameter; draws is (chains, n)."""
     m, n = draws.shape
@@ -951,17 +817,11 @@ def fit(
     Chains are deterministic given (settings.seed, chain index); per-parameter
     split-R-hat is computed across chains for every reported hyperparameter.
 
-    The chains run at the same time in ``result.chain_workers`` = W =
-    min(chains, usable CPUs) workers: this process runs chains 0, W, 2W, ...,
-    and a pool of W - 1 ``fork``ed processes runs the others as queued tasks,
-    writing into shared memory. If a chain fails, the queued chains are
-    cancelled, but one already running in a worker finishes first. Every
-    loaded OpenBLAS runs on one thread while the chains run, so the draws do
-    not depend on the CPU count or the BLAS thread setting. All chains run in
-    this process when no OpenBLAS thread setter is found, the platform has no
-    ``fork`` or CPU affinity, or another Python thread is running.
-    ``result.timings`` are summed over chains, so with several workers they
-    can exceed the wall time of the fit.
+    The chains run in ``result.chain_workers`` processes, with every loaded
+    OpenBLAS on one thread (``hdsdm.runtime``), so the draws do not depend
+    on the CPU count or the BLAS thread setting. ``result.timings`` are
+    summed over chains, so with several workers they can exceed the wall
+    time of the fit.
 
     ``data`` are the rows to assemble ``model`` with; an ``AssembledModel``
     holds its own, so with one ``data`` must be None.
@@ -999,8 +859,9 @@ def fit(
         settings=settings,
     )
     with _one_blas_thread() as pinned:
-        result.chain_workers = _chain_workers(settings.chains) if pinned else 1
-        outcomes = _run_chains(result, chain_rngs, result.chain_workers)
+        result.chain_workers = _workers(settings.chains, pinned)
+        outcomes = _run_tasks(lambda c: _run_chain(result, c, chain_rngs[c]), settings.chains,
+                              result.chain_workers)
     hyper = result.mu.reshape(-1, 1)
     if d:
         hyper = np.hstack([natural_values(assembled.tree, result.theta.reshape(-1, d)), hyper])

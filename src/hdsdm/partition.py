@@ -18,8 +18,9 @@ trend G u is |(G - column means) u|^2 / Q = |O R u|^2 = |R u|^2. So ``phi``
 computes R once per call for each such support, at O(Q m^2), and each
 draw's variance as the squared norm of sum_l R_l u_l over the leaves'
 column blocks R_l, at O(m min(Q, m)) per draw, in blocks of ``PHI_CHUNK``
-draws: its temporaries are PHI_CHUNK x min(Q, m). ``finite_pop_variance``
-keeps the per-draw definition on the grid, which the tests compare against.
+draws: its temporaries are PHI_CHUNK x min(Q, m). The QRs run on one BLAS
+thread, as the chains do (``hdsdm.runtime``). ``finite_pop_variance`` keeps
+the per-draw definition on the grid, which the tests compare against.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .exceptions import ValidationError
 from .mcmc import Draws, FitResult, McmcSettings, PosteriorSample, as_draws, fit
 from .model import AssembledModel, Dataset, ModelSpec
 from .priors import PriorSpec
+from .runtime import _one_blas_thread
 from .standardize import StandardizedEffect
 from .tree import _grouped
 
@@ -110,7 +112,8 @@ def phi(
     coefs = draws.flat_coefficients()
     groups = _default_groups(assembled)
 
-    factors = [[_grid_factor(assembled, leaves) for leaves in subsets] for _, subsets in groups]
+    with _one_blas_thread():
+        factors = [[_grid_factor(assembled, leaves) for leaves in subsets] for _, subsets in groups]
     s2 = np.zeros((draws.n_samples, len(groups)))
     for start in range(0, draws.n_samples, PHI_CHUNK):
         rows = slice(start, start + PHI_CHUNK)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -86,7 +87,7 @@ class PriorSpec:
         proportions).
     params : family hyperparameters; 'pc' takes lam or (U, alpha); 'beta'
         takes a, b; 'dirichlet' takes q (scalar or vector); 'pc0' takes lam
-        or (U, alpha). lam, a and b are real numbers, not lists or strings.
+        or (U, alpha): real numbers, not text or bools; q may be a vector of them.
     """
 
     node: str
@@ -94,6 +95,9 @@ class PriorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        def real(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown prior family {self.family!r}")
         calibrated = self.family in ("pc", "pc0")
@@ -104,20 +108,21 @@ class PriorSpec:
                 + (" (or lam)" if calibrated else "")
             )
         if calibrated and "lam" not in self.params:
+            U, alpha = self.params["U"], self.params["alpha"]
+            for key, value in (("U", U), ("alpha", alpha)):
+                if not real(value):
+                    raise ValidationError(
+                        f"prior {self.node!r}: {key} must be one real number, got {value!r}")
             calibrate = pc_variance_lambda if self.family == "pc" else pc0_calibrate
-            lam = calibrate(self.params["U"], self.params["alpha"])
-            object.__setattr__(self, "params", {**self.params, "lam": lam})
+            object.__setattr__(self, "params", {**self.params, "lam": calibrate(U, alpha)})
         for key in ("lam", "q", "a", "b"):
             if key not in self.params:
                 continue
             raw = self.params[key]
-            try:
-                value = np.asarray(raw, dtype=float)
-            except (TypeError, ValueError):
-                value = np.array(np.nan)
-            # q may be a vector; lam, a and b are one real number each
-            single = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
-            if not (np.all(np.isfinite(value) & (value > 0)) and (single or key == "q")):
+            # each a real number within the float range; only q may be a vector of them
+            vector = key == "q" and (isinstance(raw, (list, tuple)) or np.ndim(raw) == 1)
+            values = raw if vector else [raw]
+            if not all(real(x) and 0 < x <= sys.float_info.max for x in values):
                 want = "finite and positive" if key == "q" else "finite, positive and one number"
                 raise ValidationError(f"prior {self.node!r}: {key} must be {want}, got {raw!r}")
 

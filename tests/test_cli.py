@@ -954,6 +954,7 @@ class TestCliFlow:
     @pytest.mark.parametrize("key, entry, named", [
         ("covariates", {"family": "dirichlet", "q": [0.5, 0.5, 0.5]}, "covariates"),
         ("flex_splits", {"family": "pc0", "U": 0.5}, "sst_flex"),
+        ("covariates", {"family": "dirichlet", "q": "0.5"}, "covariates"),
     ])
     def test_bad_prior_parameters_give_validation_record(self, workdir, capsys, key, entry,
                                                          named):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from hdsdm.distributions import UniformInterval, UniformLevels
-from hdsdm import mcmc
+from hdsdm import mcmc, partition, runtime
 from hdsdm.exceptions import DiagnosticError, ValidationError
 from hdsdm.gmrf import CoefficientBlock
 from hdsdm.mcmc import (
@@ -707,7 +707,7 @@ class TestExactDraws:
 
         monkeypatch.setattr(mcmc, "bernoulli_loglik", no_likelihood)
         forked = fit(toy_model(), None, self.settings)
-        if mcmc._loaded_openblas():
+        if runtime._loaded_openblas():
             assert forked.chain_workers == min(2, usable_cpus())
         # mu and the effects are written after each chain's loop, so a chain
         # that wrote a private copy would leave zeros here
@@ -932,7 +932,7 @@ class TestParallelChains:
     def test_chain_zero_equals_one_chain_fit(self):
         both = self.fit_toy()
         one = self.fit_toy(McmcSettings(chains=1, iterations=300, burn_in=150, seed=4))
-        if mcmc._loaded_openblas():
+        if runtime._loaded_openblas():
             assert both.chain_workers == min(2, usable_cpus())
         assert one.chain_workers == 1
         np.testing.assert_array_equal(both.theta[:1], one.theta)
@@ -951,7 +951,7 @@ class TestParallelChains:
         assert serial.acceptance == forked.acceptance
 
     def test_five_chains_queued_on_two_workers(self, monkeypatch, tmp_path):
-        if not mcmc._loaded_openblas():
+        if not runtime._loaded_openblas():
             pytest.skip("no OpenBLAS to pin: chains run in-process")
         settings = dataclasses.replace(self.settings, chains=5)
         run_chain = mcmc._run_chain
@@ -975,7 +975,7 @@ class TestParallelChains:
         assert serial.acceptance == pooled.acceptance
 
     def test_failing_chain_zero_cancels_the_queued_chains(self, monkeypatch, tmp_path):
-        if not mcmc._loaded_openblas():
+        if not runtime._loaded_openblas():
             pytest.skip("no OpenBLAS to pin: chains run in-process")
 
         def chain(result, c, rng):
@@ -1014,13 +1014,13 @@ class TestParallelChains:
         monkeypatch.setattr(mcmc, "_run_chain", failing_chain_one)
         with pytest.raises(ValidationError, match="chain 1 failed") as err:
             self.fit_toy()
-        if mcmc._loaded_openblas() and usable_cpus() > 1:
+        if runtime._loaded_openblas() and usable_cpus() > 1:
             assert f"pid {os.getpid()}" not in str(err.value)  # raised in a worker
         assert_no_children()
 
     @pytest.mark.skipif(usable_cpus() < 2, reason="needs a second CPU for a worker")
     def test_worker_without_a_result_is_an_error(self, monkeypatch):
-        if not mcmc._loaded_openblas():
+        if not runtime._loaded_openblas():
             pytest.skip("no OpenBLAS to pin: chains run in-process")
         run_chain = mcmc._run_chain
 
@@ -1035,7 +1035,7 @@ class TestParallelChains:
         assert_no_children()
 
     def test_blas_threads_pinned_during_the_chains_and_restored(self, monkeypatch):
-        apis = mcmc._loaded_openblas()
+        apis = runtime._loaded_openblas()
         if not apis:
             pytest.skip("no OpenBLAS thread setter found")
         original = [get() for get, _ in apis]
@@ -1051,6 +1051,62 @@ class TestParallelChains:
             for _, set_ in apis:
                 set_(2)
             self.fit_toy()
+            assert [get() for get, _ in apis] == [2] * len(apis)
+        finally:
+            for (_, set_), n in zip(apis, original):
+                set_(n)
+        assert seen and all(counts == [1] * len(apis) for counts in seen)
+
+
+class TestBlasPin:
+    """One module finds the OpenBLAS libraries, once per process, and pins
+    them for the chains and for phi's grid factors."""
+
+    settings = McmcSettings(chains=2, iterations=200, burn_in=100, seed=6)
+
+    def fit_toy(self):
+        return fit(toy_model(), toy_data(n=60, seed=2), self.settings)
+
+    def test_libraries_looked_up_once_per_process(self, monkeypatch):
+        reads = []
+
+        def counting_open(path, *args, **kwargs):
+            reads.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(runtime, "open", counting_open, raising=False)
+        runtime._loaded_openblas.cache_clear()
+        results = [self.fit_toy(), self.fit_toy()]
+        for result in (*results, results[0]):
+            phi(result)
+        assert reads == ["/proc/self/maps"]
+        assert_no_children()
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_phi_factors_on_one_thread_and_restores(self, monkeypatch, fail):
+        apis = runtime._loaded_openblas()
+        if not apis:
+            pytest.skip("no OpenBLAS thread setter found")
+        result = self.fit_toy()
+        original = [get() for get, _ in apis]
+        seen = []
+        grid_factor = partition._grid_factor
+
+        def recording_factor(assembled, leaves):
+            seen.append([get() for get, _ in apis])
+            if fail:
+                raise ValidationError("factor failed")
+            return grid_factor(assembled, leaves)
+
+        monkeypatch.setattr(partition, "_grid_factor", recording_factor)
+        try:
+            for _, set_ in apis:
+                set_(2)
+            if fail:
+                with pytest.raises(ValidationError, match="factor failed"):
+                    phi(result)
+            else:
+                phi(result)
             assert [get() for get, _ in apis] == [2] * len(apis)
         finally:
             for (_, set_), n in zip(apis, original):

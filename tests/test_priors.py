@@ -561,19 +561,44 @@ class TestPriorValidation:
             ("beta", {"a": [2.0, 3.0], "b": 2.0}, "a"),
             ("beta", {"a": 2.0, "b": "3"}, "b"),
             ("pc", {"lam": True}, "lam"),
+            # q is one such number or a vector of them, not text or a bool
+            ("dirichlet", {"q": "0.5"}, "q"),
+            ("dirichlet", {"q": ["0.5", "2"]}, "q"),
+            ("dirichlet", {"q": True}, "q"),
+            ("dirichlet", {"q": [True, 2.0]}, "q"),
+            ("dirichlet", {"q": np.array([True, True])}, "q"),
+            ("dirichlet", {"q": [0.5, 10**400]}, "q"),  # above the largest float
         ],
         ids=["pc_lam_nan", "pc_lam_inf", "pc_U_nan", "dirichlet_q_nan",
              "dirichlet_q_vector_nan", "beta_a_nan", "pc0_lam_inf", "beta_a_text",
-             "pc_lam_list", "pc0_lam_array", "beta_a_list", "beta_b_text", "pc_lam_bool"],
+             "pc_lam_list", "pc0_lam_array", "beta_a_list", "beta_b_text", "pc_lam_bool",
+             "dirichlet_q_text", "dirichlet_q_text_vector", "dirichlet_q_bool",
+             "dirichlet_q_bool_in_vector", "dirichlet_q_bool_array", "dirichlet_q_huge"],
     )
     def test_non_finite_parameters_rejected(self, family, params, key):
         with pytest.raises(ValidationError, match=rf"'node7'.*{key} must be finite"):
+            PriorSpec("node7", family, params)
+
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("pc0", {"U": "0.2", "alpha": 0.5}, "U"),
+            ("pc0", {"U": 0.2, "alpha": [0.5]}, "alpha"),
+            ("pc", {"U": True, "alpha": 0.05}, "U"),
+            ("pc", {"U": 1.0, "alpha": "0.05"}, "alpha"),
+        ],
+        ids=["pc0_U_text", "pc0_alpha_list", "pc_U_bool", "pc_alpha_text"],
+    )
+    def test_calibration_targets_checked_before_calibrating(self, family, params, key):
+        with pytest.raises(ValidationError, match=rf"'node7': {key} must be one real number"):
             PriorSpec("node7", family, params)
 
     def test_numpy_scalars_and_a_q_vector_accepted(self):
         PriorSpec("node7", "pc", {"lam": np.float64(0.7)})
         PriorSpec("node7", "beta", {"a": np.int64(2), "b": 3})
         PriorSpec("node7", "dirichlet", {"q": [0.5, 2.0]})
+        PriorSpec("node7", "dirichlet", {"q": np.array([0.5, 2.0])})
+        PriorSpec("node7", "pc0", {"U": np.float64(0.2), "alpha": 0.5})
 
     @pytest.mark.parametrize(
         "spec",
