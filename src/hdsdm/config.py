@@ -45,7 +45,7 @@ _INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool
 # what the value of each config key must be, wherever the key appears: (test,
 # description); _check_keys applies it. _entry checks the kind-dependent
 # covariate, covariates and n_basis, PriorSpec each family's parameters and
-# McmcSettings the mcmc values
+# McmcSettings the ranges of the mcmc values
 VALUE_TYPES = {
     "output": _STRING,
     "path": _STRING, "response": _STRING, "year": _NAME,  # data; path also of a point cloud
@@ -54,6 +54,7 @@ VALUE_TYPES = {
     "effects": (lambda v: isinstance(v, (list, tuple)), "a list"),
     "id": _STRING, "support": _STRING, "side": _NAME, "group": _NAME,
     "family": _STRING,
+    **dict.fromkeys((f.name for f in fields(McmcSettings)), _INTEGER),  # mcmc
 }
 
 
@@ -69,6 +70,7 @@ class RunConfig:
     def __post_init__(self):
         _check_keys("config data section", self.data, ("path", "response"), ("year",))
         _check_keys("config split section", self.split, (), ("train_max_year",))
+        _check_keys("config mcmc section", self.mcmc, (), [f.name for f in fields(McmcSettings)])
         _check_keys("config model section", self.model, ("effects", "priors"), MODEL_KEYS)
         if self.model.get("intercept", True) is not True:
             raise ValidationError(
@@ -235,7 +237,6 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
 
 
 def build_settings(cfg: RunConfig, seed_override: int | None = None) -> McmcSettings:
-    _check_keys("config mcmc section", cfg.mcmc, (), {f.name for f in fields(McmcSettings)})
     m = dict(cfg.mcmc)
     if seed_override is not None:
         m["seed"] = int(seed_override)

@@ -191,11 +191,16 @@ def _covariate_values(decl: EffectDecl, columns: dict[str, np.ndarray]) -> np.nd
         # bases with unbounded evaluation (linear) still only carry meaning
         # on the declared support the effect was standardized against; the
         # values are checked, not clipped
-        try:
-            _check_support(x, decl.dist.lower, decl.dist.upper)
-        except DomainError as err:
-            raise DomainError(f"effect {decl.effect_id!r}: {err}", indices=err.indices) from None
+        _check_support(x, decl.dist.lower, decl.dist.upper)
     return x
+
+
+def _design(eff: StandardizedEffect, decl: EffectDecl, columns: dict[str, np.ndarray]):
+    """``eff``'s design at ``columns``; every DomainError names the effect."""
+    try:
+        return eff.design(_covariate_values(decl, columns))
+    except DomainError as err:
+        raise DomainError(f"effect {decl.effect_id!r}: {err}", indices=err.indices) from None
 
 
 def _build_spatial_effect(decl: EffectDecl) -> StandardizedEffect:
@@ -258,11 +263,8 @@ class AssembledModel:
 
     def designs_at(self, columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Scaled design blocks at new observations (support-checked)."""
-        out = {}
-        for leaf in self.leaf_ids:
-            decl = self.decl_by_leaf[leaf]
-            out[leaf] = self.effects[leaf].design(_covariate_values(decl, columns))
-        return out
+        return {leaf: _design(self.effects[leaf], self.decl_by_leaf[leaf], columns)
+                for leaf in self.leaf_ids}
 
     def linear_predictor(self, coefficients: dict[str, np.ndarray], mu: float,
                          designs: dict[str, np.ndarray] | None = None,
@@ -296,7 +298,7 @@ def assemble(model: ModelSpec, data: Dataset | None) -> AssembledModel:
             if train_cols is None:
                 designs[eff.effect_id] = np.zeros((0, eff.n_coef))
             else:
-                designs[eff.effect_id] = eff.design(_covariate_values(decl, train_cols))
+                designs[eff.effect_id] = _design(eff, decl, train_cols)
     y_train = data.y[data.train_mask] if data is not None else np.zeros(0)
     return AssembledModel(
         model=model,

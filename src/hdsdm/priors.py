@@ -464,9 +464,7 @@ def _as_prior_map(tree: DecompTree, priors) -> dict[str, tuple[str, object]]:
             laws[s.name] = ("pc0", float(spec.params["lam"]))
             continue
         if spec.family == "beta":
-            q = np.empty(2)
-            q[s.omega_index] = spec.params["a"]
-            q[1 - s.omega_index] = spec.params["b"]
+            q = np.array(s.in_child_order(spec.params["a"], spec.params["b"]), dtype=float)
         else:
             q = spec.params["q"] if spec.family == "dirichlet" else 1.0
             if np.shape(q) not in ((), (s.n_children,)):
@@ -593,28 +591,27 @@ class HDEvaluator:
                      " + 0.5 * t"]
 
         var = {tree.leaves: "t"}  # leaves below a node -> its log variance
-        pos = 1
         for s in tree.splits:
             kind, param = laws[s.name]
             base = var[sum(s.child_leaves, ())]
+            pos = s.coords.start  # names the split's locals
             if s.is_binary:
                 x, w, u = xs[pos], f"w{pos}", f"u{pos}"
                 # log w and log(1 - w) of the designated proportion w = 1/(1 + exp(-x))
                 body += [f"{w} = -log1p(exp(-{x})) if {x} > 0 else {x} - log1p(exp({x}))",
                          f"{u} = {w} - {x}"]
-                logs = (w, u) if s.omega_index == 0 else (u, w)
+                logs = s.in_child_order(w, u)
                 if kind == "pc0":
                     const = float(np.log(param) - np.log(2.0) - np.log(-np.expm1(-param)))
                     body.append(f"lp += {k(const)} - {k(param)} * exp(0.5 * {w}) + 0.5 * {w}"
                                 f" + {u}")
                 else:  # exponents of the designated child first
-                    conc = param[[s.omega_index, 1 - s.omega_index]]
+                    conc = np.array(s.in_child_order(*param))
                     const = float(gammaln(conc.sum()) - gammaln(conc).sum())
                     a, b = conc.tolist()
                     body.append(f"lp += {k(const)} + {k(a)} * {w} + {k(b)} * {u}")
-                pos += 1
             else:
-                raw = xs[pos : pos + s.n_children - 1] + ["0.0"]
+                raw = xs[s.coords] + ["0.0"]
                 top, log_sum = f"m{pos}", f"s{pos}"
                 logs = tuple(f"r{pos}_{i}" for i in range(s.n_children))
                 exps = ", ".join(f"exp({r} - {top})" for r in raw)
@@ -624,7 +621,6 @@ class HDEvaluator:
                 const = float(gammaln(param.sum()) - gammaln(param).sum())
                 terms = ", ".join(f"{k(a)} * {r_log}" for a, r_log in zip(param.tolist(), logs))
                 body.append(f"lp += {k(const)} + sum([{terms}])")
-                pos += s.n_children - 1
             for leaves, log_p in zip(s.child_leaves, logs):
                 var[leaves] = f"v{len(var)}"
                 body.append(f"{var[leaves]} = {base} + {log_p}")
@@ -656,13 +652,10 @@ def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:
         if kind == "pc0":
             w = float(pc0_quantile(0.5, param))
         else:
-            a, b = param[s.omega_index], param[1 - s.omega_index]
+            a, b = s.in_child_order(*param)
             # a symmetric law's median is 1/2, which beta_dist.ppf misses by an ulp
             w = 0.5 if a == b else float(beta_dist.ppf(0.5, a, b))
-        props = np.empty(2)
-        props[s.omega_index] = w
-        props[1 - s.omega_index] = 1.0 - w
-        proportions[s.name] = props
+        proportions[s.name] = np.array(s.in_child_order(w, 1.0 - w))
     return to_unconstrained(tree, HDParams(total=total, proportions=proportions))
 
 

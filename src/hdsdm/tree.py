@@ -7,6 +7,10 @@ coordinates are the total variance V and one proportion vector per split;
 and an unconstrained parametrization (log / logit / additive log-ratio) with
 its log-Jacobian supports density transforms for inference.
 
+``DecompTree`` lays out both coordinate vectors once, V first, then the splits
+in preorder: each ``SplitInfo`` carries its slices, which every map here reads,
+and ``in_child_order``, the one swap of a binary split's children.
+
 ``natural_values`` is the one map from unconstrained to natural
 coordinates, vectorized over draws; ``natural_columns`` names its columns
 (the ``V`` and ``omega_*`` columns of the reported draws) and pairs each
@@ -82,10 +86,23 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class SplitInfo:
+    """An internal node: ``omega_index`` is the designated child of a binary
+    split; ``coords`` is its slice of theta, the logit of that child's
+    proportion or the log-ratios of the first P - 1 proportions to the last;
+    ``columns`` its slice of a ``natural_values`` row, that proportion or
+    all P in child order."""
+
     name: str
     child_names: tuple[str, ...]
     child_leaves: tuple[tuple[str, ...], ...]
     omega_index: int
+    coords: slice
+    columns: slice
+
+    def in_child_order(self, designated, other):
+        """A binary split's (designated, other) pair in child order; being
+        its own inverse, it also takes child order to designated-first."""
+        return (designated, other) if self.omega_index == 0 else (other, designated)
 
     @property
     def n_children(self) -> int:
@@ -103,23 +120,22 @@ class DecompTree:
         self.root = root
         splits: list[SplitInfo] = []
         leaves: list[str] = []
+        coord = column = 1  # theta and the natural row both start with V
         for node in self._preorder(root):
             if node.is_leaf:
                 leaves.append(node.name)
                 continue
-            if len(node.children) < 2:
+            n = len(node.children)
+            if n < 2:
                 raise ValidationError(f"internal node {node.name!r} has fewer than 2 children")
-            child_leaves = tuple(
-                tuple(x.name for x in self._preorder(c) if x.is_leaf) for c in node.children
-            )
-            splits.append(
-                SplitInfo(
-                    name=node.name,
-                    child_names=tuple(c.name for c in node.children),
-                    child_leaves=child_leaves,
-                    omega_index=node.omega_index if node.omega_index is not None else 0,
-                )
-            )
+            splits.append(SplitInfo(
+                name=node.name, child_names=tuple(c.name for c in node.children),
+                child_leaves=tuple(tuple(x.name for x in self._preorder(c) if x.is_leaf)
+                                   for c in node.children),
+                omega_index=node.omega_index if node.omega_index is not None else 0,
+                coords=slice(coord, coord + n - 1),
+                columns=slice(column, column + (1 if n == 2 else n))))
+            coord, column = splits[-1].coords.stop, splits[-1].columns.stop
         repeated = sorted({leaf for leaf in leaves if leaves.count(leaf) > 1})
         if repeated:
             raise ValidationError(f"leaf ids are not unique: {repeated}")
@@ -128,6 +144,7 @@ class DecompTree:
             raise ValidationError("split names are not unique")
         self.splits = tuple(splits)
         self.leaves = tuple(leaves)
+        self.n_coordinates, self.n_columns = coord, column  # lengths of theta, natural row
         self._split_map = {s.name: s for s in self.splits}
 
     @staticmethod
@@ -275,23 +292,18 @@ def build_default_tree(effects: list[EffectLabel]) -> DecompTree:
 
 
 def to_variances(tree: DecompTree, p: HDParams) -> dict[str, float]:
-    """Leaf variances: sigma2_leaf = V * product of path proportions."""
-    out: dict[str, float] = {}
-
-    def walk(node: TreeNode, mult: float):
-        if node.is_leaf:
-            out[node.name] = mult
-            return
-        props = p.proportions[node.name]
-        if props.shape[0] != len(node.children):
+    """Leaf variances: sigma2_leaf = V * product of path proportions, root
+    first (the splits are in preorder)."""
+    out = dict.fromkeys(tree.leaves, p.total)
+    for s in tree.splits:
+        props = p.proportions[s.name]
+        if props.shape[0] != s.n_children:
             raise ValidationError(
-                f"split {node.name!r}: {props.shape[0]} proportions for "
-                f"{len(node.children)} children"
+                f"split {s.name!r}: {props.shape[0]} proportions for {s.n_children} children"
             )
-        for child, w in zip(node.children, props):
-            walk(child, mult * float(w))
-
-    walk(tree.root, p.total)
+        for leaves, w in zip(s.child_leaves, props):
+            for leaf in leaves:
+                out[leaf] *= float(w)
     return out
 
 
@@ -335,7 +347,7 @@ def from_variances(tree: DecompTree, sigma2: dict[str, float]) -> HDParams:
 
 
 def n_coordinates(tree: DecompTree) -> int:
-    return 1 + sum(1 if s.is_binary else s.n_children - 1 for s in tree.splits)
+    return tree.n_coordinates
 
 
 def to_unconstrained(tree: DecompTree, p: HDParams) -> np.ndarray:
@@ -344,17 +356,19 @@ def to_unconstrained(tree: DecompTree, p: HDParams) -> np.ndarray:
     """
     if p.total <= 0:
         raise ValidationError("total variance must be positive in unconstrained coordinates")
-    coords = [np.log(p.total)]
+    theta = np.empty(tree.n_coordinates)
+    theta[0] = np.log(p.total)
     for s in tree.splits:
         props = p.proportions[s.name]
-        if np.any(props <= 0) or np.any(props >= 1):
-            raise ValidationError(f"split {s.name!r}: proportions on the simplex boundary")
+        if props.shape != (s.n_children,) or np.any(props <= 0) or np.any(props >= 1):
+            raise ValidationError(f"split {s.name!r}: {props} are not {s.n_children} "
+                                  "proportions off the simplex boundary")
         if s.is_binary:
             w = props[s.omega_index]
-            coords.append(np.log(w) - np.log1p(-w))
+            theta[s.coords] = np.log(w) - np.log1p(-w)
         else:
-            coords.extend(np.log(props[:-1]) - np.log(props[-1]))
-    return np.array(coords)
+            theta[s.coords] = np.log(props[:-1]) - np.log(props[-1])
+    return theta
 
 
 def natural_columns(tree: DecompTree) -> list[tuple[str, str]]:
@@ -377,31 +391,30 @@ def natural_values(tree: DecompTree, theta: np.ndarray) -> np.ndarray:
     and the softmax (reference = last child) for multi-branch splits, with
     proportions clamped to [PROPORTION_FLOOR, 1 - PROPORTION_FLOOR] and
     renormalized. This is the one map from unconstrained to natural
-    coordinates; ``from_unconstrained`` unpacks one of its rows."""
+    coordinates; ``from_unconstrained`` unpacks one of its rows. ``theta``
+    of another shape is a ValidationError."""
     theta = np.asarray(theta, dtype=float)
-    out = np.empty((theta.shape[0], len(natural_columns(tree))))
+    d = tree.n_coordinates
+    if theta.ndim != 2 or theta.shape[1] != d:
+        raise ValidationError(f"expected rows of {d} coordinates, got shape {theta.shape}")
+    out = np.empty((theta.shape[0], tree.n_columns))
     # exp overflows to inf past 709.78: V = inf, where every prior density is
     # 0, and a designated proportion of 0, which the floor clamps
     with np.errstate(over="ignore"):
         out[:, 0] = np.exp(theta[:, 0])
-        j = pos = 1
         for s in tree.splits:
+            x = theta[:, s.coords]
             if s.is_binary:
-                w = 1.0 / (1.0 + np.exp(-theta[:, pos]))
-                out[:, j] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
-                j += 1
-                pos += 1
+                w = 1.0 / (1.0 + np.exp(-x))
+                out[:, s.columns] = np.clip(w, PROPORTION_FLOOR, 1.0 - PROPORTION_FLOOR)
             else:
-                k = s.n_children - 1
-                a = np.zeros((theta.shape[0], k + 1))
-                a[:, :k] = theta[:, pos : pos + k]
-                pos += k
+                a = np.zeros((theta.shape[0], s.n_children))
+                a[:, :-1] = x
                 a -= a.max(axis=1, keepdims=True)
                 e = np.exp(a)
                 props = np.maximum(e / e.sum(axis=1, keepdims=True), PROPORTION_FLOOR)
                 props /= props.sum(axis=1, keepdims=True)
-                out[:, j : j + k + 1] = props
-                j += k + 1
+                out[:, s.columns] = props
     return out
 
 
@@ -415,17 +428,11 @@ def from_unconstrained(tree: DecompTree, theta: np.ndarray) -> HDParams:
             f"expected {n_coordinates(tree)} coordinates, got shape {theta.shape}"
         )
     row = natural_values(tree, theta[None])[0]
-    j = 1
     proportions: dict[str, np.ndarray] = {}
     for s in tree.splits:
+        props = row[s.columns]
         if s.is_binary:
-            props = np.empty(2)
-            props[s.omega_index] = row[j]
-            props[1 - s.omega_index] = 1.0 - row[j]
-            j += 1
-        else:
-            props = row[j : j + s.n_children]
-            j += s.n_children
+            props = np.array(s.in_child_order(props[0], 1.0 - props[0]))
         proportions[s.name] = props
     return HDParams(total=float(row[0]), proportions=proportions)
 
@@ -436,13 +443,9 @@ def log_jacobian(tree: DecompTree, theta: np.ndarray) -> float:
     Natural coordinates are V, the designated proportion of each binary
     split, and the first P-1 entries of each multi-branch simplex.
     """
-    p = from_unconstrained(tree, theta)
+    row = natural_values(tree, np.asarray(theta, dtype=float)[None])[0]
     out = float(theta[0])  # dV/dt = V = e^t
     for s in tree.splits:
-        props = p.proportions[s.name]
-        if s.is_binary:
-            w = props[s.omega_index]
-            out += float(np.log(w) + np.log1p(-w))
-        else:
-            out += float(np.sum(np.log(props)))
+        w = row[s.columns]
+        out += float(np.log(w[0]) + np.log1p(-w[0]) if s.is_binary else np.sum(np.log(w)))
     return out

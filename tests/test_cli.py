@@ -71,6 +71,17 @@ def base_config(data_path="data.csv", output="out"):
     }
 
 
+# faulty mcmc sections, each with the message it is rejected with as the
+# config is loaded, whichever command loads it
+MCMC_FAULTS = [
+    ({"burnin": 100}, "config mcmc section has unknown keys: ['burnin']"),
+    ([1, 2], "config mcmc section must be a JSON object, got [1, 2]"),
+    ({"burn_in": 1.5}, "config mcmc section: 'burn_in' must be an integer, got 1.5"),
+    ({"seed": "5"}, "config mcmc section: 'seed' must be an integer, got '5'"),
+]
+MCMC_FAULT_IDS = ["unknown_key", "list", "fraction", "text"]
+
+
 @pytest.fixture
 def workdir(tmp_path):
     write_dataset(tmp_path / "data.csv")
@@ -117,13 +128,23 @@ class TestConfig:
     @pytest.mark.parametrize("key, bad", [("thinning", 0), ("chains", True),
                                           ("burn_in", 600)])  # iterations is 600
     def test_build_settings_rejects_breaking_values(self, key, bad):
+        # a value that is not an integer is rejected as the config is loaded
         message = {"thinning": r"^thinning must be >= 1$",
-                   "chains": r"^chains must be an integer, got True$",
+                   "chains": r"^config mcmc section: 'chains' must be an integer, got True$",
                    "burn_in": r"^need iterations > burn_in >= 0$"}[key]
         raw = base_config()
         raw["mcmc"][key] = bad
         with pytest.raises(ValidationError, match=message):
             build_settings(RunConfig.from_dict(raw))
+
+    @pytest.mark.parametrize("mcmc, message", MCMC_FAULTS, ids=MCMC_FAULT_IDS)
+    def test_mcmc_section_checked_at_load(self, tmp_path, mcmc, message):
+        raw = base_config()
+        raw["mcmc"] = mcmc
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as err:
+            RunConfig.load(tmp_path / "config.json")
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("entry, key", [(0, "nbasis"), (0, "covariates"),
                                             (2, "priors")])
@@ -451,6 +472,27 @@ class TestCliFlow:
         assert record["error"] == "ValidationError"
         assert "coefficients.csv" in record["message"]
         assert "sst_nonlin[8]" in record["message"]
+
+    def test_mcmc_faults_fail_predict_and_partition(self, workdir, capsys):
+        # predict and partition read no settings, so a misspelt key was
+        # recorded in their manifests, and a list ended predict in a TypeError
+        # after predictions.csv was written
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        out = workdir / "out"
+        for mcmc, message in MCMC_FAULTS:
+            raw = base_config()
+            raw["mcmc"] = mcmc
+            (workdir / "config.json").write_text(json.dumps(raw))
+            for command, written in (("predict", "predictions.csv"),
+                                     ("partition", "phi_mean.csv")):
+                capsys.readouterr()
+                assert main([command, "--config", cfg_path]) == 2
+                lines = capsys.readouterr().err.strip().splitlines()
+                assert [json.loads(line) for line in lines] == [
+                    {"error": "ValidationError", "message": message}]
+                assert not (out / written).exists()
+                assert not (out / f"manifest_{command}.json").exists()
 
     def test_fit_deterministic_across_runs(self, workdir):
         cfg_path = str(workdir / "config.json")
@@ -889,7 +931,7 @@ class TestCliFlow:
     def test_bad_mcmc_settings_give_validation_record(self, workdir, capsys, key, bad):
         raw = base_config()
         raw["mcmc"][key] = bad
-        RunConfig.from_dict(raw).save(workdir / "config.json")
+        (workdir / "config.json").write_text(json.dumps(raw))
         assert main(["fit", "--config", str(workdir / "config.json")]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"

@@ -159,6 +159,25 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(model, data)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("x1", 2.5, "effect 'x1': 1 covariate value(s) outside support [0.0, 1.0]"),
+        ("year", 21.0, "effect 'temporal': 1 value(s) are not levels in 1..20"),
+        ("z2", 1.5, "effect 'spatial': 1 covariate value(s) outside support [-2e-06, 1.000002]"),
+    ], ids=["interval", "levels", "point_cloud"])
+    def test_out_of_support_error_names_the_effect(self, column, value, message):
+        # only the interval check named the effect; the basis's own checks
+        # of levels and of the cloud's box did not
+        model = survey_model(n_basis=8, spatial_funcs=(5, 5))
+        data = survey_data(n=50)
+        asm = assemble(model, data)
+        data.columns[column][3] = value
+        want = f"{message}; first offending indices: [3]"
+        for build in (lambda: asm.designs_at(data.columns), lambda: assemble(model, data)):
+            with pytest.raises(DomainError) as err:
+                build()
+            assert str(err.value) == want
+            assert err.value.indices == [3]
+
     @pytest.mark.parametrize("make_model, column", [
         (linear_model, "a"),                                # linear
         (lambda: survey_model(8, (5, 5)), "x1"),            # pspline

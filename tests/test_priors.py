@@ -852,3 +852,43 @@ class TestStartAndMarginalsProperty:
             if s.is_binary:
                 omega = start.proportions[s.name][s.omega_index]
                 assert cdfs[f"{s.name}:{designated}"](omega) == pytest.approx(0.5, abs=1e-9)
+
+
+class TestLayoutProperty:
+    """The tree lays out theta and the natural row once: each split's
+    ``coords`` and ``columns`` tile them in preorder, and ``in_child_order``
+    is the one swap of a binary split's children."""
+
+    @hyp_settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(model=trees_and_priors(), data=st.data())
+    def test_splits_tile_theta_and_the_natural_row(self, model, data):
+        from hdsdm.tree import from_unconstrained, natural_columns, natural_values
+
+        tree, _ = model
+        coords, columns = [], []
+        for s in tree.splits:
+            assert s.coords.step is None and s.columns.step is None
+            assert s.coords.stop - s.coords.start == s.n_children - 1
+            assert s.columns.stop - s.columns.start == (1 if s.is_binary else s.n_children)
+            coords += range(s.coords.start, s.coords.stop)
+            columns += range(s.columns.start, s.columns.stop)
+            # the columns are the split's own, named after it
+            for name, key in natural_columns(tree)[s.columns]:
+                assert name.startswith(f"omega_{s.name}")
+                assert key.partition(":")[0] == s.name
+        d, p = n_coordinates(tree), len(natural_columns(tree))
+        assert coords == list(range(1, d))
+        assert columns == list(range(1, p))
+        assert (tree.n_coordinates, tree.n_columns) == (d, p)
+
+        theta = np.array(data.draw(st.lists(st.floats(-12.0, 12.0), min_size=d, max_size=d)))
+        row = natural_values(tree, theta[None])[0]
+        hd = from_unconstrained(tree, theta)
+        for s in tree.splits:
+            if s.is_binary:
+                w = row[s.columns][0]
+                np.testing.assert_array_equal(hd.proportions[s.name],
+                                              s.in_child_order(w, 1.0 - w))
+                assert hd.proportions[s.name][s.omega_index] == w
+            else:
+                np.testing.assert_array_equal(hd.proportions[s.name], row[s.columns])

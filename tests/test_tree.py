@@ -273,6 +273,29 @@ class TestUnconstrainedCoordinates:
         with pytest.raises(ValidationError):
             to_unconstrained(tree, p)
 
+    @pytest.mark.parametrize("split, props", [("covariates", [0.5, 0.5]),
+                                              ("x1_flex", [0.2, 0.3, 0.5])],
+                             ids=["too_few", "too_many"])
+    def test_proportions_of_another_length_rejected(self, split, props):
+        # a short simplex gave a theta of the wrong length, or was broadcast
+        # across the split's coordinates; a long one was read in part
+        tree = survey_tree()
+        p = from_unconstrained(tree, np.zeros(n_coordinates(tree)))
+        bad = HDParams(total=1.0, proportions={**p.proportions, split: np.array(props)})
+        n = tree.split(split).n_children
+        with pytest.raises(ValidationError, match=f"^split '{split}': .* are not {n} "):
+            to_unconstrained(tree, bad)
+
+    @pytest.mark.parametrize("shape", [(2, 16), (2, 12), (13,)],
+                             ids=["wide", "narrow", "one_row_1d"])
+    def test_natural_values_takes_rows_of_d_coordinates(self, shape):
+        # extra columns were ignored, and too few or a 1-D array was a bare IndexError
+        tree = survey_tree()
+        assert n_coordinates(tree) == 13
+        with pytest.raises(ValidationError, match=re.escape(
+                f"expected rows of 13 coordinates, got shape {shape}")):
+            natural_values(tree, np.zeros(shape))
+
     def test_log_jacobian_against_finite_differences(self):
         tree = survey_tree()
         rng = np.random.default_rng(2)
