@@ -93,7 +93,6 @@ from .runtime import _one_blas_thread, _run_tasks, _shared, _workers
 from .tree import (
     HDParams,
     from_unconstrained,
-    n_coordinates,
     natural_columns,
     natural_values,
     to_variances,
@@ -847,7 +846,7 @@ def fit(
     names = hyper_param_names(assembled)
     n_keep = (settings.iterations - settings.burn_in + settings.thinning - 1) // settings.thinning
     shape = (settings.chains, n_keep)
-    d = n_coordinates(assembled.tree) if assembled.tree is not None else 0
+    d = assembled.tree.n_coordinates if assembled.tree is not None else 0
     result = FitResult(
         mu=_shared(shape),
         coefficients={

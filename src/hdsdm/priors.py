@@ -1,6 +1,7 @@
 """Priors for total variance and proportion parameters.
 
 The HD prior is a product of one law per node of the decomposition tree.
+``_FAMILIES`` says what node each family sits on and what it takes.
 ``_as_prior_map``, the one check of the priors a tree takes, reads each
 node's ``PriorSpec`` as one of four laws; every function here that takes a
 tree and its priors goes through it, and ``ModelSpec`` runs it when a model
@@ -40,9 +41,10 @@ from .gmrf import _rank, psd_eigen
 from .tree import (
     DecompTree,
     HDParams,
+    SplitInfo,
     from_unconstrained,
     log_jacobian,
-    n_coordinates,
+    natural_values,
     to_unconstrained,
 )
 
@@ -68,63 +70,6 @@ __all__ = [
     "prior_median_theta",
     "marginal_cdfs",
 ]
-
-
-_FAMILIES = {"jeffreys", "pc", "uniform", "beta", "dirichlet", "pc0"}
-_V_FAMILIES = ("jeffreys", "pc")  # the total variance takes these, and no split does
-
-# hyperparameters each family needs; 'pc' and 'pc0' take lam in their place
-_REQUIRED_PARAMS = {"pc": ("U", "alpha"), "pc0": ("U", "alpha"), "beta": ("a", "b"),
-                    "dirichlet": ("q",)}
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Prior family attached to one tree node.
-
-    node : 'total_variance' or a split name.
-    family : jeffreys | pc (on V); uniform | beta | dirichlet | pc0 (on
-        proportions).
-    params : family hyperparameters; 'pc' takes lam or (U, alpha); 'beta'
-        takes a, b; 'dirichlet' takes q (scalar or vector); 'pc0' takes lam
-        or (U, alpha): real numbers, not text or bools; q may be a vector of them.
-    """
-
-    node: str
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        def real(x):
-            return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-        if self.family not in _FAMILIES:
-            raise ValidationError(f"unknown prior family {self.family!r}")
-        calibrated = self.family in ("pc", "pc0")
-        missing = [k for k in _REQUIRED_PARAMS.get(self.family, ()) if k not in self.params]
-        if missing and not (calibrated and "lam" in self.params):
-            raise ValidationError(
-                f"prior {self.node!r}: family {self.family!r} is missing {missing}"
-                + (" (or lam)" if calibrated else "")
-            )
-        if calibrated and "lam" not in self.params:
-            U, alpha = self.params["U"], self.params["alpha"]
-            for key, value in (("U", U), ("alpha", alpha)):
-                if not real(value):
-                    raise ValidationError(
-                        f"prior {self.node!r}: {key} must be one real number, got {value!r}")
-            calibrate = pc_variance_lambda if self.family == "pc" else pc0_calibrate
-            object.__setattr__(self, "params", {**self.params, "lam": calibrate(U, alpha)})
-        for key in ("lam", "q", "a", "b"):
-            if key not in self.params:
-                continue
-            raw = self.params[key]
-            # each a real number within the float range; only q may be a vector of them
-            vector = key == "q" and (isinstance(raw, (list, tuple)) or np.ndim(raw) == 1)
-            values = raw if vector else [raw]
-            if not all(real(x) and 0 < x <= sys.float_info.max for x in values):
-                want = "finite and positive" if key == "q" else "finite, positive and one number"
-                raise ValidationError(f"prior {self.node!r}: {key} must be {want}, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +370,87 @@ def pc0_exact_logpdf_numeric(
 
 
 # ---------------------------------------------------------------------------
-# joint prior over HD parameters
+# prior families and the joint prior over HD parameters
 # ---------------------------------------------------------------------------
+
+
+def _dirichlet_q(q, s: SplitInfo) -> np.ndarray:
+    if np.shape(q) not in ((), (s.n_children,)):
+        raise ValidationError(f"split {s.name!r}: q must be a scalar or have {s.n_children} "
+                              f"entries, got shape {np.shape(q)}")
+    return np.asarray(q, dtype=float) * np.ones(s.n_children)
+
+
+# family -> (the node it sits on; the parameters it takes; the calibration of
+# its lam from U and alpha, which it then also takes, or None; its law from
+# its params at its split, as ``_as_prior_map`` returns it)
+_FAMILIES = {
+    "jeffreys": ("total_variance", (), None, lambda p, s: ("jeffreys", None)),
+    "pc": ("total_variance", ("lam",), pc_variance_lambda, lambda p, s: ("pc", float(p["lam"]))),
+    "uniform": ("split", (), None, lambda p, s: ("dirichlet", np.ones(s.n_children))),
+    "dirichlet": ("split", ("q",), None, lambda p, s: ("dirichlet", _dirichlet_q(p["q"], s))),
+    "beta": ("binary split", ("a", "b"), None, lambda p, s: (
+        "dirichlet", np.array(s.in_child_order(p["a"], p["b"]), dtype=float))),
+    "pc0": ("binary split", ("lam",), pc0_calibrate, lambda p, s: ("pc0", float(p["lam"]))),
+}
+
+
+@dataclass(frozen=True)
+class PriorSpec:
+    """Prior family attached to one tree node.
+
+    node : 'total_variance' or a split name.
+    family : a key of ``_FAMILIES``: jeffreys | pc (on V); uniform | beta |
+        dirichlet | pc0 (on proportions).
+    params : what the family takes, real numbers, not text or bools; a key it
+        does not take is a ValidationError. 'beta' takes a, b; 'dirichlet' q,
+        one or one per child; 'pc' and 'pc0' lam, or U and alpha, calibrated
+        to the lam stored here, which a lam given with them must equal.
+    """
+
+    node: str
+    family: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        def real(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+        def check(key, raw):  # a real number in the float range; only q may be a vector of them
+            vector = key == "q" and (isinstance(raw, (list, tuple)) or np.ndim(raw) == 1)
+            if not all(real(x) and 0 < x <= sys.float_info.max for x in (raw if vector else [raw])):
+                want = "finite and positive" if key == "q" else "finite, positive and one number"
+                raise ValidationError(f"prior {self.node!r}: {key} must be {want}, got {raw!r}")
+
+        if self.family not in _FAMILIES:
+            raise ValidationError(f"unknown prior family {self.family!r}")
+        _, takes, calibrate, _ = _FAMILIES[self.family]
+        targets = ("U", "alpha") if calibrate else ()
+        stray = [k for k in self.params if k not in takes + targets]
+        if stray:
+            raise ValidationError(f"prior {self.node!r}: family {self.family!r} takes "
+                                  f"{', '.join(takes + targets) or 'no parameters'}, not {stray}")
+        calibrated = bool(targets) and set(self.params) != {"lam"}
+        missing = [k for k in (targets if calibrated else takes) if k not in self.params]
+        if missing:
+            raise ValidationError(f"prior {self.node!r}: family {self.family!r} is missing "
+                                  f"{missing}" + (" (or lam)" if missing == list(targets) else ""))
+        for key in [k for k in takes if k in self.params]:
+            check(key, self.params[key])
+        if calibrated:
+            for key in targets:  # nan goes on to the calibration, which rejects it
+                if not real(self.params[key]) or abs(self.params[key]) > sys.float_info.max:
+                    raise ValidationError(f"prior {self.node!r}: {key} must be one real number "
+                                          f"in the float range, got {self.params[key]!r}")
+            try:
+                lam = calibrate(self.params["U"], self.params["alpha"])
+            except ValidationError as err:  # a target out of its range
+                raise ValidationError(f"prior {self.node!r}: {err}") from None
+            check("lam", lam)
+            if self.params.get("lam", lam) != lam:
+                raise ValidationError(f"prior {self.node!r}: lam {self.params['lam']!r} is not "
+                                      f"{lam!r}, the rate that U and alpha calibrate to")
+            object.__setattr__(self, "params", {**self.params, "lam": lam})
 
 
 def _as_prior_map(tree: DecompTree, priors) -> dict[str, tuple[str, object]]:
@@ -435,9 +459,9 @@ def _as_prior_map(tree: DecompTree, priors) -> dict[str, tuple[str, object]]:
     ('dirichlet', q in child order) or ('pc0', lam) on each split. The one
     reader of ``PriorSpec.family`` and ``params``. Raises ValidationError for
     a prior keyed by a node other than its own ``node``, a node without a
-    prior, a prior on a node the tree lacks, a total-variance family other
-    than jeffreys/pc, jeffreys/pc on a split, beta/pc0 on a split that is not
-    binary, and a Dirichlet q whose length is not the split's child count."""
+    prior, a prior on a node the tree lacks, a family on a node other than
+    its own in ``_FAMILIES``, and a Dirichlet q whose length is not the
+    split's child count."""
     pm = priors if isinstance(priors, dict) else {p.node: p for p in priors}
     for key, spec in pm.items():
         if spec.node != key:
@@ -449,31 +473,16 @@ def _as_prior_map(tree: DecompTree, priors) -> dict[str, tuple[str, object]]:
     unknown = set(pm) - nodes
     if unknown:
         raise ValidationError(f"priors declared for unknown tree nodes: {sorted(unknown)}")
-    spec = pm["total_variance"]
-    if spec.family not in _V_FAMILIES:
-        raise ValidationError(f"family {spec.family!r} not valid for the total variance")
-    lam = float(spec.params["lam"]) if spec.family == "pc" else None
-    laws = {"total_variance": (spec.family, lam)}
-    for s in tree.splits:
-        spec = pm[s.name]
-        if spec.family in _V_FAMILIES:
-            raise ValidationError(f"family {spec.family!r} not valid for split {s.name!r}")
-        if spec.family in ("beta", "pc0") and not s.is_binary:
+    laws = {}
+    for s in (None, *tree.splits):  # None: the total variance
+        spec = pm["total_variance" if s is None else s.name]
+        on, _, _, law = _FAMILIES[spec.family]
+        if (on == "total_variance") != (s is None):
+            where = "the total variance" if s is None else f"split {s.name!r}"
+            raise ValidationError(f"family {spec.family!r} not valid for {where}")
+        if on == "binary split" and not s.is_binary:
             raise ValidationError(f"{spec.family} prior needs a binary split, got {s.name!r}")
-        if spec.family == "pc0":
-            laws[s.name] = ("pc0", float(spec.params["lam"]))
-            continue
-        if spec.family == "beta":
-            q = np.array(s.in_child_order(spec.params["a"], spec.params["b"]), dtype=float)
-        else:
-            q = spec.params["q"] if spec.family == "dirichlet" else 1.0
-            if np.shape(q) not in ((), (s.n_children,)):
-                raise ValidationError(
-                    f"split {s.name!r}: q must be a scalar or have {s.n_children} "
-                    f"entries, got shape {np.shape(q)}"
-                )
-            q = np.asarray(q, dtype=float) * np.ones(s.n_children)
-        laws[s.name] = ("dirichlet", q)
+        laws[spec.node] = law(spec.params, s)
     return laws
 
 
@@ -500,8 +509,8 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
     else:
         out = float(pc_variance_logpdf(p.total, lam))
 
-    for s in tree.splits:
-        props = _check_omega_interior(p.proportions[s.name])
+    for s, props in p.by_split(tree):
+        props = _check_omega_interior(props)
         kind, param = laws[s.name]
         if kind == "dirichlet":
             out += _dirichlet_logpdf(props, param)
@@ -513,10 +522,9 @@ def log_prior(tree: DecompTree, priors, p: HDParams) -> float:
 def log_prior_unconstrained(tree: DecompTree, priors, theta: np.ndarray) -> float:
     """Prior density of the unconstrained coordinates (includes the Jacobian);
     -inf where V = exp(theta[0]) is not a positive finite float."""
-    p = from_unconstrained(tree, theta)
-    if not 0.0 < p.total < np.inf:
+    if not 0.0 < natural_values(tree, np.asarray(theta, dtype=float)[None])[0, 0] < np.inf:
         return -np.inf
-    lp = log_prior(tree, priors, p)
+    lp = log_prior(tree, priors, from_unconstrained(tree, theta))
     if not np.isfinite(lp):
         return -np.inf
     return lp + log_jacobian(tree, theta)
@@ -560,7 +568,9 @@ class HDEvaluator:
     agree with ``log_prior_unconstrained`` and ``to_variances`` up to
     rounding. Beyond that floor the reference clamps the proportions and this
     does not: it gives the unclamped density, with log-softmax proportions.
-    Priors that do not fit the tree raise ValidationError (``_as_prior_map``).
+    Priors that do not fit the tree raise ValidationError (``_as_prior_map``),
+    and so does ``evaluate`` at a theta of another length
+    (``tree.natural_values``).
     """
 
     def __init__(self, tree: DecompTree, priors):
@@ -572,7 +582,7 @@ class HDEvaluator:
             consts[name] = value
             return name
 
-        xs = ["t"] + [f"x{i}" for i in range(1, n_coordinates(tree))]
+        xs = ["t"] + [f"x{i}" for i in range(1, tree.n_coordinates)]
         body = [f"{', '.join(xs)}, = th"]
         kind, lam = laws["total_variance"]
         if kind == "jeffreys":
@@ -629,11 +639,16 @@ class HDEvaluator:
         self._compiled = compile_function("evaluate", "th", body, exp=math.exp, log=math.log,
                                           log1p=math.log1p, inf=math.inf, **consts)
         self.source = self._compiled.source
+        self._tree = tree
 
     def evaluate(self, theta: np.ndarray | list[float]) -> tuple[float, list[float] | None]:
         """(log prior incl. Jacobian, log sigma per leaf in tree.leaves order)
         at ``theta``, an array or a list of floats."""
-        return self._compiled(theta if isinstance(theta, list) else theta.tolist())
+        try:
+            return self._compiled(theta if isinstance(theta, list) else theta.tolist())
+        except ValueError:  # the first line's unpacking of theta of another length
+            natural_values(self._tree, np.asarray(theta, dtype=float)[None])
+            raise
 
 
 def prior_median_theta(tree: DecompTree, priors) -> np.ndarray:

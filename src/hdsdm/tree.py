@@ -20,6 +20,7 @@ of its rows.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -176,20 +177,35 @@ class DecompTree:
 
 @dataclass(frozen=True)
 class HDParams:
-    """Total variance plus one proportion vector per split (declared order)."""
+    """Total variance, finite and >= 0, plus one proportion vector per split
+    (declared order), 1-D with entries in [0, 1] that sum to 1 within 1e-12."""
 
     total: float
     proportions: dict[str, np.ndarray] = field(default_factory=dict)
     degenerate_splits: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.total < 0:
-            raise ValidationError(f"total variance must be >= 0, got {self.total}")
+        if not 0 <= self.total < math.inf:
+            raise ValidationError(f"total variance must be finite and >= 0, got {self.total}")
         props = {k: np.asarray(v, dtype=float) for k, v in self.proportions.items()}
         for name, p in props.items():
+            if p.ndim != 1 or not np.all((p >= 0) & (p <= 1)):  # nan fails both
+                raise ValidationError(f"split {name!r}: {p} are not proportions in [0, 1]")
             if abs(p.sum() - 1.0) > 1e-12:
                 raise ValidationError(f"split {name!r}: proportions sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "proportions", props)
+
+    def by_split(self, tree: DecompTree):
+        """Each split of ``tree`` in preorder with its proportions, present and
+        one per child, else a ValidationError naming the split."""
+        for s in tree.splits:
+            if s.name not in self.proportions:
+                raise ValidationError(f"split {s.name!r}: no proportions given")
+            props = self.proportions[s.name]
+            if props.shape != (s.n_children,):
+                raise ValidationError(f"split {s.name!r}: {props} are not {s.n_children} "
+                                      "proportions")
+            yield s, props
 
     def omega(self, tree: DecompTree, split_name: str) -> float:
         """Scalar proportion of the designated child of a binary split."""
@@ -295,12 +311,7 @@ def to_variances(tree: DecompTree, p: HDParams) -> dict[str, float]:
     """Leaf variances: sigma2_leaf = V * product of path proportions, root
     first (the splits are in preorder)."""
     out = dict.fromkeys(tree.leaves, p.total)
-    for s in tree.splits:
-        props = p.proportions[s.name]
-        if props.shape[0] != s.n_children:
-            raise ValidationError(
-                f"split {s.name!r}: {props.shape[0]} proportions for {s.n_children} children"
-            )
+    for s, props in p.by_split(tree):
         for leaves, w in zip(s.child_leaves, props):
             for leaf in leaves:
                 out[leaf] *= float(w)
@@ -346,10 +357,6 @@ def from_variances(tree: DecompTree, sigma2: dict[str, float]) -> HDParams:
 # ---------------------------------------------------------------------------
 
 
-def n_coordinates(tree: DecompTree) -> int:
-    return tree.n_coordinates
-
-
 def to_unconstrained(tree: DecompTree, p: HDParams) -> np.ndarray:
     """Map (V, proportions) to R^d: log V, logit for binary splits,
     additive log-ratio (reference = last child) for multi-branch splits.
@@ -358,11 +365,10 @@ def to_unconstrained(tree: DecompTree, p: HDParams) -> np.ndarray:
         raise ValidationError("total variance must be positive in unconstrained coordinates")
     theta = np.empty(tree.n_coordinates)
     theta[0] = np.log(p.total)
-    for s in tree.splits:
-        props = p.proportions[s.name]
-        if props.shape != (s.n_children,) or np.any(props <= 0) or np.any(props >= 1):
-            raise ValidationError(f"split {s.name!r}: {props} are not {s.n_children} "
-                                  "proportions off the simplex boundary")
+    for s, props in p.by_split(tree):
+        if np.any(props <= 0) or np.any(props >= 1):
+            raise ValidationError(f"split {s.name!r}: {props} are not proportions off the "
+                                  "simplex boundary")
         if s.is_binary:
             w = props[s.omega_index]
             theta[s.coords] = np.log(w) - np.log1p(-w)
@@ -392,7 +398,9 @@ def natural_values(tree: DecompTree, theta: np.ndarray) -> np.ndarray:
     proportions clamped to [PROPORTION_FLOOR, 1 - PROPORTION_FLOOR] and
     renormalized. This is the one map from unconstrained to natural
     coordinates; ``from_unconstrained`` unpacks one of its rows. ``theta``
-    of another shape is a ValidationError."""
+    of another shape is a ValidationError: the one check of theta's length,
+    which ``from_unconstrained``, ``log_jacobian`` and a failed
+    ``priors.HDEvaluator.evaluate`` reuse."""
     theta = np.asarray(theta, dtype=float)
     d = tree.n_coordinates
     if theta.ndim != 2 or theta.shape[1] != d:
@@ -422,12 +430,7 @@ def from_unconstrained(tree: DecompTree, theta: np.ndarray) -> HDParams:
     """(V, proportions) at the coordinates ``theta``: one row of
     ``natural_values``, with the complement of each binary split's
     designated proportion filled in."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n_coordinates(tree),):
-        raise ValidationError(
-            f"expected {n_coordinates(tree)} coordinates, got shape {theta.shape}"
-        )
-    row = natural_values(tree, theta[None])[0]
+    row = natural_values(tree, np.asarray(theta, dtype=float)[None])[0]
     proportions: dict[str, np.ndarray] = {}
     for s in tree.splits:
         props = row[s.columns]

@@ -1007,3 +1007,14 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
         assert named in record["message"]
+
+    def test_prior_key_its_family_does_not_take_gives_validation_record(self, workdir, capsys):
+        # a uniform prior takes no q: it used to fit q = 1 and exit 0
+        raw = base_config()
+        raw["model"]["priors"]["abiotic_vs_biotic"] = {"family": "uniform", "q": 0.5}
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": "prior 'abiotic_vs_biotic': family 'uniform' takes no "
+                                     "parameters, not ['q']"}

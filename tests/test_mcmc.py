@@ -39,7 +39,6 @@ from hdsdm.tree import (
     EffectLabel,
     build_default_tree,
     from_unconstrained,
-    n_coordinates,
     natural_values,
     to_unconstrained,
 )
@@ -312,7 +311,7 @@ class TestLogPosterior:
         dims = [T.shape[1] for T in transforms]
         rng = np.random.default_rng(22)
         for _ in range(200):
-            theta = rng.normal(0.0, 1.5, n_coordinates(asm.tree))
+            theta = rng.normal(0.0, 1.5, asm.tree.n_coordinates)
             theta_new = theta + rng.normal(0.0, 0.5, theta.size)
             lp, lsig = evaluator.evaluate(theta)
             lp_new, lsig_new = evaluator.evaluate(theta_new)
@@ -357,7 +356,7 @@ class TestBitIdentity:
     @trees
     def test_hyper_columns_match_from_unconstrained(self, tree):
         rng = np.random.default_rng(12)
-        d = n_coordinates(tree)
+        d = tree.n_coordinates
         theta = 3.0 * rng.standard_normal((300, d))
         theta[:50] = rng.choice([-40.0, 40.0], size=(50, d))  # saturates every map
         mu = rng.standard_normal(300)
@@ -371,7 +370,7 @@ class TestBitIdentity:
         # to_unconstrained shares no code with natural_values, so the round
         # trip checks the map against an independent inverse
         rng = np.random.default_rng(13)
-        for theta in 2.0 * rng.standard_normal((200, n_coordinates(tree))):
+        for theta in 2.0 * rng.standard_normal((200, tree.n_coordinates)):
             back = to_unconstrained(tree, from_unconstrained(tree, theta))
             np.testing.assert_allclose(back, theta, rtol=1e-9, atol=1e-9)
 

@@ -33,7 +33,7 @@ from hdsdm.priors import (
     sum_of_ranks_check,
 )
 from hdsdm.standardize import standardize
-from hdsdm.tree import EffectLabel, HDParams, build_default_tree, n_coordinates
+from hdsdm.tree import EffectLabel, HDParams, build_default_tree, to_unconstrained, to_variances
 
 
 class TestPcVarianceLambda:
@@ -391,7 +391,7 @@ class TestLogPrior:
         from test_tree import survey_tree
 
         from hdsdm.priors import HDEvaluator
-        from hdsdm.tree import from_unconstrained, n_coordinates, to_variances
+        from hdsdm.tree import from_unconstrained, to_variances
 
         tree = survey_tree()
         for pc_beta in (False, True):
@@ -399,7 +399,7 @@ class TestLogPrior:
             ev = HDEvaluator(tree, priors)
             rng = np.random.default_rng(9)
             for _ in range(50):
-                theta = rng.normal(scale=2.0, size=n_coordinates(tree))
+                theta = rng.normal(scale=2.0, size=tree.n_coordinates)
                 lp_fast, lsig = ev.evaluate(theta)
                 lp_slow = log_prior_unconstrained(tree, priors, theta)
                 s2_slow = to_variances(tree, from_unconstrained(tree, theta))
@@ -407,7 +407,7 @@ class TestLogPrior:
                 np.testing.assert_allclose(
                     np.exp(2.0 * np.array(lsig)), [s2_slow[l] for l in tree.leaves], rtol=1e-10
                 )
-            theta = np.zeros(n_coordinates(tree))
+            theta = np.zeros(tree.n_coordinates)
             theta[0] = 35.0
             if pc_beta:
                 # pc is not truncated: finite both ways
@@ -631,6 +631,86 @@ class TestPriorValidation:
                                                   "is for node 'not_a_node'$"):
             ModelSpec(effects=three_covariate_effects(), priors=priors)
 
+    @pytest.mark.parametrize(
+        "node, family, params, key",
+        [
+            ("x1_flex", "uniform", {"q": 0.2}, "q"),
+            ("x1_flex", "beta", {"a": 2.0, "b": 3.0, "q": 0.5}, "q"),
+            ("total_variance", "jeffreys", {"lam": 1.0}, "lam"),
+            ("x1_flex", "pc0", {"lamda": 0.1}, "lamda"),
+        ],
+        ids=["uniform_q", "beta_q", "jeffreys_lam", "pc0_misspelt_lam"],
+    )
+    def test_key_the_family_does_not_take_rejected(self, node, family, params, key):
+        # each was dropped without a word: a uniform prior with q fitted q = 1
+        with pytest.raises(ValidationError,
+                           match=rf"^prior '{node}': family '{family}' takes .*'{key}'"):
+            PriorSpec(node, family, params)
+
+    @pytest.mark.parametrize("family, U, alpha", [("pc", 3.0, 0.05), ("pc0", 0.2, 0.5)])
+    def test_lam_next_to_u_and_alpha_is_their_calibration(self, family, U, alpha):
+        spec = PriorSpec("node7", family, {"U": U, "alpha": alpha})
+        assert PriorSpec("node7", family, spec.params).params == spec.params
+        # a lam that disagrees used to override U and alpha without a word
+        with pytest.raises(ValidationError, match=r"^prior 'node7': lam 1\.5 is not .*, the rate"):
+            PriorSpec("node7", family, {"U": U, "alpha": alpha, "lam": 1.5})
+        with pytest.raises(ValidationError, match=r"'node7'.* is missing \['alpha'\]$"):
+            PriorSpec("node7", family, {"U": U, "lam": spec.params["lam"]})
+
+    @pytest.mark.parametrize("reader", [
+        to_variances, to_unconstrained, lambda t, p: log_prior(t, three_covariate_priors(), p),
+    ], ids=["to_variances", "to_unconstrained", "log_prior"])
+    def test_every_proportion_reader_names_a_missing_split(self, reader):
+        # each was a bare KeyError
+        p = HDParams(total=1.0, proportions={"abiotic_vs_biotic": [0.5, 0.5]})
+        with pytest.raises(ValidationError, match="^split 'covariates': no proportions given$"):
+            reader(three_covariate_tree(), p)
+
+    def test_log_prior_checks_the_count_of_proportions(self):
+        # two proportions for the 3-way split were a bare broadcasting ValueError
+        p = HDParams(total=1.0, proportions={"abiotic_vs_biotic": [0.5, 0.5],
+                                             "covariates": [0.5, 0.5]})
+        with pytest.raises(ValidationError,
+                           match=r"^split 'covariates': \[0\.5 0\.5\] are not 3 proportions$"):
+            log_prior(three_covariate_tree(), three_covariate_priors(), p)
+
+    @pytest.mark.parametrize("theta", [np.zeros(3), [0.0] * 5, np.zeros((1, 4))],
+                             ids=["short", "long_list", "one_row_2d"])
+    def test_evaluate_at_theta_of_another_length(self, theta):
+        # a bare unpacking ValueError before; the evaluator's tree has d = 4
+        evaluator = HDEvaluator(three_covariate_tree(), three_covariate_priors())
+        with pytest.raises(ValidationError, match="^expected rows of 4 coordinates, got shape"):
+            evaluator.evaluate(theta)
+
+
+# what each family may be given, as the README states it
+FAMILY_KEYS = {"jeffreys": set(), "pc": {"lam", "U", "alpha"}, "uniform": set(),
+               "beta": {"a", "b"}, "dirichlet": {"q"}, "pc0": {"lam", "U", "alpha"}}
+PARAM_VALUES = st.one_of(
+    st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 10**400), st.booleans(), st.text(max_size=3), st.none(),
+    st.lists(st.floats(0.1, 5.0), max_size=3),
+)
+
+
+class TestPriorSpecProperty:
+    @hyp_settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(sorted(FAMILY_KEYS)),
+           params=st.dictionaries(st.sampled_from(["lam", "U", "alpha", "q", "a", "b", "stray"]),
+                                  PARAM_VALUES))
+    def test_a_spec_builds_or_is_a_validation_error(self, family, params):
+        try:
+            spec = PriorSpec("node7", family, params)
+        except CalibrationError:  # an infeasible pc0 target, with its bound
+            return
+        except ValidationError as err:
+            assert "'node7'" in str(err)
+            return
+        assert set(spec.params) <= FAMILY_KEYS[family]
+        rebuilt = PriorSpec(spec.node, spec.family, spec.params)
+        assert rebuilt.params.keys() == spec.params.keys()
+        assert rebuilt.params.get("lam") == spec.params.get("lam")
+
 
 @st.composite
 def trees_and_priors(draw, with_labels=False, roles=("main", "main", "interaction")):
@@ -721,7 +801,7 @@ class TestEvaluatorProperty:
         t_bound = 29.0 if priors["total_variance"].family == "jeffreys" else 20.0
         coords = st.floats(-split_bound, split_bound)
         return np.array([data.draw(st.floats(-t_bound, t_bound))] + data.draw(
-            st.lists(coords, min_size=n_coordinates(tree) - 1, max_size=n_coordinates(tree) - 1)
+            st.lists(coords, min_size=tree.n_coordinates - 1, max_size=tree.n_coordinates - 1)
         ))
 
     @hyp_settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -755,7 +835,7 @@ class TestEvaluatorProperty:
 
         tree = survey_tree()
         priors = TestLogPrior().survey_priors(tree)
-        theta = np.zeros(n_coordinates(tree))
+        theta = np.zeros(tree.n_coordinates)
         theta[2] = 800.0  # the first coordinate of the 'covariates' split
         lp = HDEvaluator(tree, priors).evaluate(theta)[0]
         assert lp == pytest.approx(unclamped_log_prior(tree, priors, theta)[0], rel=1e-12)
@@ -774,7 +854,7 @@ class TestCompiledEvaluator:
             ev = HDEvaluator(tree, priors)
             rng = np.random.default_rng(4)
             for _ in range(20):
-                theta = rng.normal(scale=3.0, size=n_coordinates(tree))
+                theta = rng.normal(scale=3.0, size=tree.n_coordinates)
                 assert ev.evaluate(theta) == ev.evaluate(theta.tolist())
 
     @pytest.mark.parametrize("spec", [
@@ -876,7 +956,7 @@ class TestLayoutProperty:
             for name, key in natural_columns(tree)[s.columns]:
                 assert name.startswith(f"omega_{s.name}")
                 assert key.partition(":")[0] == s.name
-        d, p = n_coordinates(tree), len(natural_columns(tree))
+        d, p = tree.n_coordinates, len(natural_columns(tree))
         assert coords == list(range(1, d))
         assert columns == list(range(1, p))
         assert (tree.n_coordinates, tree.n_columns) == (d, p)

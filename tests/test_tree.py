@@ -18,7 +18,6 @@ from hdsdm.tree import (
     from_unconstrained,
     from_variances,
     log_jacobian,
-    n_coordinates,
     natural_columns,
     natural_values,
     to_unconstrained,
@@ -248,6 +247,18 @@ class TestVarianceMaps:
         with pytest.raises(ValidationError):
             HDParams(total=1.0, proportions={"s": np.array([0.5, 0.6])})
 
+    @pytest.mark.parametrize("total, proportions, message", [
+        (np.nan, {}, "total variance must be finite and >= 0, got nan"),
+        (np.inf, {}, "total variance must be finite and >= 0, got inf"),
+        (1.0, {"s": [np.nan, 1.0]}, "split 's': [nan  1.] are not proportions in [0, 1]"),
+        (1.0, {"s": [1.5, -0.5]}, "split 's': [ 1.5 -0.5] are not proportions in [0, 1]"),
+    ], ids=["total_nan", "total_inf", "nan_proportion", "proportions_outside_0_1"])
+    def test_bad_values_rejected(self, total, proportions, message):
+        # each passed: nan slipped through the sum check, and [1.5, -0.5]
+        # became a leaf variance of -0.5
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            HDParams(total, proportions)
+
 
 class TestUnconstrainedCoordinates:
     def test_simple_binary_origin(self):
@@ -261,7 +272,7 @@ class TestUnconstrainedCoordinates:
         tree = survey_tree()
         rng = np.random.default_rng(1)
         for _ in range(100):
-            theta = rng.normal(scale=2.0, size=n_coordinates(tree))
+            theta = rng.normal(scale=2.0, size=tree.n_coordinates)
             p = from_unconstrained(tree, theta)
             np.testing.assert_allclose(to_unconstrained(tree, p), theta, atol=1e-12)
 
@@ -280,7 +291,7 @@ class TestUnconstrainedCoordinates:
         # a short simplex gave a theta of the wrong length, or was broadcast
         # across the split's coordinates; a long one was read in part
         tree = survey_tree()
-        p = from_unconstrained(tree, np.zeros(n_coordinates(tree)))
+        p = from_unconstrained(tree, np.zeros(tree.n_coordinates))
         bad = HDParams(total=1.0, proportions={**p.proportions, split: np.array(props)})
         n = tree.split(split).n_children
         with pytest.raises(ValidationError, match=f"^split '{split}': .* are not {n} "):
@@ -291,7 +302,7 @@ class TestUnconstrainedCoordinates:
     def test_natural_values_takes_rows_of_d_coordinates(self, shape):
         # extra columns were ignored, and too few or a 1-D array was a bare IndexError
         tree = survey_tree()
-        assert n_coordinates(tree) == 13
+        assert tree.n_coordinates == 13
         with pytest.raises(ValidationError, match=re.escape(
                 f"expected rows of 13 coordinates, got shape {shape}")):
             natural_values(tree, np.zeros(shape))
@@ -312,7 +323,7 @@ class TestUnconstrainedCoordinates:
             return np.array(coords)
 
         for _ in range(5):
-            theta = rng.normal(scale=1.0, size=n_coordinates(tree))
+            theta = rng.normal(scale=1.0, size=tree.n_coordinates)
             d = theta.size
             J = np.empty((d, d))
             h = 1e-6
@@ -333,7 +344,7 @@ class TestBijectionProperty:
     @given(model=trees_and_priors(), data=st.data())
     def test_the_maps_round_trip(self, model, data):
         tree, _ = model
-        d = n_coordinates(tree)
+        d = tree.n_coordinates
         # |coordinate| <= 12 keeps every proportion above 6e-12 > PROPORTION_FLOOR
         coords = st.lists(st.floats(-12.0, 12.0), min_size=d, max_size=d)
         theta = np.array(data.draw(st.lists(coords, min_size=1, max_size=4)))
