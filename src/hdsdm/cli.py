@@ -10,7 +10,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import resource
@@ -23,7 +22,7 @@ from scipy.stats import kstest
 
 from . import __version__
 from .config import RunConfig, build_model, build_settings, ingest
-from .csvio import read_rows, to_floats, write_table
+from .csvio import first_row, read_columns, write_table
 from .exceptions import ValidationError
 from .mcmc import Draws, FitResult, fit, hyper_param_names, metrics, predict
 from .model import assemble
@@ -60,27 +59,17 @@ def _peak_rss_mb(who: int) -> float:
 
 def _read_draws(path: Path, header: list[str]) -> np.ndarray:
     """The rows of a table written by `fit`, `predict` or `partition`, once its
-    header is the expected one. ``np.loadtxt`` reads it; a file that it cannot
-    read, or with a value that is not finite, goes to ``csvio.to_floats``,
-    which names the first line that is not one finite number per column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found, first = next(reader, []), next(reader, [])
+    header is the expected one, each one finite number per column, as
+    ``csvio.read_columns`` reads them."""
+    found = first_row(path)
     for i, (got, want) in enumerate(itertools.zip_longest(found, header)):
         if got != want:
             raise ValidationError(f"{path.name} does not match this config: column "
                                   f"{i + 1} is {got!r}, expected {want!r}")
-    if first:  # np.loadtxt warns on a file without rows
-        try:
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            if np.isfinite(table).all():
-                return table
-        except ValueError:
-            pass
-    rows, lines = read_rows(path)
-    if len(rows) < 2:
+    table = np.column_stack(read_columns(path, header, range(len(header))))
+    if not len(table):
         raise ValidationError(f"{path}: no rows below the header")
-    return np.column_stack(to_floats(path, rows[1:], lines[1:], header, range(len(header))))
+    return table
 
 
 def _coefficient_columns(assembled) -> list[str]:

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_rows, to_floats
+from .csvio import first_row, read_columns
 from .distributions import PointCloud, UniformInterval, UniformLevels
 from .exceptions import ValidationError
 from .mcmc import McmcSettings
@@ -138,15 +138,16 @@ def read_point_cloud(path) -> np.ndarray:
     numbers (a header). Any other row that is not two finite numbers is a
     ValidationError naming the file and its physical line.
     """
-    rows, lines = read_rows(path)
-    if rows:
-        try:
-            list(map(float, rows[0]))
-        except ValueError:  # a header
-            del rows[0], lines[0]
-    if not rows:
+    try:
+        list(map(float, first_row(path)))
+        header = False
+    except ValueError:  # a header
+        header = True
+    points = np.column_stack(read_columns(path, ("x", "y"), (0, 1), below_first=header,
+                                          width_of="a point"))
+    if not len(points):
         raise ValidationError(f"{path}: no points found")
-    return np.column_stack(to_floats(path, rows, lines, ("x", "y"), (0, 1), width_of="a point"))
+    return points
 
 
 def _build_dist(name: str, spec: dict, base_dir: Path):
@@ -210,9 +211,10 @@ def _entry(eff: dict) -> tuple[str, dict]:
 def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
     """Materialize the declared effects and priors into a ModelSpec.
 
-    Priors are keyed by tree-node name; the key ``flex_splits`` provides a
-    default for every level-4 ``*_flex`` split. ``ModelSpec`` checks that the
-    priors fit the tree.
+    Priors are keyed by tree-node name. The key ``flex_splits`` is built into
+    one ``PriorSpec``, whether or not the tree has a level-4 ``*_flex`` split,
+    and each such split without an entry of its own gets a copy of it under
+    its own node. ``ModelSpec`` checks that the priors fit the tree.
     """
     base_dir = Path(base_dir)
     dists = {name: _build_dist(name, s, base_dir) for name, s in cfg.supports.items()}
@@ -222,16 +224,18 @@ def build_model(cfg: RunConfig, base_dir=".") -> ModelSpec:
         support, decl = _entry(eff)
         effects.append(EffectDecl(dist=dists[support], **decl))
 
+    def prior(node, entry):
+        return PriorSpec(node, entry["family"], {k: v for k, v in entry.items() if k != "family"})
+
     declared = dict(cfg.model["priors"])
     flex_default = declared.pop("flex_splits", None)
-    if effects and flex_default is not None:
-        for s in default_tree(effects).splits:
-            if "_flex" in s.name:
-                declared.setdefault(s.name, flex_default)
-    priors = {
-        node: PriorSpec(node, entry["family"], {k: v for k, v in entry.items() if k != "family"})
-        for node, entry in declared.items()
-    }
+    priors = {node: prior(node, entry) for node, entry in declared.items()}
+    if flex_default is not None:
+        takers = [s.name for s in (default_tree(effects).splits if effects else ())
+                  if "_flex" in s.name and s.name not in priors]
+        # one PriorSpec, checked on any model, named for the first split it serves
+        default = prior(takers[0] if takers else "flex_splits", flex_default)
+        priors.update((name, replace(default, node=name)) for name in takers)
 
     return ModelSpec(effects=effects, priors=priors)
 
@@ -249,7 +253,7 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     Every data row has one field per header column, and the response is
     binary 0/1; a parse or validation failure names the file and the
     physical line (blank lines are skipped but counted), as
-    ``csvio.to_floats`` does. The integer ``offset`` of a ``levels`` support
+    ``csvio.read_columns`` does. The integer ``offset`` of a ``levels`` support
     is subtracted from each column an effect reads through it (e.g. ``year``
     2000..2019 with offset 1999 becomes levels 1..20); a column read through
     two supports of different offsets (a support without one has 0) is a
@@ -274,18 +278,16 @@ def ingest(path, cfg: RunConfig, base_dir=".") -> Dataset:
     if year_col:
         needed.add(year_col)
 
-    rows, lines = read_rows(path)
-    header = rows[0] if rows else []
+    header = first_row(path)
     missing = ({response} | needed) - set(header)
     if missing:
         raise ValidationError(f"{path}: missing columns {sorted(missing)}")
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: no data rows")
     # a repeated column name reads its last column, as csv.DictReader does
     index = {c: i for i, c in enumerate(header)}
     take = sorted(index[c] for c in needed)
-    y, *values = to_floats(path, rows[1:], lines[1:], header, [index[response], *take],
-                           response=index[response])
+    y, *values = read_columns(path, header, [index[response], *take], response=index[response])
+    if not len(y):
+        raise ValidationError(f"{path}: no data rows")
     cols = {header[i]: v for i, v in zip(take, values)}
 
     threshold = cfg.split.get("train_max_year")

@@ -6,23 +6,84 @@ quoted as ``csv`` quotes them, lines ending in CRLF. Floats are written
 ``%.17g``, so they read back bit for bit, and integers ``%d``. A row fault
 found while reading is a ValidationError reading ``<file>: line N: <fault>``,
 N the physical line of the file, blank lines counted.
+
+A table is read one way, by ``read_columns``: first ``np.loadtxt`` parses
+every row in one C pass; on any fault, a row it cannot parse or a cell the
+located path would reject, the file is read again on the located path,
+``read_rows`` then ``to_floats``, which names the first faulty line or
+returns the values. Both paths parse a number as Python's ``float`` does,
+correctly rounded, so they give the same values bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 
 from .exceptions import ValidationError
 
-__all__ = ["read_rows", "to_floats", "write_table"]
+__all__ = ["first_row", "read_columns", "read_rows", "to_floats", "write_table"]
 
 FLOAT_FMT = "%.17g"
 # the rows a writer holds as Python objects at once: a whole draw table would
 # hold one float object per draw and coefficient
 ROWS_PER_WRITE = 64
+
+
+def first_row(path) -> list[str]:
+    """The first non-blank row of a file as ``csv`` reads it, [] if it has none."""
+    with open(path, newline="") as fh:
+        return next(filter(None, csv.reader(fh)), [])
+
+
+def read_columns(path, names, take, below_first=True, width_of="the header",
+                 response=None) -> list[np.ndarray]:
+    """Columns ``take`` (indices into ``names``) of the rows of a file below
+    its first non-blank row, or of all its rows if ``below_first`` is false,
+    as ``to_floats`` gives them from ``read_rows``: the values, or the
+    ValidationError of the first faulty row.
+
+    The rows are read in one ``np.loadtxt`` pass: the ``response`` column as
+    a string of at most two characters, so that ``1.0``, `` 1``, ``+1`` and
+    ``01`` stay apart from ``1``, and every other column as a float. Its
+    values are taken when every row has one field per name, every ``take``
+    cell is finite and every response cell is ``0`` or ``1``. Any other
+    file, for example one with a text column outside ``take``, is read
+    again by ``read_rows`` and ``to_floats``.
+    """
+    dtype = [(f"f{i}", "U2" if i == response else "f8") for i in range(len(names))]
+    with open(path, newline="") as fh:
+        if below_first:
+            next(filter(None, csv.reader(fh)), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on a file without rows
+            try:
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+            except (ValueError, UserWarning):
+                table = None
+    if table is not None and (response is None or _binary(table[f"f{response}"], path)):
+        cols = [(table[f"f{i}"] == "1").astype(float) if i == response
+                else np.ascontiguousarray(table[f"f{i}"]) for i in take]
+        if all(np.isfinite(c).all() for c in cols):
+            return cols
+    rows, lines = read_rows(path)
+    if below_first:
+        rows, lines = rows[1:], lines[1:]
+    return to_floats(path, rows, lines, names, take, width_of, response)
+
+
+def _binary(cells: np.ndarray, path) -> bool:
+    """Whether every response cell the C pass read is ``0`` or ``1``. A string
+    cell drops trailing NULs, so ``1\\0`` reads as ``1``: a file that holds a
+    NUL is not taken. A float cell with a NUL does not parse."""
+    if not np.isin(cells, ("0", "1")).all():
+        return False
+    with open(path, "rb") as fh:
+        return b"\0" not in fh.read()
 
 
 def read_rows(path) -> tuple[list[list[str]], list[int]]:

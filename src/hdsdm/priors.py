@@ -444,7 +444,7 @@ class PriorSpec:
                                           f"in the float range, got {self.params[key]!r}")
             try:
                 lam = calibrate(self.params["U"], self.params["alpha"])
-            except ValidationError as err:  # a target out of its range
+            except (ValidationError, CalibrationError) as err:  # a target no rate reaches
                 raise ValidationError(f"prior {self.node!r}: {err}") from None
             check("lam", lam)
             if self.params.get("lam", lam) != lam:

@@ -120,6 +120,27 @@ class TestConfig:
         assert model.priors["sst_flex"].family == "pc0"
         assert model.tree.n_leaves == 4
 
+    def test_flex_splits_default_checked_without_a_flex_split(self, tmp_path):
+        # without the sst effect the tree has no *_flex split to take the default
+        raw = base_config()
+        del raw["model"]["effects"][0], raw["model"]["priors"]["covariates"]
+        assert "flex_splits" not in build_model(RunConfig.from_dict(raw), tmp_path).priors
+        raw["model"]["priors"]["flex_splits"] = {"family": "uniform", "q": 0.5, "bogus": 1}
+        with pytest.raises(ValidationError, match=re.escape(
+                "prior 'flex_splits': family 'uniform' takes no parameters, not ['q', 'bogus']")):
+            build_model(RunConfig.from_dict(raw), tmp_path)
+
+    def test_flex_splits_default_is_copied_under_each_split(self, workdir):
+        raw = base_config()
+        raw["model"]["effects"][1]["group"] = "sst"  # sst_lin, sst_nonlin and vessel
+        del raw["model"]["priors"]["covariates"]  # sst is now the one abiotic group
+        raw["model"]["priors"]["flex_splits"] = {"family": "pc0", "U": 0.2, "alpha": 0.5}
+        priors = build_model(RunConfig.from_dict(raw), workdir).priors
+        flex = {node: spec for node, spec in priors.items() if "_flex" in node}
+        assert sorted(flex) == ["sst_flex", "sst_flex2"]
+        assert all(spec.node == node and spec.params == flex["sst_flex"].params
+                   for node, spec in flex.items())
+
     def test_build_settings_override(self, workdir):
         cfg = RunConfig.load(workdir / "config.json")
         assert build_settings(cfg).seed == 5
@@ -1007,6 +1028,17 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
         assert named in record["message"]
+
+    def test_infeasible_prior_target_gives_validation_record(self, workdir, capsys):
+        # alpha below sqrt(U) has no rate; the record names the prior, not a CalibrationError
+        raw = base_config()
+        raw["model"]["priors"]["sst_flex"] = {"family": "pc0", "U": 0.2, "alpha": 0.1}
+        RunConfig.from_dict(raw).save(workdir / "config.json")
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(
+            "prior 'sst_flex': infeasible target: alpha=0.1 < sqrt(U)=0.447214; ")
 
     def test_prior_key_its_family_does_not_take_gives_validation_record(self, workdir, capsys):
         # a uniform prior takes no q: it used to fit q = 1 and exit 0

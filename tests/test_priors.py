@@ -1,5 +1,7 @@
 """Prior densities, calibration solvers, rank condition and KLD distance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -89,6 +91,11 @@ class TestSimplifiedShrinkagePrior:
         with pytest.raises(ValidationError):
             pc0_simplified_logpdf(0.5, -1.0)
 
+    @pytest.mark.parametrize("law", [pc0_simplified_logpdf, pc0_cdf, pc0_quantile])
+    def test_zero_rate_rejected(self, law):
+        with pytest.raises(ValidationError, match=r"^lam must be positive, got 0\.0$"):
+            law(0.5, 0.0)
+
 
 class TestCalibration:
     def test_matches_stated_median(self):
@@ -121,6 +128,17 @@ class TestCalibration:
         lam = 0.8
         U = float(pc0_quantile(0.37, lam))
         assert pc0_calibrate(U, 0.37) == pytest.approx(lam, abs=1e-8)
+
+    def test_priorspec_names_its_node_on_an_infeasible_target(self):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "prior 'sst_flex': infeasible target: alpha=0.1 < sqrt(U)=0.447214; ")):
+            PriorSpec("sst_flex", "pc0", {"U": 0.2, "alpha": 0.1})
+        with pytest.raises(ValidationError, match="^prior 'sst_flex': boundary target"):
+            PriorSpec("sst_flex", "pc0", {"U": 0.25, "alpha": 0.5})
+        # the free function keeps its own error and bound
+        with pytest.raises(CalibrationError) as err:
+            pc0_calibrate(0.2, 0.1)
+        assert err.value.bound == pytest.approx(np.sqrt(0.2))
 
     def test_priorspec_calibrates_from_tail_statement(self):
         spec = PriorSpec("some_flex", "pc0", {"U": 0.2, "alpha": 0.5})
@@ -236,6 +254,16 @@ class TestSumOfRanks:
     def test_dimension_validation(self):
         with pytest.raises(ValidationError):
             sum_of_ranks_check(0, 1, 1, 1, 1)
+
+    def test_ranks_summing_to_n_hold(self):
+        # R(0) + R(1) = N is the boundary of the condition, by bounds and by ranks
+        info = sum_of_ranks_check(K0=2, N0=6, K1=3, N1=6, N=5)
+        assert info.condition_holds and info.method == "upper_bound"
+        rng = np.random.default_rng(0)
+        D0, D1 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        info = sum_of_ranks_check(3, 4, 3, 4, 4, D0 @ D0.T, D1 @ D1.T)
+        assert info.method == "eigen_count" and (info.r0, info.r1) == (2, 2)
+        assert info.condition_holds
 
 
 class TestKldDistance:

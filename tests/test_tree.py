@@ -151,6 +151,15 @@ class TestBuildDefaultTree:
         with pytest.raises(ValidationError):
             build_default_tree([EffectLabel("a", side="abiotic")] * 2)
 
+    def test_a_groups_second_flexibility_split_is_flex2(self):
+        labels = [EffectLabel(e, side="abiotic", group="g") for e in ("a", "b", "c")]
+        tree = build_default_tree([*labels, EffectLabel("d", side="biotic")])
+        assert [(s.name, s.child_names, s.omega_index) for s in tree.splits] == [
+            ("abiotic_vs_biotic", ("g_flex", "d"), 0),
+            ("g_flex", ("a", "g_flex2"), 1),
+            ("g_flex2", ("b", "c"), 1),
+        ]
+
     @pytest.mark.parametrize("side, role, branch", [
         ("biotic", "main", "biotic mains"),
         ("abiotic", "interaction", "abiotic interactions"),
@@ -282,6 +291,16 @@ class TestUnconstrainedCoordinates:
         )
         p = HDParams(total=1.0, proportions={"abiotic_vs_biotic": np.array([1.0, 0.0])})
         with pytest.raises(ValidationError):
+            to_unconstrained(tree, p)
+
+    def test_an_exact_zero_in_a_three_way_split_rejected(self):
+        # no proportion is 1, so only the lower end of the open simplex catches it
+        tree = build_default_tree([EffectLabel(e, side="abiotic") for e in "abc"]
+                                  + [EffectLabel("d", side="biotic")])
+        p = HDParams(total=1.0, proportions={"abiotic_vs_biotic": np.array([0.5, 0.5]),
+                                             "covariates": np.array([0.5, 0.5, 0.0])})
+        with pytest.raises(ValidationError, match=r"^split 'covariates': .* are not "
+                                                  "proportions off the simplex boundary$"):
             to_unconstrained(tree, p)
 
     @pytest.mark.parametrize("split, props", [("covariates", [0.5, 0.5]),
