@@ -8,10 +8,11 @@ found while reading is a ValidationError reading ``<file>: line N: <fault>``,
 N the physical line of the file, blank lines counted.
 
 A table is read one way, by ``read_columns``: first ``np.loadtxt`` parses
-every row in one C pass; on any fault, a row it cannot parse or a cell the
-located path would reject, the file is read again on the located path,
-``read_rows`` then ``to_floats``, which names the first faulty line or
-returns the values. Both paths parse a number as Python's ``float`` does,
+every row in one C pass, where a cell of a column that is not read is only
+counted; on any fault, a row it cannot parse or a cell the located path
+would reject, the file is read again on the located path, ``read_rows``
+then ``to_floats``, which names the first faulty line or returns the
+values. Both paths parse a number as Python's ``float`` does,
 correctly rounded, so they give the same values bit for bit.
 """
 
@@ -48,13 +49,15 @@ def read_columns(path, names, take, below_first=True, width_of="the header",
 
     The rows are read in one ``np.loadtxt`` pass: the ``response`` column as
     a string of at most two characters, so that ``1.0``, `` 1``, ``+1`` and
-    ``01`` stay apart from ``1``, and every other column as a float. Its
-    values are taken when every row has one field per name, every ``take``
-    cell is finite and every response cell is ``0`` or ``1``. Any other
-    file, for example one with a text column outside ``take``, is read
+    ``01`` stay apart from ``1``, every other ``take`` column as a float,
+    and each column outside ``take`` as a one-character string, so that any
+    cell there parses and only counts toward the row's width. Its values
+    are taken when every row has one field per name, every ``take`` cell is
+    finite and every response cell is ``0`` or ``1``. Any other file is read
     again by ``read_rows`` and ``to_floats``.
     """
-    dtype = [(f"f{i}", "U2" if i == response else "f8") for i in range(len(names))]
+    dtype = [(f"f{i}", "U2" if i == response else "f8" if i in take else "U1")
+             for i in range(len(names))]
     with open(path, newline="") as fh:
         if below_first:
             next(filter(None, csv.reader(fh)), None)
@@ -121,26 +124,14 @@ def to_floats(path, rows, lines, names, take, width_of="the header",
 
     Every row has one field per name, the cells of column ``response`` (an
     index, if given) are ``0`` or ``1``, and every cell of a ``take`` column
-    is a finite number. The columns are converted whole; only when that
-    fails are the rows examined in file order, and the first faulty one is a
-    ValidationError naming ``path`` and its line from ``lines``. With no
-    faulty row, the values are returned.
+    is a finite number. The rows are examined in file order, and the first
+    faulty one is a ValidationError naming ``path`` and its line from
+    ``lines``. With no faulty row, the values are returned.
     """
-    if set(map(len, rows)) == {len(names)}:
-        table = list(zip(*rows))
-        try:
-            if response is None or set(table[response]) <= {"0", "1"}:
-                # numpy parses each string with Python's float, as _fault does
-                cols = [np.array(table[i], dtype=float) for i in take]
-                if all(np.isfinite(c).all() for c in cols):
-                    return cols
-        except ValueError:
-            pass
     for row, line in zip(rows, lines):
         fault = _fault(row, names, take, width_of, response)
         if fault:
             raise ValidationError(f"{path}: line {line}: {fault}")
-    # no row is faulty: there are none, or numpy rejected a cell float() reads
     return [np.array([float(row[i]) for row in rows]) for i in take]
 
 

@@ -123,15 +123,18 @@ def test_a_repeated_header_name_reads_the_column_given(tmp_path, counted):
     np.testing.assert_array_equal(x, [2.5, 4.5])
 
 
-def test_a_text_column_that_is_not_read_takes_the_located_path(tmp_path, counted):
+def test_a_text_column_that_is_not_read_takes_the_c_pass(tmp_path, counted):
+    # its cells are only counted: text, empty, or quoted over a comma or a line break
     path = tmp_path / "t.csv"
-    path.write_text(body("0,0.5,cod,2000", "1,0.2,haddock,2001"))
+    path.write_text(body("0,0.5,cod,2000", "1,0.2,,2001", '0,0.3,"a,b",2002',
+                         '1,0.4,"two\nlines",2003', '0,0.1,a"b,2004'))
     kind, _ = both(path, response=0)
     assert kind == "values"
     counted.clear()
     y, sst, year = csvio.read_columns(path, HEADER, TAKE, response=0)
-    assert counted == [path]
-    np.testing.assert_array_equal(year, [2000.0, 2001.0])
+    assert not counted
+    np.testing.assert_array_equal(y, [0, 1, 0, 1, 0])
+    np.testing.assert_array_equal(year, [2000.0, 2001.0, 2002.0, 2003.0, 2004.0])
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "present,sst,note,year\n", "x,y\n\n"],
@@ -154,7 +157,8 @@ def test_rows_without_a_header_are_all_read(tmp_path):
 
 
 CELLS = ["0", "1", "0.5", "-2", " 1", "1.0", "nan", "inf", "1e400", "1d3", "x", "", '"1"',
-         '"0.5"', '"', "#", "\0", "\t", "\xa0", "1_0"]
+         '"0.5"', '"', "#", "\0", "\t", "\xa0", "1_0", '"a,b"', '"a\nb"', '"a\r\nb"', 'a"b',
+         '"a""b"', '"1"x', '""', "\r", "\n"]
 
 
 @hyp_settings(max_examples=300, deadline=None)
