@@ -1,21 +1,27 @@
 """Processes and BLAS threads: the task pool, its shared arrays and the BLAS pin.
 
-``_run_tasks`` runs independent tasks, such as the chains of one fit, at the
-same time in W = min(tasks, usable CPUs) workers: the calling process runs
-tasks 0, W, 2W, ..., and a standard-library pool of W - 1 ``fork``ed
-processes runs the others, queued. The pool inherits each task, a callable
-of its index, through ``fork``, and a task writes its results into anonymous
-shared memory (``_shared``), so no array is copied between processes. When
-a task fails, the queued tasks never start, but one already running in a
-worker finishes first. Where OpenBLAS is not pinned, the platform lacks
-``fork`` or CPU affinity, or another Python thread is running (a forked
-child would hold only the forking thread), all tasks run in this process.
+``_run_tasks`` runs independent tasks at the same time in W = min(tasks,
+usable CPUs) workers: the calling process runs tasks 0, W, 2W, ..., and a
+standard-library pool of W - 1 ``fork``ed processes runs the others, queued.
+The pool inherits each task, a callable of its index, through ``fork``. A
+chain of ``fit`` writes its results into anonymous shared memory
+(``_shared``), so no array is copied between processes. A row block of a
+table of at least ``csvio.PARALLEL_CELLS`` cells, which
+``csvio.write_table`` cuts into W blocks, goes into an anonymous temporary
+file that the calling process appends in block order; each row is formatted
+by the one ``%`` string of the table wherever it runs, so the file holds
+the bytes of one loop. When a task fails, the queued tasks never start, but
+one already running in a worker finishes first. Where OpenBLAS is not
+pinned, the platform lacks ``fork`` or CPU affinity, or another Python
+thread is running (a forked child would hold only the forking thread), all
+tasks run in this process.
 
 ``_one_blas_thread`` pins every loaded OpenBLAS to one thread for its body,
 and so for every numerical step whose bits the package promises: the chains
 of ``fit`` and the grid factors of ``phi``. BLAS threads in each worker would
 compete for the same CPUs, and a chain's proposal-image products give other
-bits at one and at two threads. The libraries are found through
+bits at one and at two threads. ``write_table`` forks under the same pin, so
+its workers start as the chains' do. The libraries are found through
 ``/proc/self/maps`` once per process, at the first pin, and forked workers
 inherit what was found; each pin reads the thread counts it restores.
 """

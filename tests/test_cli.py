@@ -324,6 +324,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: line {line}: {fault}$"):
             read_point_cloud(p)
 
+    @pytest.mark.parametrize("text, line", [(b"z1,z2\n0.0,0.5\n\n1.0,0.\xff\n", 4),
+                                            (b"0.0,\xff0.5\n1.0,0.25\n", 1)],
+                             ids=["row", "first_row"])
+    def test_point_cloud_that_is_not_utf8_names_its_line(self, tmp_path, text, line):
+        p = tmp_path / "cloud.csv"
+        p.write_bytes(text)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: line {line}: cannot "
+                                                  r"decode byte 0xff as utf-8 \(invalid start "
+                                                  r"byte\)$"):
+            read_point_cloud(p)
+
 
 class TestTables:
     def test_writer_writes_what_csv_writes(self, tmp_path):
@@ -659,6 +670,44 @@ class TestCliFlow:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValidationError",
                           "message": f"{path}: line 5: " + fault.format(rows[0][3])}
+
+    def test_data_file_that_is_not_utf8_gives_validation_record(self, workdir, capsys):
+        path = workdir / "data.csv"
+        text = path.read_bytes().split(b"\r\n")
+        text[6] = text[6].replace(b",", b",\xff", 1)  # file line 7
+        path.write_bytes(b"\r\n".join(text))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"{path}: line 7: cannot decode byte 0xff as utf-8 "
+                                     f"(invalid start byte)"}
+
+    def test_cell_over_the_field_limit_gives_validation_record(self, workdir, capsys):
+        # the C pass reads the long cell, the faulty row below it sends the file
+        # to the located path, which cannot read past that cell
+        path = workdir / "data.csv"
+        text = path.read_bytes().split(b"\r\n")
+        text[2] = b"1,0." + b"5" * 200_000 + b",1,2001"  # file line 3
+        text[9] = b"1,0.5,1"
+        path.write_bytes(b"\r\n".join(text))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"{path}: line 3: field larger than field limit (131072)"}
+
+    def test_draw_file_that_is_not_utf8_gives_validation_record(self, workdir, capsys):
+        cfg_path = str(workdir / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        path = workdir / "out" / "coefficients.csv"
+        text = path.read_bytes().split(b"\r\n")
+        text[149] += b"\xfe"  # file line 150, past the reader's first chunk
+        path.write_bytes(b"\r\n".join(text))
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg_path]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"{path}: line 150: cannot decode byte 0xfe as utf-8 "
+                                     f"(invalid start byte)"}
 
     def test_names_with_a_comma_or_a_quote_round_trip(self, workdir):
         raw = base_config()

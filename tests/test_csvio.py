@@ -1,7 +1,11 @@
 """The table reader: one ``np.loadtxt`` pass, and the located re-read on any
 fault, which must give what ``read_rows`` and ``to_floats`` give."""
 
+import csv
+import os
 import re
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from hdsdm import csvio
+from hdsdm import csvio, runtime
 from hdsdm.exceptions import ValidationError
 
 HEADER = ["present", "sst", "note", "year"]
@@ -83,11 +87,15 @@ def test_written_floats_read_back_bit_for_bit(tmp_path_factory, n, width, data):
     ("1,1d3,1,2000", 3, "cannot parse sst='1d3' as a number"),
     ("1,0x10,1,2000", 3, "cannot parse sst='0x10' as a number"),
     (" ", 3, "1 fields, but the header has 4"),
+    ("1,0.5,\udcff,2000", 3, "cannot decode byte 0xff as utf-8 (invalid start byte)"),
+    ("1,0.5," + "x" * 200_001 + ",2000,7", 3, "field larger than field limit (131072)"),
 ], ids=["1.0", "space_1", "plus_1", "01", "2", "nul", "hash", "hash_alone", "long", "short",
-        "nan", "inf", "1e400", "1d3", "0x10", "blank_space"])
+        "nan", "inf", "1e400", "1d3", "0x10", "blank_space", "not_utf8", "field_limit"])
 def test_the_c_pass_never_accepts_what_the_located_path_rejects(tmp_path, row, line, fault):
+    # a row holding "\udcff" is written with the byte 0xff, which is not UTF-8
     path = tmp_path / "t.csv"
-    path.write_text(body("0,0.25,1,2001", row, "1,0.75,2,2002"), newline="")
+    path.write_bytes(body("0,0.25,1,2001", row, "1,0.75,2,2002").encode("utf-8",
+                                                                       "surrogateescape"))
     kind, message = both(path, response=0)
     assert (kind, message) == ("ValidationError", f"{path}: line {line}: {fault}")
 
@@ -184,3 +192,114 @@ def test_faults_name_the_file_and_line_as_before(tmp_path):
     with pytest.raises(ValidationError,
                        match=rf"^{re.escape(str(path))}: line 5: cannot parse b='x' as a number$"):
         csvio.read_columns(path, ["a", "b"], [0, 1])
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("rows_above", [0, 1, 5_000], ids=["header", "first_row", "late"])
+def test_a_byte_that_does_not_decode_is_named_at_its_physical_line(tmp_path, sep, rows_above):
+    # "\udcff" is written as the byte 0xff; 5,000 rows above put it past the
+    # reader's first chunk of text
+    if rows_above:
+        lines = ["a,b", *["0.5,1"] * rows_above, "", "0.25,\udcff2"]
+    else:
+        lines = ["a,\udcffb", "", "0.25,2"]
+    path = tmp_path / "t.csv"
+    path.write_bytes(sep.join(lines).encode("utf-8", "surrogateescape"))
+    where = len(lines) if rows_above else 1
+    message = f"{path}: line {where}: cannot decode byte 0xff as utf-8 (invalid start byte)"
+    reads = [lambda: csvio.read_columns(path, ["a", "b"], [0, 1]),
+             lambda: csvio.read_rows(path)]
+    if rows_above == 0:  # the byte is in the header, which is all that first_row reads
+        reads.append(lambda: csvio.first_row(path))
+    for read in reads:
+        assert outcome(lambda: [np.asarray(read())]) == ("ValidationError", message)
+
+
+def table_columns(n):
+    """Columns of every kind a writer takes, over ``n`` rows: text that needs
+    quoting, integers, floats with the awkward values, and a 2-D block."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal((n, 30)) * 10.0 ** rng.integers(-300, 300, (n, 30))
+    floats[::7, 3] = np.nan
+    floats[::11, 4] = -np.inf
+    text = [("a,b", 'q"x', "two\nlines", "plain", "")[i % 5] for i in range(n)]
+    return [text, np.arange(n) - n // 2, floats, rng.random(n)]
+
+
+def write(path, columns):
+    csvio.write_table(path, ["text", "int"] + [f"f{i}" for i in range(31)], *columns)
+    return path.read_bytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts ``write_table`` ran its blocks on."""
+    seen = []
+    run = csvio._run_tasks
+    monkeypatch.setattr(csvio, "_run_tasks",
+                        lambda task, n, workers: seen.append(workers) or run(task, n, workers))
+    return seen
+
+
+def serially(path, columns):
+    """What the single loop writes: a running thread keeps every block here."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        return write(path, columns)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_large_table_is_the_same_bytes_from_workers_as_from_one_process(
+        tmp_path, monkeypatch, pools, workers):
+    columns = table_columns(3_301)  # 3,301 rows x 33 cells, split unevenly
+    one = serially(tmp_path / "one.csv", columns)
+    assert pools == [1]
+    monkeypatch.setattr(csvio, "_workers", lambda tasks, pinned: workers)
+    assert write(tmp_path / "many.csv", columns) == one
+    assert pools == [1, workers]
+    with open(tmp_path / "many.csv", newline="") as fh:
+        assert sum(1 for _ in csv.reader(fh)) == 3_302
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["many.csv", "one.csv"]
+
+
+def test_the_workers_are_those_of_the_machine(tmp_path, pools):
+    columns = table_columns(3_031)  # 100,023 cells: the smallest table cut in two
+    assert write(tmp_path / "all.csv", columns) == serially(tmp_path / "one.csv", columns)
+    pinned = bool(runtime._loaded_openblas())
+    assert pools == [runtime._workers(2, pinned), 1]
+
+
+def test_a_table_below_the_threshold_starts_no_worker(tmp_path, monkeypatch, pools):
+    columns = table_columns(3_030)  # 99,990 cells
+    monkeypatch.setattr(csvio, "_workers", lambda tasks, pinned: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
+    write(tmp_path / "t.csv", columns)
+    assert pools == []
+    assert 3_030 * 33 < csvio.PARALLEL_CELLS <= 3_031 * 33
+
+
+def test_a_workers_exception_reaches_the_caller_and_leaves_no_part_file(tmp_path,
+                                                                        monkeypatch):
+    parent = os.getpid()
+    write_rows = csvio._write_rows
+
+    def failing(fh, fmt, cols, start, stop):
+        if os.getpid() != parent:
+            raise ValueError(f"block from row {start} failed")
+        write_rows(fh, fmt, cols, start, stop)
+
+    monkeypatch.setattr(csvio, "_write_rows", failing)
+    monkeypatch.setattr(csvio, "_workers", lambda tasks, pinned: 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    (tmp_path / "out").mkdir()
+    with pytest.raises(ValueError, match="^block from row 1550 failed$"):
+        write(tmp_path / "out" / "t.csv", table_columns(3_100))
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["t.csv"]
+    assert not any((tmp_path / "tmp").iterdir())
