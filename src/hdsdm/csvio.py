@@ -8,18 +8,18 @@ found while reading is a ValidationError reading ``<file>: line N: <fault>``,
 N the physical line of the file, blank lines counted.
 
 A table is read one way, by ``read_columns``: first ``np.loadtxt`` parses
-every row in one C pass, where a cell of a column that is not read is only
-counted; on any fault, a row it cannot parse or a cell the located path
-would reject, the file is read again on the located path, ``read_rows``
-then ``to_floats``, which names the first faulty line or returns the
-values. Both paths parse a number as Python's ``float`` does,
+every row in one C pass into a plain float table, with two converters: the
+response cell maps ``0`` and ``1`` to 0.0 and 1.0 and rejects any other
+text, and a cell of a column that is not read becomes 0.0 unless it holds
+a NUL, which Python 3.10's ``csv`` rejects. The values are taken when the
+table has one column per name and every value is finite. On any other
+outcome the file is read again by ``located``, which checks each row as
+``csv`` yields it and raises at the first faulty one, so every fault is
+named in file order. Both paths parse a number as Python's ``float`` does,
 correctly rounded, so they give the same values bit for bit. A line that
 ``csv`` cannot read is a fault of the same form: a byte that does not
-decode, wherever the file is read as text (``first_row``, the C pass, which
-then hands the file to the located path, and ``read_rows``), and a cell over
-``csv``'s field limit, which only ``csv``'s reader has. ``read_rows`` meets
-such a line before ``to_floats`` checks any row, so it is the one named even
-when a row above it has a fault of its own.
+decode, which ``located`` and ``first_row`` read as an escaped character,
+and a cell over ``csv``'s field limit.
 
 A table is written one way, by ``write_table``: one ``%`` format per row,
 ``ROWS_PER_WRITE`` rows at a time. A table of at least ``PARALLEL_CELLS``
@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import re
 import shutil
 import tempfile
 import warnings
@@ -48,7 +49,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .runtime import _one_blas_thread, _run_tasks, _workers
 
-__all__ = ["first_row", "read_columns", "read_rows", "to_floats", "write_table"]
+__all__ = ["first_row", "located", "read_columns", "write_table"]
 
 FLOAT_FMT = "%.17g"
 # the rows a writer holds as Python objects at once: a whole draw table would
@@ -58,135 +59,120 @@ ROWS_PER_WRITE = 64
 # many: 50,000 cells take about 45 ms to format, and starting a forked worker
 # from a 150 MB process takes about 7-10 ms (2-core x86-64)
 PARALLEL_CELLS = 100_000
+# the characters that the "surrogateescape" error handler reads a byte as
+ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def _rows(path, fh):
     """The non-blank rows of the open file ``fh`` as ``csv`` reads them, each
     with its physical line. A line that cannot be read, for a byte that does
-    not decode or a cell over ``csv``'s field limit, is a ValidationError
-    naming ``path`` and that line."""
+    not decode (an escaped character) or a cell over ``csv``'s field limit,
+    is a ValidationError naming ``path`` and that line."""
     reader = csv.reader(fh)
     try:
         for row in reader:
+            if any(map(ESCAPED.search, row)):
+                raise _undecodable(path, fh.encoding)
             if row:
                 yield row, reader.line_num
     except csv.Error as err:  # the reader counted the line it failed on
         raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
-    except UnicodeDecodeError as err:  # raised before the reader counts its line
-        raise _undecodable(path, err) from None
 
 
-def _undecodable(path, err: UnicodeDecodeError) -> ValidationError:
-    """The fault of a file that does not decode as ``err.encoding``, at the
+def _undecodable(path, encoding: str) -> ValidationError:
+    """The fault of a file that does not decode as ``encoding``, at the
     physical line of its first undecodable byte: the line breaks before it
     (CRLF, LF or a bare CR, as ``csv`` reads them) plus one."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode(err.encoding)
-    except UnicodeDecodeError as whole:  # its offset is in the file, err's in a chunk
-        err = whole
-    head = data[:err.start]
-    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return ValidationError(f"{path}: line {line}: cannot decode byte "
-                           f"0x{err.object[err.start]:02x} as {err.encoding} ({err.reason})")
+        data.decode(encoding)
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ValidationError(f"{path}: line {line}: cannot decode byte "
+                               f"0x{data[err.start]:02x} as {err.encoding} ({err.reason})")
+    raise AssertionError(f"{path} decodes as {encoding}")
 
 
 def first_row(path) -> list[str]:
     """The first non-blank row of a file as ``csv`` reads it, [] if it has none."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         return next(_rows(path, fh), ([], 0))[0]
+
+
+def _unread(cell: str) -> float:
+    """A cell of a column that is not read: 0.0, unless it holds a NUL."""
+    if "\0" in cell:
+        raise ValueError("a NUL in a cell")
+    return 0.0
 
 
 def read_columns(path, names, take, below_first=True, width_of="the header",
                  response=None) -> list[np.ndarray]:
     """Columns ``take`` (indices into ``names``) of the rows of a file below
     its first non-blank row, or of all its rows if ``below_first`` is false,
-    as ``to_floats`` gives them from ``read_rows``: the values, or the
-    ValidationError of the first faulty row.
+    as ``located`` gives them: the values, or the ValidationError of the
+    first faulty row.
 
-    The rows are read in one ``np.loadtxt`` pass: the ``response`` column as
-    a string of at most two characters, so that ``1.0``, `` 1``, ``+1`` and
-    ``01`` stay apart from ``1``, every other ``take`` column as a float,
-    and each column outside ``take`` as a one-character string, so that any
-    cell there parses and only counts toward the row's width. Its values
-    are taken when every row has one field per name, every ``take`` cell is
-    finite and every response cell is ``0`` or ``1``. Any other file is read
-    again by ``read_rows`` and ``to_floats``.
+    The rows are read in one ``np.loadtxt`` pass into a float table, the
+    ``response`` column through a converter that reads only ``0`` and ``1``
+    (so ``1.0``, `` 1``, ``+1`` and ``01`` are not taken) and each column
+    outside ``take`` through one that reads any cell but a NUL as 0.0. Its
+    values are taken when the table has one column per name and every value
+    is finite.
+    Any other file is read again by ``located``.
     """
-    dtype = [(f"f{i}", "U2" if i == response else "f8" if i in take else "U1")
-             for i in range(len(names))]
-    with open(path, newline="") as fh:
-        if below_first:
-            next(_rows(path, fh), None)
-        with warnings.catch_warnings():
+    converters = {i: {"0": 0.0, "1": 1.0}.__getitem__ if i == response else _unread
+                  for i in range(len(names)) if i == response or i not in take}
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # np.loadtxt warns on a file without rows
-            try:
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
-            except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
-                table = None
-    if table is not None and (response is None or _binary(table[f"f{response}"], path)):
-        cols = [(table[f"f{i}"] == "1").astype(float) if i == response
-                else np.ascontiguousarray(table[f"f{i}"]) for i in take]
-        if all(np.isfinite(c).all() for c in cols):
-            return cols
-    rows, lines = read_rows(path)
-    if below_first:
-        rows, lines = rows[1:], lines[1:]
-    return to_floats(path, rows, lines, names, take, width_of, response)
+            if below_first:
+                next(_rows(path, fh), None)
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                               converters=converters)
+    except (ValueError, UserWarning):  # a ValidationError or UnicodeDecodeError too
+        pass
+    else:
+        if table.shape[1] == len(names) and np.isfinite(table).all():
+            return list(table[:, take].T.copy())
+    return located(path, names, take, below_first, width_of, response)
 
 
-def _binary(cells: np.ndarray, path) -> bool:
-    """Whether every response cell the C pass read is ``0`` or ``1``. A string
-    cell drops trailing NULs, so ``1\\0`` reads as ``1``: a file that holds a
-    NUL is not taken. A float cell with a NUL does not parse."""
-    if not np.isin(cells, ("0", "1")).all():
-        return False
-    with open(path, "rb") as fh:
-        return b"\0" not in fh.read()
-
-
-def read_rows(path) -> tuple[list[list[str]], list[int]]:
-    """The non-blank rows of a file and the physical line of each, as two
-    lists; a line that cannot be read is the ValidationError of ``_rows``."""
-    with open(path, newline="") as fh:
-        found = list(_rows(path, fh))
-    return [row for row, _ in found], [line for _, line in found]
-
-
-def _fault(row: list[str], names, take, width_of: str, response) -> str | None:
-    """The first fault of one row: its field count, then its ``response``
-    cell, then each cell of ``take`` in order."""
-    if len(row) != len(names):
-        return f"{len(row)} fields, but {width_of} has {len(names)}"
-    if response is not None and row[response] not in ("0", "1"):
-        return f"response {names[response]}={row[response]!r} is not binary 0/1"
-    for i in take:
-        try:
-            number = float(row[i])
-        except ValueError:
-            return f"cannot parse {names[i]}={row[i]!r} as a number"
-        if not math.isfinite(number):  # float() accepts "nan" and "inf"
-            return f"{names[i]}={row[i]!r} is not a finite number"
-    return None
-
-
-def to_floats(path, rows, lines, names, take, width_of="the header",
-              response=None) -> list[np.ndarray]:
-    """Columns ``take`` (indices into ``names``) of ``rows`` as float arrays.
+def located(path, names, take, below_first=True, width_of="the header",
+            response=None) -> list[np.ndarray]:
+    """Columns ``take`` of a file as ``read_columns`` gives them, read one row
+    at a time as ``csv`` yields it.
 
     Every row has one field per name, the cells of column ``response`` (an
     index, if given) are ``0`` or ``1``, and every cell of a ``take`` column
-    is a finite number. The rows are examined in file order, and the first
-    faulty one is a ValidationError naming ``path`` and its line from
-    ``lines``. With no faulty row, the values are returned.
+    is a finite number. The first row that is not so, or that ``csv`` cannot
+    read, is a ValidationError naming ``path`` and its physical line: its
+    field count is checked first, then its ``response`` cell, then each cell
+    of ``take`` in order. With no faulty row, the values are returned.
     """
-    for row, line in zip(rows, lines):
-        fault = _fault(row, names, take, width_of, response)
-        if fault:
-            raise ValidationError(f"{path}: line {line}: {fault}")
-    return [np.array([float(row[i]) for row in rows]) for i in take]
+    def fault(message: str) -> ValidationError:
+        return ValidationError(f"{path}: line {line}: {message}")
+
+    cols = [[] for _ in take]
+    with open(path, newline="", errors="surrogateescape") as fh:
+        rows = _rows(path, fh)
+        if below_first:
+            next(rows, None)
+        for row, line in rows:
+            if len(row) != len(names):
+                raise fault(f"{len(row)} fields, but {width_of} has {len(names)}")
+            if response is not None and row[response] not in ("0", "1"):
+                raise fault(f"response {names[response]}={row[response]!r} is not binary 0/1")
+            for col, i in zip(cols, take):
+                try:
+                    col.append(float(row[i]))
+                except ValueError:
+                    raise fault(f"cannot parse {names[i]}={row[i]!r} as a number") from None
+                if not math.isfinite(col[-1]):  # float() accepts "nan" and "inf"
+                    raise fault(f"{names[i]}={row[i]!r} is not a finite number")
+    return [np.array(col, dtype=float) for col in cols]
 
 
 def _quote(cell: str) -> str:

@@ -695,6 +695,17 @@ class TestCliFlow:
         assert record == {"error": "ValidationError",
                           "message": f"{path}: line 3: field larger than field limit (131072)"}
 
+    def test_data_file_fault_above_an_undecodable_byte_gives_its_line(self, workdir, capsys):
+        path = workdir / "data.csv"
+        text = path.read_bytes().split(b"\r\n")
+        text[2] = b"1,x,1,2001"  # file line 3
+        text[4] += b"\xff"  # file line 5
+        path.write_bytes(b"\r\n".join(text))
+        assert main(["fit", "--config", str(workdir / "config.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValidationError",
+                          "message": f"{path}: line 3: cannot parse sst='x' as a number"}
+
     def test_draw_file_that_is_not_utf8_gives_validation_record(self, workdir, capsys):
         cfg_path = str(workdir / "config.json")
         assert main(["fit", "--config", cfg_path]) == 0

@@ -1,9 +1,10 @@
-"""The table reader: one ``np.loadtxt`` pass, and the located re-read on any
-fault, which must give what ``read_rows`` and ``to_floats`` give."""
+"""The table reader: one ``np.loadtxt`` pass, which must give what the
+streaming ``located`` pass gives and hands it every file it does not take."""
 
 import csv
 import os
 import re
+import sys
 import tempfile
 import threading
 
@@ -28,17 +29,10 @@ def outcome(read):
         return type(err).__name__, str(err)
 
 
-def located(path, names, take, below_first=True, width_of="the header", response=None):
-    rows, lines = csvio.read_rows(path)
-    if below_first:
-        rows, lines = rows[1:], lines[1:]
-    return csvio.to_floats(path, rows, lines, names, take, width_of, response)
-
-
 def both(path, names=HEADER, take=TAKE, **kw):
     """The outcome of ``read_columns`` and of the located path, which must agree."""
     new = outcome(lambda: csvio.read_columns(path, names, take, **kw))
-    old = outcome(lambda: located(path, names, take, **kw))
+    old = outcome(lambda: csvio.located(path, names, take, **kw))
     assert new == old
     return new
 
@@ -47,8 +41,9 @@ def both(path, names=HEADER, take=TAKE, **kw):
 def counted(monkeypatch):
     """The number of located re-reads: 0 when the C pass gave the values."""
     calls = []
-    read_rows = csvio.read_rows
-    monkeypatch.setattr(csvio, "read_rows", lambda path: calls.append(path) or read_rows(path))
+    located = csvio.located
+    monkeypatch.setattr(csvio, "located",
+                        lambda path, *args, **kw: calls.append(path) or located(path, *args, **kw))
     return calls
 
 
@@ -194,6 +189,29 @@ def test_faults_name_the_file_and_line_as_before(tmp_path):
         csvio.read_columns(path, ["a", "b"], [0, 1])
 
 
+@pytest.mark.parametrize("below", [["1,2", "1,\udcff"], ["1," + "5" * 200_001]],
+                         ids=["not_utf8", "field_limit"])
+def test_the_first_faulty_line_is_named_above_a_line_that_cannot_be_read(tmp_path, below):
+    # "\udcff" is written as the byte 0xff, in the decoder's first chunk
+    path = tmp_path / "t.csv"
+    path.write_bytes("\n".join(["a,b", "1,2", "1,x", *below]).encode("utf-8", "surrogateescape"))
+    assert both(path, ["a", "b"], [0, 1]) == \
+        ("ValidationError", f"{path}: line 3: cannot parse b='x' as a number")
+
+
+@pytest.mark.parametrize("response", [None, 0], ids=["no_response", "response"])
+def test_a_nul_in_a_column_that_is_not_read_takes_the_located_path(tmp_path, counted,
+                                                                     response):
+    # Python 3.10's csv rejects the line, 3.11's reads the cell
+    path = tmp_path / "t.csv"
+    path.write_text(body("0,0.5,a\0b,2000", "1,0.2,x,2001"))
+    kind, _ = both(path, response=response)
+    assert kind == ("values" if sys.version_info >= (3, 11) else "ValidationError")
+    counted.clear()
+    outcome(lambda: csvio.read_columns(path, HEADER, TAKE, response=response))
+    assert counted == [path]
+
+
 @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("rows_above", [0, 1, 5_000], ids=["header", "first_row", "late"])
 def test_a_byte_that_does_not_decode_is_named_at_its_physical_line(tmp_path, sep, rows_above):
@@ -208,7 +226,7 @@ def test_a_byte_that_does_not_decode_is_named_at_its_physical_line(tmp_path, sep
     where = len(lines) if rows_above else 1
     message = f"{path}: line {where}: cannot decode byte 0xff as utf-8 (invalid start byte)"
     reads = [lambda: csvio.read_columns(path, ["a", "b"], [0, 1]),
-             lambda: csvio.read_rows(path)]
+             lambda: csvio.located(path, ["a", "b"], [0, 1])]
     if rows_above == 0:  # the byte is in the header, which is all that first_row reads
         reads.append(lambda: csvio.first_row(path))
     for read in reads:

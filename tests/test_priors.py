@@ -313,6 +313,16 @@ class TestKldDistance:
         simplified = pc0_simplified_logpdf(grid, lam)
         np.testing.assert_allclose(exact, simplified, atol=0.02)
 
+    def test_return_shapes(self):
+        # a Python float for one omega, whether given as a scalar or as one entry
+        Sigma0, Sigma1 = linear_vs_nonlinear_instance(k1=5, n=30)
+        assert type(kld_distance(0.5, 0.01, Sigma0, Sigma1)) is float
+        for omega in (0.5, np.array([0.5])):
+            assert type(pc0_exact_logpdf_numeric(omega, 0.7, Sigma0, Sigma1)) is float
+        for k in (2, 3):
+            grid = np.linspace(0.2, 0.8, k)
+            assert pc0_exact_logpdf_numeric(grid, 0.7, Sigma0, Sigma1).shape == (k,)
+
     def test_validation(self):
         S = np.eye(2)
         with pytest.raises(ValidationError):
