@@ -8,11 +8,14 @@ found while reading is a ValidationError reading ``<file>: line N: <fault>``,
 N the physical line of the file, blank lines counted.
 
 A table is read one way, by ``read_columns``: first ``np.loadtxt`` parses
-every row in one C pass into a plain float table, with two converters: the
-response cell maps ``0`` and ``1`` to 0.0 and 1.0 and rejects any other
-text, and a cell of a column that is not read becomes 0.0 unless it holds
-a NUL, which Python 3.10's ``csv`` rejects. The values are taken when the
-table has one column per name and every value is finite. On any other
+every row in one C pass into a table of one field per column: a float for
+each column that is read, the response cell through a converter that maps
+``0`` and ``1`` to 0.0 and 1.0 and rejects any other text, and a
+one-character string for each column that is not read, so that its cells
+parse in C and only count toward the row's width. When there is such a
+column, a line that holds a NUL fails the pass: such a cell would drop it,
+and Python 3.10's ``csv`` rejects the line. The values are taken when every
+row has one field per name and every value read is finite. On any other
 outcome the file is read again by ``located``, which checks each row as
 ``csv`` yields it and raises at the first faulty one, so every fault is
 named in file order. Both paths parse a number as Python's ``float`` does,
@@ -101,11 +104,12 @@ def first_row(path) -> list[str]:
         return next(_rows(path, fh), ([], 0))[0]
 
 
-def _unread(cell: str) -> float:
-    """A cell of a column that is not read: 0.0, unless it holds a NUL."""
-    if "\0" in cell:
-        raise ValueError("a NUL in a cell")
-    return 0.0
+def _without_nul(fh):
+    """The lines of ``fh``; a line that holds a NUL is a ValueError."""
+    for line in fh:
+        if "\0" in line:
+            raise ValueError("a NUL in a line")
+        yield line
 
 
 def read_columns(path, names, take, below_first=True, width_of="the header",
@@ -115,28 +119,30 @@ def read_columns(path, names, take, below_first=True, width_of="the header",
     as ``located`` gives them: the values, or the ValidationError of the
     first faulty row.
 
-    The rows are read in one ``np.loadtxt`` pass into a float table, the
-    ``response`` column through a converter that reads only ``0`` and ``1``
-    (so ``1.0``, `` 1``, ``+1`` and ``01`` are not taken) and each column
-    outside ``take`` through one that reads any cell but a NUL as 0.0. Its
-    values are taken when the table has one column per name and every value
-    is finite.
-    Any other file is read again by ``located``.
+    The rows are read in one ``np.loadtxt`` pass, as the module docstring
+    says: each ``take`` column as a float, the ``response`` column through a
+    converter that reads only ``0`` and ``1`` (so ``1.0``, `` 1``, ``+1`` and
+    ``01`` are not taken), and each other column as a one-character string.
+    Its values are taken when every row has one field per name and every
+    value read is finite. Any other file is read again by ``located``.
     """
-    converters = {i: {"0": 0.0, "1": 1.0}.__getitem__ if i == response else _unread
-                  for i in range(len(names)) if i == response or i not in take}
+    unread = [i for i in range(len(names)) if i not in take]
+    dtype = [(f"f{i}", "U1" if i in unread else "f8") for i in range(len(names))]
+    binary = {} if response is None else {response: {"0": 0.0, "1": 1.0}.__getitem__}
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # np.loadtxt warns on a file without rows
             if below_first:
                 next(_rows(path, fh), None)
-            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                               converters=converters)
+            # a one-character cell drops a NUL that Python 3.10's csv rejects
+            table = np.loadtxt(_without_nul(fh) if unread else fh, dtype=dtype, delimiter=",",
+                               comments=None, quotechar='"', ndmin=1, converters=binary)
     except (ValueError, UserWarning):  # a ValidationError or UnicodeDecodeError too
         pass
     else:
-        if table.shape[1] == len(names) and np.isfinite(table).all():
-            return list(table[:, take].T.copy())
+        cols = [np.ascontiguousarray(table[f"f{i}"]) for i in take]
+        if all(np.isfinite(c).all() for c in cols):
+            return cols
     return located(path, names, take, below_first, width_of, response)
 
 
