@@ -12,17 +12,18 @@ every row in one C pass into a table of one field per column: a float for
 each column that is read, the response cell through a converter that maps
 ``0`` and ``1`` to 0.0 and 1.0 and rejects any other text, and a
 one-character string for each column that is not read, so that its cells
-parse in C and only count toward the row's width. When there is such a
-column, a line that holds a NUL fails the pass: such a cell would drop it,
-and Python 3.10's ``csv`` rejects the line. The values are taken when every
-row has one field per name and every value read is finite. On any other
-outcome the file is read again by ``located``, which checks each row as
-``csv`` yields it and raises at the first faulty one, so every fault is
-named in file order. Both paths parse a number as Python's ``float`` does,
-correctly rounded, so they give the same values bit for bit. A line that
-``csv`` cannot read is a fault of the same form: a byte that does not
-decode, which ``located`` and ``first_row`` read as an escaped character,
-and a cell over ``csv``'s field limit.
+parse in C and only count toward the row's width; a line that such a cell
+would hide, one holding a NUL or longer than ``csv``'s field limit, fails
+the pass. The values are taken when every row has one field per name and
+every value read is finite. On any other outcome the file is read again by
+``located``, which checks each row as ``csv`` yields it and raises at the
+first faulty one, so every fault is named in file order. Both paths parse a
+number as Python's ``float`` does, correctly rounded, so they give the same
+values bit for bit. A line that ``csv`` cannot read is a fault of the same
+form: a NUL, named ``line contains NUL`` on every version as Python 3.10's
+``csv`` names it; a byte that does not decode, which ``located`` and
+``first_row`` read as an escaped character; and a cell over ``csv``'s field
+limit.
 
 A table is written one way, by ``write_table``: one ``%`` format per row,
 ``ROWS_PER_WRITE`` rows at a time. A table of at least ``PARALLEL_CELLS``
@@ -68,10 +69,16 @@ ESCAPED = re.compile("[\udc80-\udcff]")
 
 def _rows(path, fh):
     """The non-blank rows of the open file ``fh`` as ``csv`` reads them, each
-    with its physical line. A line that cannot be read, for a byte that does
-    not decode (an escaped character) or a cell over ``csv``'s field limit,
-    is a ValidationError naming ``path`` and that line."""
-    reader = csv.reader(fh)
+    with its physical line. A line that cannot be read, for a NUL, a byte
+    that does not decode (an escaped character) or a cell over ``csv``'s
+    field limit, is a ValidationError naming ``path`` and that line."""
+    def lines():
+        for line_num, line in enumerate(fh, 1):
+            if "\0" in line:  # Python 3.10's csv says so itself; later ones read the line
+                raise ValidationError(f"{path}: line {line_num}: line contains NUL")
+            yield line
+
+    reader = csv.reader(lines())
     try:
         for row in reader:
             if any(map(ESCAPED.search, row)):
@@ -104,11 +111,12 @@ def first_row(path) -> list[str]:
         return next(_rows(path, fh), ([], 0))[0]
 
 
-def _without_nul(fh):
-    """The lines of ``fh``; a line that holds a NUL is a ValueError."""
+def _plain_lines(fh):
+    """The lines of ``fh``; one holding a NUL or over the field limit is a ValueError."""
+    limit = csv.field_size_limit()
     for line in fh:
-        if "\0" in line:
-            raise ValueError("a NUL in a line")
+        if "\0" in line or len(line) > limit:
+            raise ValueError("a line that located reads")
         yield line
 
 
@@ -134,8 +142,8 @@ def read_columns(path, names, take, below_first=True, width_of="the header",
             warnings.simplefilter("error")  # np.loadtxt warns on a file without rows
             if below_first:
                 next(_rows(path, fh), None)
-            # a one-character cell drops a NUL that Python 3.10's csv rejects
-            table = np.loadtxt(_without_nul(fh) if unread else fh, dtype=dtype, delimiter=",",
+            # a one-character cell drops a NUL and cuts a cell over the field limit
+            table = np.loadtxt(_plain_lines(fh) if unread else fh, dtype=dtype, delimiter=",",
                                comments=None, quotechar='"', ndmin=1, converters=binary)
     except (ValueError, UserWarning):  # a ValidationError or UnicodeDecodeError too
         pass

@@ -1,15 +1,16 @@
 """Gaussian precision structures for latent effects.
 
 Builders for the standard intrinsic precision matrices (first/second-order
-random walks, lattice ICAR, i.i.d.), rank-classified by dense symmetric
-eigendecomposition, and the one constrained Gaussian law, ``SubspaceGaussian``
+random walks, lattice ICAR, i.i.d.), each with its null space and rank in
+closed form (none, the constant, span{1, t}, one indicator per component of
+the lattice), and the one constrained Gaussian law, ``SubspaceGaussian``
 (N(0, Q-) restricted to A'u = 0), used for direct sampling, densities and
 effect standardization. Where the constraints span the null space of Q,
 restriction equals kriging and the covariance is the pseudo-inverse of Q.
 
-``psd_eigen`` classifies zero eigenvalues, for ``priors`` too, with the
-scale-relative threshold ``|lam| <= RANK_TOL * lam_max``, robust for the
-dense sizes used here (K up to a few hundred per effect).
+``psd_eigen`` classifies the zero eigenvalues of the matrices ``priors``
+compares, with the scale-relative threshold ``|lam| <= RANK_TOL * lam_max``,
+robust for the dense sizes used here (K up to a few hundred per effect).
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class PrecisionStructure:
     Q : ndarray, shape (K, K)
         Symmetric positive semi-definite precision matrix.
     nullspace : ndarray, shape (K, m)
-        Orthonormal basis of the null space (columns).
+        Orthonormal basis of the null space (columns), in closed form.
     rank : int
-        Number of eigenvalues classified as nonzero; ``rank + m == K``.
+        The rank of Q, ``K - m``.
     """
 
     Q: np.ndarray
@@ -86,12 +87,6 @@ def _rank(S: np.ndarray) -> int:
     return int(np.count_nonzero(psd_eigen(S)[3]))
 
 
-def _from_matrix(Q: np.ndarray) -> PrecisionStructure:
-    """Eigendecompose a symmetric PSD matrix and classify its rank."""
-    Qs, _, vec, nonzero = psd_eigen(Q, "precision matrix")
-    return PrecisionStructure(Q=Qs, nullspace=vec[:, ~nonzero], rank=int(np.count_nonzero(nonzero)))
-
-
 @dataclass(frozen=True)
 class CoefficientBlock:
     """One latent coefficient vector tagged with its effect id."""
@@ -111,7 +106,7 @@ def build_rw1(K: int) -> PrecisionStructure:
     if K < 2:
         raise DimensionError(f"rw1 needs K >= 2, got {K}")
     D1 = np.diff(np.eye(K), axis=0)
-    return _from_matrix(D1.T @ D1)
+    return PrecisionStructure(D1.T @ D1, np.full((K, 1), 1.0 / np.sqrt(K)), K - 1)
 
 
 def build_rw2(K: int) -> PrecisionStructure:
@@ -122,14 +117,16 @@ def build_rw2(K: int) -> PrecisionStructure:
     if K < 3:
         raise DimensionError(f"rw2 needs K >= 3, got {K}")
     D2 = np.diff(np.eye(K), n=2, axis=0)
-    return _from_matrix(D2.T @ D2)
+    t = np.arange(K) - (K - 1) / 2.0  # centred, so orthogonal to the constant
+    null = np.column_stack([np.full(K, 1.0 / np.sqrt(K)), t / np.linalg.norm(t)])
+    return PrecisionStructure(D2.T @ D2, null, K - 2)
 
 
 def build_icar(W: np.ndarray) -> PrecisionStructure:
     """Intrinsic CAR precision diag(W 1) - W on an undirected 0/1 adjacency graph.
 
-    The graph may be disconnected; the null space then holds one indicator
-    per connected component.
+    The graph may be disconnected; the null space holds the normalised
+    indicator of each connected component, in the order of their labels.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -140,22 +137,16 @@ def build_icar(W: np.ndarray) -> PrecisionStructure:
         raise ValidationError("adjacency matrix must have zero diagonal")
     if not np.all(np.isin(W, (0.0, 1.0))):
         raise ValidationError("adjacency matrix entries must be 0 or 1")
-    Q = np.diag(W.sum(axis=1)) - W
-    struct = _from_matrix(Q)
-    n_comp, _ = connected_components(W, directed=False)
-    if struct.null_dim != n_comp:
-        raise ValidationError(
-            f"eigen-classified null dimension {struct.null_dim} does not match "
-            f"{n_comp} graph components"
-        )
-    return struct
+    n_comp, labels = connected_components(W, directed=False)
+    null = (labels[:, None] == np.arange(n_comp)) / np.sqrt(np.bincount(labels))
+    return PrecisionStructure(np.diag(W.sum(axis=1)) - W, null, len(W) - n_comp)
 
 
 def build_iid(K: int) -> PrecisionStructure:
     """Identity precision (exchangeable effect); full rank, empty null space."""
     if K < 1:
         raise DimensionError(f"iid needs K >= 1, got {K}")
-    return _from_matrix(np.eye(K))
+    return PrecisionStructure(np.eye(K), np.zeros((K, 0)), K)
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ def _build_spatial_effect(decl: EffectDecl) -> StandardizedEffect:
     extra = None
     if precision.null_dim > 1:
         d = G.mean(axis=0)
-        extra = [d * (np.abs(col) > 1e-12) for col in precision.nullspace.T]
+        extra = [d * (col > 0) for col in precision.nullspace.T]
     return standardize(pruned, precision, decl.dist, decl.effect_id, extra_constraints=extra,
                        grid_design=G)
 

@@ -4,7 +4,6 @@ streaming ``located`` pass gives and hands it every file it does not take."""
 import csv
 import os
 import re
-import sys
 import tempfile
 import threading
 
@@ -71,7 +70,7 @@ def test_written_floats_read_back_bit_for_bit(tmp_path_factory, n, width, data):
     ("+1,0.5,1,2000", 3, "response present='+1' is not binary 0/1"),
     ("01,0.5,1,2000", 3, "response present='01' is not binary 0/1"),
     ("2,0.5,1,2000", 3, "response present='2' is not binary 0/1"),
-    ("1\0,0.5,1,2000", 3, "response present='1\\x00' is not binary 0/1"),
+    ("1\0,0.5,1,2000", 3, "line contains NUL"),
     ("#1,0.5,1,2000", 3, "response present='#1' is not binary 0/1"),
     ("#,0.5,1,2000", 3, "response present='#' is not binary 0/1"),
     ("1,0.5,1,2000,7", 3, "5 fields, but the header has 4"),
@@ -202,13 +201,36 @@ def test_the_first_faulty_line_is_named_above_a_line_that_cannot_be_read(tmp_pat
 @pytest.mark.parametrize("response", [None, 0], ids=["no_response", "response"])
 def test_a_nul_in_a_column_that_is_not_read_takes_the_located_path(tmp_path, counted,
                                                                      response):
-    # Python 3.10's csv rejects the line, 3.11's reads the cell
+    # a fault on every version, in the words of Python 3.10's csv
     path = tmp_path / "t.csv"
     path.write_text(body("0,0.5,a\0b,2000", "1,0.2,x,2001"))
-    kind, _ = both(path, response=response)
-    assert kind == ("values" if sys.version_info >= (3, 11) else "ValidationError")
+    assert both(path, response=response) == \
+        ("ValidationError", f"{path}: line 2: line contains NUL")
     counted.clear()
     outcome(lambda: csvio.read_columns(path, HEADER, TAKE, response=response))
+    assert counted == [path]
+
+
+@pytest.mark.parametrize("cell, line", [("x\0y", 3), ('"a\nb\0c\nd"', 4)],
+                         ids=["one_line", "quoted_over_lines"])
+def test_a_nul_is_named_at_its_physical_line(tmp_path, cell, line):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b\n1,2\n{cell},3\n1,x\n", newline="")
+    assert both(path, ["a", "b"], [0, 1]) == \
+        ("ValidationError", f"{path}: line {line}: line contains NUL")
+    assert both(path, ["a", "b"], [1]) == \
+        ("ValidationError", f"{path}: line {line}: line contains NUL")
+
+
+def test_a_cell_over_the_field_limit_in_a_column_that_is_not_read_is_a_fault(tmp_path,
+                                                                             counted):
+    # a one-character field would keep one character of it
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2," + "x" * 200_001 + "\n")
+    assert both(path, ["a", "b", "c"], [0, 1]) == \
+        ("ValidationError", f"{path}: line 2: field larger than field limit (131072)")
+    counted.clear()
+    outcome(lambda: csvio.read_columns(path, ["a", "b", "c"], [0, 1]))
     assert counted == [path]
 
 

@@ -78,6 +78,15 @@ class TestBuilders:
         np.testing.assert_allclose(P.Q, 0.0)
         assert P.null_dim == 2 and P.rank == 0
 
+    def test_icar_interleaved_islands_give_normalised_indicators(self):
+        # two paths, 0-2-4 and 1-3-5, whose cells alternate in index order
+        W = np.zeros((6, 6))
+        for a, b in [(0, 2), (2, 4), (1, 3), (3, 5)]:
+            W[a, b] = W[b, a] = 1
+        P = build_icar(W)
+        assert P.null_dim == 2 and P.rank == 4
+        np.testing.assert_array_equal(P.nullspace, np.array([[1, 0], [0, 1]] * 3) / np.sqrt(3))
+
     def test_icar_grid_rank(self):
         P = build_icar(grid_adjacency(4))
         lam = np.linalg.eigvalsh(P.Q)
@@ -99,7 +108,7 @@ class TestBuilders:
 
     @pytest.mark.parametrize(
         "factory", [lambda: build_rw1(8), lambda: build_rw2(9), lambda: build_iid(5),
-                    lambda: build_icar(grid_adjacency(3))]
+                    lambda: build_icar(grid_adjacency(3)), lambda: build_icar(np.zeros((3, 3)))]
     )
     def test_null_space_annihilated(self, factory):
         P = factory()
@@ -107,6 +116,7 @@ class TestBuilders:
         if P.null_dim:
             assert np.abs(P.Q @ P.nullspace).max() <= 1e-9 * max(lam_max, 1.0)
         assert P.rank + P.null_dim == P.dim
+        np.testing.assert_allclose(P.nullspace.T @ P.nullspace, np.eye(P.null_dim), atol=1e-14)
 
 
 def kriging_conditional(P, A):

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.sparse.csgraph import connected_components
+
 from hdsdm import bases
 from hdsdm.config import _entry
 from hdsdm.distributions import PointCloud, UniformInterval, UniformLevels
@@ -100,6 +102,44 @@ def linear_model():
         "abiotic_vs_biotic": PriorSpec("abiotic_vs_biotic", "uniform"),
     }
     return ModelSpec(effects=effects, priors=priors)
+
+
+def island_cloud(seed):
+    """2-4 square islands of 20-79 uniform points, +-0.6 around centres in [0, 10]^2."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(rng.integers(2, 5)):
+        centre = rng.uniform(0.0, 10.0, 2)
+        parts.append(centre + rng.uniform(-0.6, 0.6, (rng.integers(20, 80), 2)))
+    return np.vstack(parts)
+
+
+def island_effect(cloud):
+    """The assembled spatial effect of a linear-plus-spatial model on ``cloud``."""
+    model = ModelSpec(
+        effects=[
+            EffectDecl("a", "linear", "a", UniformInterval(0.0, 1.0), side="abiotic"),
+            EffectDecl("spatial", "spatial2d", ("z1", "z2"), PointCloud(cloud),
+                       side="biotic", n_basis_2d=(12, 12)),
+        ],
+        priors=linear_model().priors,
+    )
+    return assemble(model, None).effects["spatial"]
+
+
+def check_one_constraint_per_island(eff):
+    """Each constraint column is nonzero on exactly one component of the cell
+    lattice (read off Q's nonzeros), one column per component, and each
+    component has zero quadrature mean under the whitened law."""
+    n_comp, labels = connected_components(eff.precision.Q != 0, directed=False)
+    assert eff.constraints.shape[1] == n_comp
+    owners = [set(labels[col != 0]) for col in eff.constraints.T]
+    assert all(len(owner) == 1 for owner in owners)
+    assert set().union(*owners) == set(range(n_comp))
+    G, T = eff.quadrature_design(), eff.whitening_transform()
+    for c in range(n_comp):
+        G_c = G[G[:, labels == c].any(axis=1)]
+        assert np.abs(G_c.mean(axis=0) @ T).max() <= 1e-10
 
 
 class TestDataset:
@@ -313,6 +353,23 @@ class TestAssemble:
         assert result.coefficients["spatial"].shape == (1, 100, eff.n_coef)
         np.testing.assert_allclose(result.coefficients["spatial"][0] @ eff.constraints, 0.0,
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [30, 94])
+    def test_a_two_island_cloud_assembles(self, seed):
+        # when the islands were read off eigenvectors of the repeated zero
+        # eigenvalue, one vector could span both, which left the restricted
+        # precision singular (seed 94, under one LAPACK build)
+        eff = island_effect(island_cloud(seed))
+        assert eff.precision.null_dim == 2
+        check_one_constraint_per_island(eff)
+
+    def test_island_clouds_get_one_zero_mean_constraint_per_component(self):
+        components = []
+        for seed in range(40):
+            eff = island_effect(island_cloud(seed))
+            check_one_constraint_per_island(eff)
+            components.append(eff.precision.null_dim)
+        assert max(components) >= 3 and components.count(1) < 40
 
     def test_effect_kind_validation(self):
         with pytest.raises(ValidationError):
